@@ -14,13 +14,13 @@ from .kernel import (EigenvalueEntry, EigenvalueTable, KernelParams,
                      QuadratureSpec, asymptotic_leading, beta, eigen_integrand,
                      eigenvalue, eigenvalue_table, lambda_gap, load_table,
                      radial_eigenvalues, ratio_bounds, save_table)
-from .solver import (DelaySeries, EvolutionReport, FiniteModes, S2DelaySeries,
+from .solver import (DelaySeries, EvolutionReport, S2DelaySeries,
                      SobolevSeries, TailVerdict, choose_c0, classify_frontier,
-                     decay_check_thm12, evolve, galerkin_truncate,
+                     decay_check_thm12, evolve, galerkin_truncate, log_coeff,
                      rate1_certificate, rate1_check, rate2_check,
                      series_tail_classify, weak_form_residual)
-from .spaces import (NormSpec, embedding_estimate, modified_lambda,
-                     parse_norm_spec, spectral_norm, young_min, young_rhs)
+from .spaces import (NormSpec, embedding_estimate, log_weight, parse_norm_spec,
+                     spectral_norm, young_min, young_rhs)
 from .specfun import (SphericalDirection, assoc_legendre, assoc_legendre_norm,
                       hermite_osc, laguerre, legendre, legendre_scaled_gap,
                       spherical_harmonic)

@@ -99,6 +99,12 @@ class SpectralField:
     def modes(self):
         return sorted(self.coeffs)
 
+    def mode_arrays(self):
+        """(n, l, amplitudes) as arrays, in the order of ``coeffs``."""
+        nlm = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, 3)
+        amps = np.fromiter(self.coeffs.values(), dtype=complex, count=len(self.coeffs))
+        return nlm[:, 0], nlm[:, 1], amps
+
     def map_amplitudes(self, fn, label=None) -> "SpectralField":
         return SpectralField(
             {mode: fn(mode, amp) for mode, amp in self.coeffs.items()},

@@ -89,14 +89,11 @@ def cmd_eigs(args) -> int:
     table, from_cache = _get_table(args, args.nmax, args.lmax)
     s = table.params.s
     rows = []
-    for e in table.sorted_entries():
-        if e.n > args.nmax or e.l > args.lmax:
-            continue
-        K = 2 * e.n + e.l
-        ratio = (e.lam / math.log(K + math.e) ** (2.0 / s)
-                 if e.n + e.l >= 2 else math.nan)
-        asym = asymptotic_leading(e.n, e.l, table.params) if K >= 3 else math.nan
-        rows.append((e.n, e.l, e.lam, e.err, ratio, asym))
+    for n, l, lam, err in table.subset(args.nmax, args.lmax).rows():
+        K = 2 * n + l
+        ratio = lam / math.log(K + math.e) ** (2.0 / s) if n + l >= 2 else math.nan
+        asym = asymptotic_leading(n, l, table.params) if K >= 3 else math.nan
+        rows.append((n, l, lam, err, ratio, asym))
     name = f"eigs_s{s:g}_n{args.nmax}_l{args.lmax}.{args.format}"
     path = os.path.join(args.out, name)
     if args.format == "csv":
@@ -164,35 +161,20 @@ def _parse_times(text: str):
     return times
 
 
-def _series_field(spec, params, quad) -> SpectralField:
-    lam = radial_eigenvalues(spec.N, params, quad)
-    if isinstance(spec, DelaySeries):
-        ns = range(1, spec.N + 1)
-        coeffs = {(n, 0, 0): math.exp(spec.tau0 * lam[n]) / n for n in ns}
-    elif isinstance(spec, S2DelaySeries):
-        coeffs = {(n, 0, 0): 1.0 / (math.sqrt(n) * math.log(n))
-                  for n in range(2, spec.N + 1)}
-    else:
-        coeffs = {(n, 0, 0): n ** (-0.5 * (spec.tau + 1.0)) / math.log(n)
-                  for n in range(2, spec.N + 1)}
-    return SpectralField(coeffs, label=str(spec))
-
-
 def cmd_evolve(args) -> int:
     init = _parse_init(args.init)
     norms = _parse_norms(args.norms)
     times = _parse_times(args.times)
-    params, quad = _params(args), _quad(args)
     if isinstance(init, SpectralField):
         field = init
         nmax = max((m.n for m in field.coeffs), default=0)
         lmax = max((m.l for m in field.coeffs), default=0)
+        table, _ = _get_table(args, max(nmax, 2), max(lmax, 2))
     else:
-        field = _series_field(init, params, quad)
-        nmax, lmax = init.N, 0
-    table, _ = _get_table(args, max(nmax, 2), max(lmax, 2))
+        table, _ = _get_table(args, max(init.N, 2), 2)
+        field = init.field(table.lams[:, 0])
     report = EvolutionReport.compute(field, times, norms, table)
-    path = os.path.join(args.out, f"evolve_s{params.s:g}.{args.format}")
+    path = os.path.join(args.out, f"evolve_s{table.params.s:g}.{args.format}")
     _write_atomic(path, report.to_csv() if args.format == "csv" else report.to_json())
     print(f"wrote {path}")
     return 0

@@ -61,7 +61,6 @@ __all__ = [
     "ratio_bounds",
     "save_table",
     "load_table",
-    "table_to_csv",
 ]
 
 # bump when the quadrature scheme changes; stale caches are rejected, never migrated
@@ -108,6 +107,26 @@ class QuadratureSpec:
             raise ValueError("nodes_per_panel must be at least 8")
 
 
+def _check_eigenvalues(n, l, lam, err):
+    """Raise ValueError at the first (n, l) that breaks an eigenvalue invariant.
+
+    Null modes (n + l <= 1) are exactly 0, every other lambda is positive and
+    every error estimate is nonnegative.  Arguments broadcast, so one entry
+    and a whole table are checked by the same code.
+    """
+    n, l, lam, err = (np.ravel(a) for a in np.broadcast_arrays(n, l, lam, err))
+    null = n + l <= 1
+    for bad, message in (
+            (null & (lam != 0.0), "null mode ({n},{l}) must have lambda = 0"),
+            (~null & ~(lam > 0.0), "lambda must be positive for (n,l)=({n},{l}), got {lam}"),
+            (~(err >= 0.0), "err estimate must be nonnegative for (n,l)=({n},{l}), "
+                            "got {err}")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(message.format(n=int(n[i]), l=int(l[i]),
+                                            lam=float(lam[i]), err=float(err[i])))
+
+
 @dataclass(frozen=True)
 class EigenvalueEntry:
     n: int
@@ -116,15 +135,7 @@ class EigenvalueEntry:
     err: float
 
     def __post_init__(self):
-        if (self.n, self.l) in NULL_MODES:
-            if self.lam != 0.0:
-                raise ValueError(f"null mode ({self.n},{self.l}) must have lambda = 0")
-        elif not self.lam > 0.0:
-            raise ValueError(
-                f"lambda must be positive for (n,l)=({self.n},{self.l}), got {self.lam}"
-            )
-        if self.err < 0.0:
-            raise ValueError("err estimate must be nonnegative")
+        _check_eigenvalues(self.n, self.l, self.lam, self.err)
 
 
 def beta(theta, params: KernelParams):
@@ -275,36 +286,73 @@ def lambda_gap(params: KernelParams,
     return eigenvalue(2, 0, params, quad)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenvalueTable:
+    """lambda_{n,l} and its error estimate for every n <= nmax, l <= lmax.
+
+    ``lams[n, l]`` and ``errs[n, l]`` are read-only float arrays of shape
+    (nmax + 1, lmax + 1); the eigenvalue invariants are checked once, when
+    the table is built or loaded.
+    """
+
     params: KernelParams
     quad: QuadratureSpec
-    entries: dict
+    lams: np.ndarray
+    errs: np.ndarray
     version: str
 
+    def __post_init__(self):
+        lams = np.array(self.lams, dtype=float)
+        errs = np.array(self.errs, dtype=float)
+        if lams.ndim != 2 or lams.shape != errs.shape or 0 in lams.shape:
+            raise ValueError(f"lams and errs must be equal-shape nonempty 2-D arrays, "
+                             f"got {lams.shape} and {errs.shape}")
+        n, l = np.indices(lams.shape)
+        _check_eigenvalues(n, l, lams, errs)
+        for name, arr in (("lams", lams), ("errs", errs)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def nmax(self) -> int:
+        return self.lams.shape[0] - 1
+
+    @property
+    def lmax(self) -> int:
+        return self.lams.shape[1] - 1
+
     def lookup(self, n: int, l: int) -> EigenvalueEntry:
-        try:
-            return self.entries[(n, l)]
-        except KeyError:
-            raise EigenvalueLookupError(n, l) from None
+        if not (0 <= n <= self.nmax and 0 <= l <= self.lmax):
+            raise EigenvalueLookupError(n, l)
+        return EigenvalueEntry(n=n, l=l, lam=float(self.lams[n, l]),
+                               err=float(self.errs[n, l]))
 
     def lam(self, n: int, l: int) -> float:
         return self.lookup(n, l).lam
 
-    @property
-    def nmax(self) -> int:
-        return max(n for n, _ in self.entries)
+    def lams_at(self, n, l) -> np.ndarray:
+        """lambda at index arrays n, l; null modes are 0 and need no coverage.
 
-    @property
-    def lmax(self) -> int:
-        return max(l for _, l in self.entries)
+        Raises EigenvalueLookupError at the first other mode outside the table.
+        """
+        n, l = np.asarray(n), np.asarray(l)
+        valid = (n >= 0) & (l >= 0)
+        null = valid & (n + l <= 1)
+        outside = ~null & ~(valid & (n <= self.nmax) & (l <= self.lmax))
+        if outside.any():
+            i = np.unravel_index(np.argmax(outside), outside.shape)
+            raise EigenvalueLookupError(int(n[i]), int(l[i]))
+        return self.lams[np.where(null, 0, n), np.where(null, 0, l)]
 
     def subset(self, nmax: int, lmax: int) -> "EigenvalueTable":
-        sub = {k: v for k, v in self.entries.items() if k[0] <= nmax and k[1] <= lmax}
-        return EigenvalueTable(self.params, self.quad, sub, self.version)
+        return EigenvalueTable(self.params, self.quad, self.lams[:nmax + 1, :lmax + 1],
+                               self.errs[:nmax + 1, :lmax + 1], self.version)
 
-    def sorted_entries(self):
-        return [self.entries[k] for k in sorted(self.entries)]
+    def rows(self):
+        """(n, l, lambda, err) as Python numbers, in (n, l) order."""
+        for n, (lam_row, err_row) in enumerate(zip(self.lams.tolist(), self.errs.tolist())):
+            for l, (lam, err) in enumerate(zip(lam_row, err_row)):
+                yield n, l, lam, err
 
 
 def table_version(params: KernelParams, quad: QuadratureSpec) -> str:
@@ -344,11 +392,11 @@ def eigenvalue_table(nmax: int, lmax: int, params: KernelParams,
             rows = list(pool.map(_row_task, tasks, chunksize=max(1, lmax // (4 * workers))))
     else:
         rows = [_row_task(t) for t in tasks]
-    entries = {}
+    lams = np.empty((nmax + 1, lmax + 1))
+    errs = np.empty((nmax + 1, lmax + 1))
     for l, lam, err in rows:
-        for n in range(nmax + 1):
-            entries[(n, l)] = EigenvalueEntry(n=n, l=l, lam=float(lam[n]), err=float(err[n]))
-    return EigenvalueTable(params=params, quad=quad, entries=entries,
+        lams[:, l], errs[:, l] = lam, err
+    return EigenvalueTable(params=params, quad=quad, lams=lams, errs=errs,
                            version=table_version(params, quad))
 
 
@@ -386,20 +434,15 @@ def ratio_bounds(table: EigenvalueTable, shift: float = math.e) -> RatioBounds:
     The default shift e matches the spectral lower-bound weight; shift
     1.5 + e gives the oscillator-norm weight used by the decay certificates.
     """
-    s = table.params.s
-    best_min = best_max = None
-    argmin = argmax = None
-    for (n, l), entry in table.entries.items():
-        if n + l < 2:
-            continue
-        r = entry.lam / math.log(2 * n + l + shift) ** (2.0 / s)
-        if best_min is None or r < best_min:
-            best_min, argmin = r, (n, l)
-        if best_max is None or r > best_max:
-            best_max, argmax = r, (n, l)
-    if best_min is None:
+    n, l = np.indices(table.lams.shape)
+    keep = n + l >= 2
+    if not keep.any():
         raise ValueError("table has no modes with n + l >= 2")
-    return RatioBounds(c_min=best_min, c_max=best_max, argmin=argmin, argmax=argmax)
+    n, l = n[keep], l[keep]
+    r = table.lams[keep] / np.log(2 * n + l + shift) ** (2.0 / table.params.s)
+    i, j = int(np.argmin(r)), int(np.argmax(r))
+    return RatioBounds(c_min=float(r[i]), c_max=float(r[j]),
+                       argmin=(int(n[i]), int(l[i])), argmax=(int(n[j]), int(l[j])))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +473,7 @@ def save_table(table: EigenvalueTable, path: str):
         "nodes_per_panel": table.quad.nodes_per_panel,
         "version": table.version,
     }
-    rows = [[e.n, e.l, e.lam, e.err] for e in table.sorted_entries()]
+    rows = [list(row) for row in table.rows()]
     _atomic_write(path, json.dumps({"header": header, "rows": rows},
                                    separators=(",", ":"), sort_keys=True))
 
@@ -462,20 +505,32 @@ def load_table(path: str, params: KernelParams | None = None,
             raise CacheError("cache was built for different kernel parameters")
         if quad is not None and quad != file_quad:
             raise CacheError("cache was built with a different quadrature spec")
-        entries = {}
-        for n, l, lam, err in doc["rows"]:
-            entries[(int(n), int(l))] = EigenvalueEntry(int(n), int(l), float(lam), float(err))
+        lams, errs = _grid_from_rows(doc["rows"])
+        return EigenvalueTable(params=file_params, quad=file_quad, lams=lams, errs=errs,
+                               version=header["version"])
     except CacheError:
         raise
     except Exception as exc:
         raise CacheError(f"unreadable eigenvalue cache {path}: {exc}") from exc
-    return EigenvalueTable(params=file_params, quad=file_quad, entries=entries,
-                           version=header["version"])
 
 
-def table_to_csv(table: EigenvalueTable) -> str:
-    """CSV mirror of the cache rows (n, l, lambda, err)."""
-    lines = ["n,l,lambda,err"]
-    for e in table.sorted_entries():
-        lines.append(f"{e.n},{e.l},{e.lam!r},{e.err!r}")
-    return "\n".join(lines) + "\n"
+def _grid_from_rows(rows):
+    """(lams, errs) arrays from cache rows [n, l, lambda, err] in any order.
+
+    The rows must cover the full (n, l) rectangle exactly once.
+    """
+    rows = np.array(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 4 or not len(rows):
+        raise CacheError("cache rows must be nonempty [n, l, lambda, err] lists")
+    idx = rows[:, :2]
+    if not np.all((idx >= 0) & (idx < len(rows)) & (idx == np.floor(idx))):
+        raise CacheError("cache rows need integer (n, l) inside the table")
+    n, l = idx.astype(np.int64).T
+    shape = (int(n.max()) + 1, int(l.max()) + 1)
+    flat = n * shape[1] + l
+    if len(rows) != shape[0] * shape[1] or np.unique(flat).size != len(rows):
+        raise CacheError(f"cache rows do not cover the {shape[0]}x{shape[1]} (n, l) "
+                         f"grid exactly once ({len(rows)} rows)")
+    lams, errs = np.empty(shape), np.empty(shape)
+    lams.flat[flat], errs.flat[flat] = rows[:, 2], rows[:, 3]
+    return lams, errs

@@ -45,9 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import ModeIndex, SpectralField, project_null
-from .kernel import (EigenvalueTable, KernelParams, QuadratureSpec,
-                     radial_eigenvalues, ratio_bounds)
-from .spaces import W_SHIFT, NormSpec, spectral_norm
+from .kernel import (EigenvalueTable, QuadratureSpec, radial_eigenvalues,
+                     ratio_bounds)
+from .spaces import W_SHIFT, NormSpec, log_weight, spectral_norm
 
 __all__ = [
     "evolve",
@@ -60,7 +60,7 @@ __all__ = [
     "DelaySeries",
     "S2DelaySeries",
     "SobolevSeries",
-    "FiniteModes",
+    "log_coeff",
     "TailVerdict",
     "series_tail_classify",
     "classify_frontier",
@@ -69,18 +69,13 @@ __all__ = [
 ]
 
 
-def _mode_lambda(mode: ModeIndex, table: EigenvalueTable) -> float:
-    if mode.n + mode.l <= 1:
-        return 0.0
-    return table.lam(mode.n, mode.l)
-
-
 def evolve(g: SpectralField, t: float, table: EigenvalueTable) -> SpectralField:
     """Multiply each amplitude by exp(-lambda_{n,l} t); null modes are unchanged."""
     if t < 0.0:
         raise ValueError("time must be nonnegative")
-    return g.map_amplitudes(
-        lambda mode, amp: amp * math.exp(-_mode_lambda(mode, table) * t))
+    n, l, amps = g.mode_arrays()
+    decayed = amps * np.exp(-table.lams_at(n, l) * t)
+    return SpectralField(dict(zip(g.coeffs, decayed.tolist())), label=g.label)
 
 
 def galerkin_truncate(g: SpectralField, N: int) -> SpectralField:
@@ -121,13 +116,12 @@ def rate1_certificate(table: EigenvalueTable, s: float,
     """
     c0 = choose_c0(table, s)
     half_gap = 0.5 * table.lam(2, 0)
-    worst, worst_mode = math.inf, None
-    for (n, l), entry in table.entries.items():
-        if n + l < 2:
-            continue
-        margin = entry.lam - c0 * math.log(2 * n + l + W_SHIFT) - half_gap
-        if margin < worst:
-            worst, worst_mode = margin, (n, l)
+    n, l = np.indices(table.lams.shape)
+    keep = n + l >= 2
+    n, l = n[keep], l[keep]
+    margin = table.lams[keep] - c0 * np.log(2 * n + l + W_SHIFT) - half_gap
+    i = int(np.argmin(margin))
+    worst, worst_mode = float(margin[i]), (int(n[i]), int(l[i]))
     ok = worst >= -rel_slack * half_gap
     return CertificateReport(ok=ok, c0=c0, worst_margin=worst, worst_mode=worst_mode)
 
@@ -249,38 +243,46 @@ def rate2_check(g0: SpectralField, t: float, k: float, table: EigenvalueTable,
 # series initial data and tail classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteModes:
-    field: SpectralField
+class _RadialSeries:
+    """Radial data sum_{n_min <= n <= N} c_n phi_{n,0,0}; see ``log_coeff``."""
+
+    n_min = 2
+
+    def __post_init__(self):
+        if self.N < 2:
+            raise ValueError("truncation N must be at least 2")
+
+    def field(self, lam: np.ndarray) -> SpectralField:
+        """The truncated data as a SpectralField, given lambda_{n,0} for n <= N."""
+        n = np.arange(self.n_min, self.N + 1)
+        amps = np.exp(log_coeff(self, np.log(n), lam[n]))
+        return SpectralField({(k, 0, 0): a for k, a in zip(n.tolist(), amps.tolist())},
+                             label=str(self))
 
 
 @dataclass(frozen=True)
-class DelaySeries:
+class DelaySeries(_RadialSeries):
     """Radial data sum_{n>=1} (1/n) exp(tau0 lambda_{n,0}) phi_{n,0,0}, truncated at N."""
 
     tau0: float
     N: int = 10_000
+    n_min = 1
 
     def __post_init__(self):
         if self.tau0 <= 0.0:
             raise ValueError("tau0 must be positive")
-        if self.N < 2:
-            raise ValueError("truncation N must be at least 2")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class S2DelaySeries:
+class S2DelaySeries(_RadialSeries):
     """Radial data sum_{n>=2} n^(-1/2)/log(n) phi_{n,0,0}, truncated at N."""
 
     N: int = 10_000
 
-    def __post_init__(self):
-        if self.N < 2:
-            raise ValueError("truncation N must be at least 2")
-
 
 @dataclass(frozen=True)
-class SobolevSeries:
+class SobolevSeries(_RadialSeries):
     """Radial data sum_{n>=2} n^(-(tau+1)/2)/log(n) phi_{n,0,0}, truncated at N."""
 
     tau: float
@@ -289,41 +291,21 @@ class SobolevSeries:
     def __post_init__(self):
         if self.tau <= 0.0:
             raise ValueError("tau must be positive")
-        if self.N < 2:
-            raise ValueError("truncation N must be at least 2")
+        super().__post_init__()
 
 
-def _series_log_coeffs(spec, lam: np.ndarray):
-    """(n values, log |c_n|) for the three radial series families."""
+def log_coeff(spec, logn, lam):
+    """log |c_n| of a radial series at log n = ``logn``, vectorized.
+
+    ``lam`` holds lambda_{n,0} at the same n (only the delay data reads it).
+    """
     if isinstance(spec, DelaySeries):
-        n = np.arange(1, spec.N + 1)
-        return n, spec.tau0 * lam[n] - np.log(n)
+        return spec.tau0 * lam - logn
     if isinstance(spec, S2DelaySeries):
-        n = np.arange(2, spec.N + 1)
-        return n, -0.5 * np.log(n) - np.log(np.log(n))
+        return -0.5 * logn - np.log(logn)
     if isinstance(spec, SobolevSeries):
-        n = np.arange(2, spec.N + 1)
-        return n, -0.5 * (spec.tau + 1.0) * np.log(n) - np.log(np.log(n))
+        return -0.5 * (spec.tau + 1.0) * logn - np.log(logn)
     raise TypeError(f"not a radial series spec: {spec!r}")
-
-
-def _log_norm_weight(norm: NormSpec, n: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """log of the squared-sum weight for radial modes (l = 0), vectorized."""
-    W = 2 * n + W_SHIFT
-    if norm.kind == "l2":
-        return np.zeros_like(W)
-    if norm.kind == "shubin":
-        return norm.k * np.log(W)
-    if norm.kind == "logsob":
-        return 2.0 * norm.tau * np.log(W) ** (2.0 / norm.nu)
-    lam_t = np.where(n >= 2, lam[n], 1.0)
-    if norm.kind == "domain":
-        return norm.tau * lam_t
-    if norm.kind == "domaindual":
-        return -norm.tau * lam_t
-    if norm.kind == "domainplus":
-        return norm.tau * lam_t + np.log(lam_t)
-    return -norm.tau * lam_t - np.log(lam_t)  # domainplusdual
 
 
 @dataclass(frozen=True)
@@ -370,60 +352,23 @@ def _fit_lambda_tail(lam: np.ndarray, s: float):
 def _log_term_tail(spec, norm: NormSpec, t: float, u: np.ndarray, lam_hat) -> np.ndarray:
     """log b at n = e^u for the extrapolated tail region (log-space only)."""
     lam_u = lam_hat(u)
-    logn = u
-    loglogn = np.log(u)
-    if isinstance(spec, DelaySeries):
-        log_c = spec.tau0 * lam_u - logn
-    elif isinstance(spec, S2DelaySeries):
-        log_c = -0.5 * logn - loglogn
-    else:  # SobolevSeries
-        log_c = -0.5 * (spec.tau + 1.0) * logn - loglogn
     logW = u + math.log(2.0) + np.log1p(0.5 * W_SHIFT * np.exp(-u))
-    if norm.kind == "l2":
-        logw = np.zeros_like(u)
-    elif norm.kind == "shubin":
-        logw = norm.k * logW
-    elif norm.kind == "logsob":
-        logw = 2.0 * norm.tau * logW ** (2.0 / norm.nu)
-    elif norm.kind == "domain":
-        logw = norm.tau * lam_u
-    elif norm.kind == "domaindual":
-        logw = -norm.tau * lam_u
-    elif norm.kind == "domainplus":
-        logw = norm.tau * lam_u + np.log(lam_u)
-    else:  # domainplusdual
-        logw = -norm.tau * lam_u - np.log(lam_u)
-    return logw + 2.0 * (log_c - lam_u * t)
-
-
-def _logsumexp_prefix(log_terms: np.ndarray, marks) -> np.ndarray:
-    """log10 of partial sums at the given 1-based term counts."""
-    out = []
-    # streaming logsumexp: rescale by the running max
-    idx = 0
-    total = 0.0
-    cur_max = -math.inf
-    for j, lt in enumerate(log_terms):
-        if lt > cur_max:
-            total = total * math.exp(cur_max - lt) if cur_max > -math.inf else 0.0
-            cur_max = lt
-        total += math.exp(lt - cur_max) if cur_max > -math.inf else 0.0
-        while idx < len(marks) and marks[idx] == j + 1:
-            out.append((cur_max + math.log(total)) / math.log(10.0)
-                       if total > 0.0 else -math.inf)
-            idx += 1
-    return np.array(out)
+    return log_weight(norm, logW, lam_u) + 2.0 * (log_coeff(spec, u, lam_u) - lam_u * t)
 
 
 _U_HORIZON = 600.0  # far edge of the log-space extrapolation grid (n = e^600)
 
 
-def _radial_lambda_source(source, quad, N: int):
-    """(params, quad, lam array) from either KernelParams or a built table."""
+def _radial_lambdas(source, quad, N: int, lam):
+    """(params, quad, lambda_{n,0} for n <= N) from KernelParams or a built table.
+
+    A given ``lam`` array is used as it is.
+    """
     if isinstance(source, EigenvalueTable):
-        lam = np.array([0.0 if n <= 1 else source.lam(n, 0) for n in range(N + 1)])
+        if lam is None:
+            lam = source.lams_at(np.arange(N + 1), np.zeros(N + 1, dtype=np.int64))
         return source.params, source.quad, lam
-    return source, quad, None
+    return source, quad, radial_eigenvalues(N, source, quad) if lam is None else lam
 
 
 def series_tail_classify(spec, t: float, norm: NormSpec, params,
@@ -455,20 +400,19 @@ def series_tail_classify(spec, t: float, norm: NormSpec, params,
     """
     if t < 0.0:
         raise ValueError("time must be nonnegative")
-    if isinstance(spec, FiniteModes):
+    if not isinstance(spec, _RadialSeries):
         raise TypeError("tail classification applies to the radial series families")
     N = spec.N
-    params, quad, table_lam = _radial_lambda_source(params, quad, N)
-    if lam is None:
-        lam = table_lam if table_lam is not None else radial_eigenvalues(N, params, quad)
-    n, log_c = _series_log_coeffs(spec, lam)
-    log_b = _log_norm_weight(norm, n, lam) + 2.0 * (log_c - lam[n] * t)
+    params, quad, lam = _radial_lambdas(params, quad, N, lam)
+    n = np.arange(spec.n_min, N + 1)
+    logn = np.log(n)
+    log_b = (log_weight(norm, np.log(2 * n + W_SHIFT), lam[n])
+             + 2.0 * (log_coeff(spec, logn, lam[n]) - lam[n] * t))
     window = min(window, len(n) // 2)
     tail_b = log_b[-window:]
     tail_n = n[-window:].astype(float)
 
-    marks = _marks(len(n))
-    log10_sums = _logsumexp_prefix(log_b, marks)
+    log10_sums = np.array([_log10_sum_at(log_b, k) for k in _marks(len(n))])
     growth = log10_sums[-1] - _log10_sum_at(log_b, len(n) - window)
     med_ratio = float(np.median(np.diff(tail_b)))
     A = np.vstack([np.log(tail_n), np.ones_like(tail_n)]).T
@@ -533,10 +477,7 @@ def classify_frontier(spec_for_t, k: float, params,
     KernelParams or a built EigenvalueTable covering (n <= N, l = 0).
     """
     norm = NormSpec.shubin(k)
-    params, quad, table_lam = _radial_lambda_source(params, quad, spec_for_t.N)
-    if lam is None:
-        lam = table_lam if table_lam is not None else radial_eigenvalues(
-            spec_for_t.N, params, quad)
+    params, quad, lam = _radial_lambdas(params, quad, spec_for_t.N, lam)
     if t_hi is None:
         t_hi = max(4.0, 4.0 * k)
     lo, hi = t_lo, t_hi
@@ -564,7 +505,8 @@ def weak_form_residual(g0: SpectralField, test_modes, t: float,
     if t < 0.0:
         raise ValueError("time must be nonnegative")
     modes = [ModeIndex(*m).validate() for m in test_modes]
-    lams = np.array([_mode_lambda(m, table) for m in modes])
+    idx = np.array(modes, dtype=np.int64).reshape(-1, 3)
+    lams = table.lams_at(idx[:, 0], idx[:, 1])
     amps = np.array([g0.amplitude(m) for m in modes], dtype=complex)
 
     lhs = (1.0 + t) * np.sum(amps * np.exp(-lams * t)) - np.sum(amps)

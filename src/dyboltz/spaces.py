@@ -14,8 +14,9 @@ shifted oscillator eigenvalue and lambda~ the modified collision eigenvalue
     domainplusdual:tau=T    weight exp(-T lambda~) / lambda~
 
 The strings on the left are the canonical CLI forms accepted by
-``parse_norm_spec``.  Norms are computed over finite fields only; series
-tails are the solver's business.
+``parse_norm_spec``.  ``log_weight`` is the one map from a norm to its
+weight: ``spectral_norm`` sums it over a finite field, and the solver's
+radial series sums and tail surrogate call it too.
 
 Note the two distinct logarithm shifts in this package: norm weights use
 log(2n + l + 3/2 + e) (as here), while the spectral-bound ratio in
@@ -27,13 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .basis import SpectralField
 from .kernel import EigenvalueTable
 
 __all__ = [
     "NormSpec",
-    "modified_lambda",
-    "mode_weight",
+    "log_weight",
     "spectral_norm",
     "young_min",
     "young_rhs",
@@ -140,47 +142,44 @@ def parse_norm_spec(text: str) -> NormSpec:
     )
 
 
-def modified_lambda(n: int, l: int, table: EigenvalueTable) -> float:
-    """lambda~: 1 on the null space (n + l <= 1), the table eigenvalue otherwise."""
-    if n + l <= 1:
-        return 1.0
-    return table.lam(n, l)
+def _lam_tilde(lam):
+    # lambda~: 1 on the null space, which is exactly where lambda = 0
+    return np.where(lam == 0.0, 1.0, lam)
 
 
-def _exp(x: float) -> float:
-    # finite weighted sums may legitimately overflow the double range
-    return math.exp(x) if x < 709.0 else math.inf
+def log_weight(spec: NormSpec, logW, lam=None):
+    """log of the squared-sum weight of modes with log W = ``logW``, vectorized.
 
-
-def mode_weight(spec: NormSpec, n: int, l: int, table: EigenvalueTable | None = None) -> float:
-    """Squared-sum weight of mode (n, l, *) under the given norm."""
+    ``lam`` holds the collision eigenvalues of the same modes (0 on the null
+    space); only the domain norms read it.
+    """
     if spec.kind == "l2":
-        return 1.0
-    W = 2 * n + l + W_SHIFT
+        return np.zeros_like(logW)
     if spec.kind == "shubin":
-        return W ** spec.k
+        return spec.k * logW
     if spec.kind == "logsob":
-        return _exp(2.0 * spec.tau * math.log(W) ** (2.0 / spec.nu))
-    if table is None:
+        return 2.0 * spec.tau * logW ** (2.0 / spec.nu)
+    if lam is None:
         raise ValueError(f"{spec.kind} norms need an eigenvalue table")
-    lam = modified_lambda(n, l, table)
+    lam = _lam_tilde(lam)
     if spec.kind == "domain":
-        return _exp(spec.tau * lam)
+        return spec.tau * lam
     if spec.kind == "domaindual":
-        return _exp(-spec.tau * lam)
+        return -spec.tau * lam
     if spec.kind == "domainplus":
-        return lam * _exp(spec.tau * lam)
-    return _exp(-spec.tau * lam) / lam  # domainplusdual
+        return spec.tau * lam + np.log(lam)
+    return -spec.tau * lam - np.log(lam)  # domainplusdual
 
 
 def spectral_norm(field: SpectralField, spec: NormSpec,
                   table: EigenvalueTable | None = None) -> float:
     """sqrt(sum_modes weight * |amplitude|^2); table required for domain norms."""
-    total = 0.0
-    for mode, amp in field.coeffs.items():
-        total += mode_weight(spec, mode.n, mode.l, table) * (
-            amp.real * amp.real + amp.imag * amp.imag)
-    return math.sqrt(total)
+    n, l, amps = field.mode_arrays()
+    lam = table.lams_at(n, l) if spec.needs_table and table is not None else None
+    # finite weighted sums may legitimately overflow the double range
+    with np.errstate(over="ignore"):
+        weight = np.exp(log_weight(spec, np.log(2 * n + l + W_SHIFT), lam))
+        return math.sqrt(float(np.sum(weight * (amps.real ** 2 + amps.imag ** 2))))
 
 
 @dataclass(frozen=True)
@@ -270,9 +269,6 @@ def embedding_estimate(table: EigenvalueTable, s: float) -> EmbeddingEstimate:
     """
     if table.nmax < 50 or table.lmax < 50:
         raise ValueError("embedding estimate needs table coverage n, l up to at least 50")
-    lo, hi = math.inf, -math.inf
-    for (n, l), entry in table.entries.items():
-        lam = 1.0 if n + l <= 1 else entry.lam
-        r = lam / (2.0 * math.log(2 * n + l + W_SHIFT) ** (2.0 / s))
-        lo, hi = min(lo, r), max(hi, r)
-    return EmbeddingEstimate(tau1_hat=lo, tau2_hat=hi)
+    n, l = np.indices(table.lams.shape)
+    r = _lam_tilde(table.lams) / (2.0 * np.log(2 * n + l + W_SHIFT) ** (2.0 / s))
+    return EmbeddingEstimate(tau1_hat=float(r.min()), tau2_hat=float(r.max()))

@@ -88,12 +88,11 @@ def test_c03_spectral_gap_full_table(table_factory):
     for s in (1.0, 2.0):
         tab = table_factory(s, 200, 200)
         gap = tab.lam(2, 0)
-        for (n, l), e in tab.entries.items():
-            if n + l < 2:
-                continue
-            margin = e.lam - (gap - e.err)
-            if margin < worst:
-                worst, arg = margin, (s, n, l)
+        n, l = np.indices(tab.lams.shape)
+        margin = np.where(n + l >= 2, tab.lams - (gap - tab.errs), math.inf)
+        i = np.unravel_index(np.argmin(margin), margin.shape)
+        if margin[i] < worst:
+            worst, arg = float(margin[i]), (s, int(i[0]), int(i[1]))
     ok = worst >= 0.0
     assert report("C03 spectral gap 200x200", ok, t0,
                   f"min margin {worst:.3e} at {arg}")
@@ -192,9 +191,10 @@ def test_c10_rate1_certificate(s, rng, table_factory):
     tab = table_factory(s, 200, 200)
     c0 = choose_c0(tab, s)
     gap = tab.lam(2, 0)
-    modes = [(n, l, e.lam) for (n, l), e in tab.entries.items() if n + l >= 2]
-    W = np.array([2 * n + l + W_SHIFT for n, l, _ in modes])
-    lam = np.array([lm for _, _, lm in modes])
+    n, l = np.indices(tab.lams.shape)
+    keep = n + l >= 2
+    W = (2 * n + l + W_SHIFT)[keep]
+    lam = tab.lams[keep]
     worst = math.inf
     for t in (0.5, 1.0, 2.0, 5.0):
         lhs = W ** (c0 * t) * np.exp(-lam * t)
@@ -345,9 +345,8 @@ def test_c15_determinism_and_caching(tmp_path):
     p = KernelParams(s=1.0)
     serial = eigenvalue_table(40, 40, p, QUAD, workers=1)
     parallel = eigenvalue_table(40, 40, p, QUAD, workers=3)
-    exact = all(serial.entries[k].lam == parallel.entries[k].lam
-                and serial.entries[k].err == parallel.entries[k].err
-                for k in serial.entries)
+    exact = (np.array_equal(serial.lams, parallel.lams)
+             and np.array_equal(serial.errs, parallel.errs))
     ok = byte_identical and exact
     assert report("C15 determinism/caching", ok, t0,
                   f"byte-identical: {byte_identical}; parallel==serial: {exact}")

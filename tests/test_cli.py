@@ -2,8 +2,10 @@ import json
 import math
 import os
 
+import pytest
 
 from dyboltz.cli import main
+from dyboltz.kernel import KernelParams, radial_eigenvalues
 
 GAP_S2 = (2.0 / 3.0) * (1.0 - 2.0 ** -1.5)
 
@@ -95,6 +97,46 @@ def test_evolve_null_mode_constant_rows(tmp_path):
         t, norm, v = ln.split(",", 2)
         by_norm.setdefault(norm, set()).add(v)
     assert all(len(vals) == 1 for vals in by_norm.values())
+
+
+W_SHIFT = 1.5 + math.e
+
+# (CLI string, squared-sum weight of radial mode n with modified eigenvalue lt)
+SERIES_NORMS = [
+    ("l2", lambda n, lt: 1.0),
+    ("shubin:k=2", lambda n, lt: (2 * n + W_SHIFT) ** 2),
+    ("logsob:tau=1,nu=2", lambda n, lt: math.exp(2.0 * math.log(2 * n + W_SHIFT))),
+    ("domain:tau=0.5", lambda n, lt: math.exp(0.5 * lt)),
+    ("domaindual:tau=0.5", lambda n, lt: math.exp(-0.5 * lt)),
+    ("domainplus:tau=0.5", lambda n, lt: lt * math.exp(0.5 * lt)),
+    ("domainplusdual:tau=0.5", lambda n, lt: math.exp(-0.5 * lt) / lt),
+]
+
+# closed-form coefficients c_n of the three radial series families
+SERIES_INITS = [
+    ("delay:tau0=0.5,N=200", 1, lambda n, lam: math.exp(0.5 * lam) / n),
+    ("s2delay:N=200", 2, lambda n, lam: 1.0 / (math.sqrt(n) * math.log(n))),
+    ("sobolev:tau=1,N=200", 2, lambda n, lam: n ** -1.0 / math.log(n)),
+]
+
+
+@pytest.mark.parametrize("init,n_min,coeff", SERIES_INITS, ids=[i[0] for i in SERIES_INITS])
+def test_evolve_series_init_all_norms(tmp_path, init, n_min, coeff):
+    times = (0.25, 1.0)
+    assert run(tmp_path, "evolve", "--s", "1", "--init", init,
+               "--times", ",".join(map(str, times)),
+               "--norms", ";".join(name for name, _ in SERIES_NORMS),
+               "--format", "json", "--out", str(tmp_path)) == 0
+    doc = json.load(open(tmp_path / "evolve_s1.json"))
+    assert doc["times"] == list(times)
+    assert doc["norms"] == [name for name, _ in SERIES_NORMS]
+    lam = radial_eigenvalues(200, KernelParams(s=1.0)).tolist()
+    for t, values in zip(times, doc["values"]):
+        for (name, weight), got in zip(SERIES_NORMS, values):
+            want = math.sqrt(math.fsum(
+                weight(n, 1.0 if n <= 1 else lam[n]) * coeff(n, lam[n]) ** 2
+                * math.exp(-2.0 * lam[n] * t) for n in range(n_min, 201)))
+            assert abs(got - want) <= 1e-12 * want, (t, name, got, want)
 
 
 def test_evolve_rejects_unknown_norm(tmp_path, capsys):

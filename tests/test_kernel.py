@@ -8,11 +8,11 @@ import pytest
 
 from dyboltz.errors import (CacheError, EigenvalueLookupError,
                             QuadratureConvergenceError)
-from dyboltz.kernel import (NULL_MODES, EigenvalueEntry, KernelParams,
-                            QuadratureSpec, asymptotic_leading, beta,
-                            eigen_integrand, eigenvalue, eigenvalue_table,
-                            lambda_gap, load_table, radial_eigenvalues,
-                            ratio_bounds, save_table, table_to_csv,
+from dyboltz.kernel import (NULL_MODES, EigenvalueEntry, EigenvalueTable,
+                            KernelParams, QuadratureSpec, asymptotic_leading,
+                            beta, eigen_integrand, eigenvalue,
+                            eigenvalue_table, lambda_gap, load_table,
+                            radial_eigenvalues, ratio_bounds, save_table,
                             table_version)
 
 GAP_S2 = (2.0 / 3.0) * (1.0 - 2.0 ** -1.5)  # 0.43096440627115085
@@ -135,9 +135,24 @@ def test_entry_invariants_enforced():
         EigenvalueEntry(n=2, l=0, lam=0.5, err=-1.0)
 
 
+def test_table_invariants_enforced():
+    lams = np.full((3, 3), 0.5)
+    lams[0, 0] = lams[1, 0] = lams[0, 1] = 0.0
+    errs = np.zeros((3, 3))
+    EigenvalueTable(P2, QUAD, lams, errs, "v")
+    for (n, l), value, arr, what in [((1, 0), 0.1, "lams", "null mode"),
+                                     ((2, 1), 0.0, "lams", "positive"),
+                                     ((1, 2), -1.0, "errs", "nonnegative")]:
+        bad = {"lams": lams.copy(), "errs": errs.copy()}
+        bad[arr][n, l] = value
+        with pytest.raises(ValueError, match=rf"{what}.*\({n},{l}\)"):
+            EigenvalueTable(P2, QUAD, bad["lams"], bad["errs"], "v")
+
+
 def test_table_coverage_and_lookup(table_factory):
     tab = table_factory(2.0, 8, 8)
-    assert len(tab.entries) == 81
+    assert tab.lams.shape == tab.errs.shape == (9, 9)
+    assert (tab.nmax, tab.lmax) == (8, 8)
     assert tab.lam(2, 0) == eigenvalue(2, 0, P2, QUAD).lam
     with pytest.raises(EigenvalueLookupError):
         tab.lookup(9, 0)
@@ -146,30 +161,27 @@ def test_table_coverage_and_lookup(table_factory):
 def test_table_positivity_and_gap(table_factory):
     tab = table_factory(2.0, 30, 30)
     gap = tab.lam(2, 0)
-    for (n, l), e in tab.entries.items():
-        if n + l <= 1:
-            assert e.lam == 0.0
-        else:
-            assert e.lam > 0.0
-            assert e.lam >= gap - e.err
+    n, l = np.indices(tab.lams.shape)
+    null = n + l <= 1
+    assert np.all(tab.lams[null] == 0.0)
+    assert np.all(tab.lams[~null] > 0.0)
+    assert np.all(tab.lams[~null] >= gap - tab.errs[~null])
 
 
 def test_parallel_and_serial_builds_bitwise_equal():
     a = eigenvalue_table(14, 14, P1, QUAD, workers=1)
     b = eigenvalue_table(14, 14, P1, QUAD, workers=3)
     assert a.version == b.version
-    for k in a.entries:
-        assert a.entries[k].lam == b.entries[k].lam
-        assert a.entries[k].err == b.entries[k].err
+    assert np.array_equal(a.lams, b.lams)
+    assert np.array_equal(a.errs, b.errs)
 
 
 def test_subset_equals_direct_build(table_factory):
     big = table_factory(2.0, 30, 30)
     small = eigenvalue_table(8, 8, P2, QUAD)
     sub = big.subset(8, 8)
-    assert set(sub.entries) == set(small.entries)
-    for k in small.entries:
-        assert small.entries[k].lam == sub.entries[k].lam
+    assert np.array_equal(small.lams, sub.lams)
+    assert np.array_equal(small.errs, sub.errs)
 
 
 def test_single_entry_equals_table_entry(table_factory):
@@ -245,9 +257,8 @@ def test_cache_roundtrip_exact(tmp_path, table_factory):
     save_table(tab, path)
     back = load_table(path, P2, QUAD)
     assert back.version == tab.version
-    for k in tab.entries:
-        assert back.entries[k].lam == tab.entries[k].lam
-        assert back.entries[k].err == tab.entries[k].err
+    assert np.array_equal(back.lams, tab.lams)
+    assert np.array_equal(back.errs, tab.errs)
 
 
 def test_cache_rejects_corrupt_and_stale(tmp_path, table_factory):
@@ -271,14 +282,48 @@ def test_cache_rejects_corrupt_and_stale(tmp_path, table_factory):
         load_table(path)
 
 
-def test_csv_export_mirrors_rows(table_factory):
+def _row_index(rows, n, l):
+    return next(i for i, r in enumerate(rows) if (r[0], r[1]) == (n, l))
+
+
+def _negative_lambda(rows):
+    rows[_row_index(rows, 3, 2)][2] *= -1.0
+
+
+def _nonzero_null_mode(rows):
+    rows[_row_index(rows, 1, 0)][2] = 1e-3
+
+
+def _missing_row(rows):
+    del rows[_row_index(rows, 4, 4)]
+
+
+def _duplicated_row(rows):
+    rows.append(list(rows[_row_index(rows, 4, 4)]))
+
+
+@pytest.mark.parametrize("edit", [_negative_lambda, _nonzero_null_mode, _missing_row,
+                                  _duplicated_row], ids=lambda f: f.__name__[1:])
+def test_cache_rejects_invalid_rows(tmp_path, table_factory, edit):
+    path = str(tmp_path / "tab.json")
+    save_table(table_factory(2.0, 8, 8), path)
+    doc = json.load(open(path))
+    edit(doc["rows"])
+    json.dump(doc, open(path, "w"))
+    with pytest.raises(CacheError):
+        load_table(path, P2, QUAD)
+
+
+def test_csv_export_mirrors_rows(tmp_path, table_factory):
+    # the CLI's eigs CSV is the table's (n, l, lambda, err) rows plus two columns
+    from dyboltz.cli import main
     tab = table_factory(2.0, 8, 8)
-    text = table_to_csv(tab)
-    lines = text.strip().split("\n")
-    assert lines[0] == "n,l,lambda,err"
-    assert len(lines) == 1 + len(tab.entries)
-    n, l, lam, err = lines[1].split(",")
-    assert (int(n), int(l)) == (0, 0) and float(lam) == 0.0
+    assert main(["eigs", "--s", "2", "--nmax", "8", "--lmax", "8",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "eigs_s2_n8_l8.csv").read_text().strip().split("\n")
+    assert lines[0].startswith("n,l,lambda,err,")
+    assert [ln.split(",")[:4] for ln in lines[1:]] == \
+        [[str(n), str(l), repr(lam), repr(err)] for n, l, lam, err in tab.rows()]
 
 
 def test_large_mode_fast_path():

@@ -5,8 +5,8 @@ import pytest
 from dyboltz.basis import SpectralField, project_null
 from dyboltz.errors import EigenvalueLookupError
 from dyboltz.kernel import KernelParams, QuadratureSpec, ratio_bounds
-from dyboltz.spaces import W_SHIFT, NormSpec, modified_lambda, spectral_norm
-from dyboltz.solver import (DelaySeries, EvolutionReport, FiniteModes,
+from dyboltz.spaces import W_SHIFT, NormSpec, spectral_norm
+from dyboltz.solver import (DelaySeries, EvolutionReport,
                             S2DelaySeries, SobolevSeries, choose_c0,
                             classify_frontier, decay_check_thm12, evolve,
                             galerkin_truncate, rate1_certificate, rate1_check,
@@ -139,8 +139,8 @@ def test_uniqueness_functional_vanishes(rng, table_factory):
     g = _random_field(rng, 25)
     h = evolve(g, 1.3, tab) - evolve(g, 1.3, tab)
     tau = 0.8
-    total = sum(math.exp(-2.0 * tau * modified_lambda(m.n, m.l, tab)) * abs(a) ** 2
-                for m, a in h.coeffs.items())
+    total = sum(math.exp(-2.0 * tau * (1.0 if m.n + m.l <= 1 else tab.lam(m.n, m.l)))
+                * abs(a) ** 2 for m, a in h.coeffs.items())
     assert total == 0.0
 
 
@@ -289,8 +289,7 @@ def test_series_spec_validation():
     with pytest.raises(ValueError):
         SobolevSeries(tau=-1.0)
     with pytest.raises(TypeError):
-        series_tail_classify(FiniteModes(SpectralField({})), 1.0,
-                             NormSpec.l2(), P1, QUAD)
+        series_tail_classify(SpectralField({}), 1.0, NormSpec.l2(), P1, QUAD)
 
 
 def test_sobolev_series_verdicts():
@@ -320,6 +319,30 @@ def test_classifier_accepts_built_table(table_factory):
     assert v.classification == "convergent"
     with pytest.raises(EigenvalueLookupError):
         series_tail_classify(DelaySeries(tau0=0.5, N=500), 2.0, NormSpec.l2(), tab)
+
+
+CROSS_PATH_NORMS = [NormSpec.l2(), NormSpec.shubin(2.0), NormSpec.logsob(0.5, 2.0),
+                    NormSpec.domain(0.5), NormSpec.domain_dual(0.5),
+                    NormSpec.domain_plus(0.5), NormSpec.domain_plus_dual(0.5)]
+
+
+@pytest.mark.parametrize("norm", CROSS_PATH_NORMS, ids=str)
+@pytest.mark.parametrize("family", ["delay", "sobolev"])
+def test_finite_field_norm_matches_series_partial_sum(family, norm, table_factory):
+    # the finite-field norm of the truncated series at time t and the
+    # classifier's full partial sum must use the same weight and coefficients
+    N, t = 200, 0.75
+    tab = table_factory(1.0, N, 0)
+    if family == "delay":
+        spec = DelaySeries(tau0=0.5, N=N)
+        coeffs = {(n, 0, 0): math.exp(0.5 * tab.lam(n, 0)) / n for n in range(1, N + 1)}
+    else:
+        spec = SobolevSeries(tau=1.0, N=N)
+        coeffs = {(n, 0, 0): n ** -1.0 / math.log(n) for n in range(2, N + 1)}
+    field = evolve(SpectralField(coeffs), t, tab)
+    got = 2.0 * math.log10(spectral_norm(field, norm, tab))
+    want = series_tail_classify(spec, t, norm, tab).log10_partial_sums[-1]
+    assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
 
 def test_verdict_evidence_fields(lam_s1_small):

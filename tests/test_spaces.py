@@ -5,11 +5,15 @@ import pytest
 from dyboltz.basis import SpectralField
 from dyboltz.errors import EigenvalueLookupError
 from dyboltz.spaces import (W_SHIFT, EmbeddingEstimate, NormSpec,
-                            embedding_estimate, mode_weight, modified_lambda,
-                            parse_norm_spec, spectral_norm, young_min,
-                            young_rhs)
+                            embedding_estimate, parse_norm_spec, spectral_norm,
+                            young_min, young_rhs)
 
 GAP_S2 = (2.0 / 3.0) * (1.0 - 2.0 ** -1.5)
+
+
+def _lam_tilde(tab, n, l):
+    # the modified eigenvalue: 1 on the null space, the table value elsewhere
+    return 1.0 if n + l <= 1 else tab.lam(n, l)
 
 
 def _random_field(rng, count, nmax=12, lmax=12):
@@ -53,13 +57,21 @@ def test_single_mode_weight_examples(table_factory):
 
 
 def test_modified_lambda(table_factory):
-    tab = table_factory(2.0, 8, 8)
-    assert modified_lambda(0, 0, tab) == 1.0
-    assert modified_lambda(1, 0, tab) == 1.0
-    assert modified_lambda(0, 1, tab) == 1.0
-    assert abs(modified_lambda(2, 0, tab) - GAP_S2) < 1e-10
+    # the domain(tau) norm of a unit single-mode field is exp(tau lambda~ / 2),
+    # with lambda~ = 1 on the null space, which needs no table coverage
+    tab = table_factory(2.0, 8, 0)
+
+    def lam_tilde(mode):
+        return 2.0 * math.log(spectral_norm(SpectralField({mode: 1.0}),
+                                            NormSpec.domain(1.0), tab))
+
+    for mode in [(0, 0, 0), (1, 0, 0), (0, 1, -1), (0, 1, 0), (0, 1, 1)]:
+        assert abs(lam_tilde(mode) - 1.0) < 1e-15
+    assert abs(lam_tilde((2, 0, 0)) - GAP_S2) < 1e-10
     with pytest.raises(EigenvalueLookupError):
-        modified_lambda(9, 0, tab)
+        lam_tilde((9, 0, 0))
+    with pytest.raises(EigenvalueLookupError):
+        lam_tilde((1, 1, 0))
 
 
 def test_l2_norm_equals_euclidean(rng):
@@ -82,7 +94,7 @@ def test_domain_series_definition_consistency(rng, table_factory):
         series = 0.0
         for k in range(200):
             term = sum(tau**k / math.factorial(k)
-                       * modified_lambda(m.n, m.l, tab) ** k * abs(a) ** 2
+                       * _lam_tilde(tab, m.n, m.l) ** k * abs(a) ** 2
                        for m, a in f.coeffs.items())
             series += term
             if k > 3 and term < 1e-16 * series:
@@ -91,15 +103,16 @@ def test_domain_series_definition_consistency(rng, table_factory):
 
 
 def test_dual_weights_are_reciprocal(table_factory):
+    # squared norms of unit single-mode fields are the mode weights
     tab = table_factory(2.0, 8, 8)
     for n, l in [(0, 0), (2, 0), (5, 3)]:
-        w = mode_weight(NormSpec.domain(0.7), n, l, tab)
-        wd = mode_weight(NormSpec.domain_dual(0.7), n, l, tab)
+        f = SpectralField({(n, l, 0): 1.0})
+        w, wd, wp, wpd = (spectral_norm(f, spec, tab) ** 2 for spec in (
+            NormSpec.domain(0.7), NormSpec.domain_dual(0.7),
+            NormSpec.domain_plus(0.7), NormSpec.domain_plus_dual(0.7)))
         assert abs(w * wd - 1.0) < 1e-12
-        lam = modified_lambda(n, l, tab)
-        wp = mode_weight(NormSpec.domain_plus(0.7), n, l, tab)
+        lam = _lam_tilde(tab, n, l)
         assert abs(wp - lam * w) < 1e-12
-        wpd = mode_weight(NormSpec.domain_plus_dual(0.7), n, l, tab)
         assert abs(wpd - wd / lam) < 1e-12
 
 
