@@ -65,16 +65,19 @@ def _quad(args) -> QuadratureSpec:
 
 
 def _get_table(args, nmax: int, lmax: int):
+    """The nmax x lmax table, served from the cache only on an exact match."""
     params, quad = _params(args), _quad(args)
     cache_path = None
     if args.cache_dir:
         os.makedirs(args.cache_dir, exist_ok=True)
         cache_path = os.path.join(
-            args.cache_dir, f"eigs-{table_version(params, quad)}.json")
+            args.cache_dir, f"eigs-{table_version(params, quad)}-n{nmax}-l{lmax}.json")
         if os.path.exists(cache_path):
             table = load_table(cache_path, params, quad)
-            if table.nmax >= nmax and table.lmax >= lmax:
-                return table, True
+            if (table.nmax, table.lmax) != (nmax, lmax):
+                raise CacheError(f"{cache_path} holds nmax={table.nmax}, lmax={table.lmax}, "
+                                 f"not the nmax={nmax}, lmax={lmax} of its name")
+            return table, True
     table = eigenvalue_table(nmax, lmax, params, quad, workers=args.workers)
     if cache_path:
         save_table(table, cache_path)
@@ -89,7 +92,7 @@ def cmd_eigs(args) -> int:
     table, from_cache = _get_table(args, args.nmax, args.lmax)
     s = table.params.s
     rows = []
-    for n, l, lam, err in table.subset(args.nmax, args.lmax).rows():
+    for n, l, lam, err in table.rows():
         K = 2 * n + l
         ratio = lam / math.log(K + math.e) ** (2.0 / s) if n + l >= 2 else math.nan
         asym = asymptotic_leading(n, l, table.params) if K >= 3 else math.nan
@@ -169,9 +172,9 @@ def cmd_evolve(args) -> int:
         field = init
         nmax = max((m.n for m in field.coeffs), default=0)
         lmax = max((m.l for m in field.coeffs), default=0)
-        table, _ = _get_table(args, max(nmax, 2), max(lmax, 2))
+        table, _ = _get_table(args, nmax, lmax)
     else:
-        table, _ = _get_table(args, max(init.N, 2), 2)
+        table, _ = _get_table(args, init.N, 0)
         field = init.field(table.lams[:, 0])
     report = EvolutionReport.compute(field, times, norms, table)
     path = os.path.join(args.out, f"evolve_s{table.params.s:g}.{args.format}")
@@ -282,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--cache-dir", default=None,
-                       help="eigenvalue cache directory (content-hash keyed)")
+                       help="eigenvalue cache directory (keyed by hash and shape)")
         p.add_argument("--workers", type=int, default=1,
                        help="parallel workers for table construction")
 

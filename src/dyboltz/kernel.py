@@ -24,9 +24,12 @@ theta * log(1/theta)^(2/s-1) at 0 for n + l >= 2, so the grading converges;
 each panel is also evaluated at doubled order for an error estimate.  Modes
 (0,0), (1,0), (0,1) have identically zero integrand and come out exactly 0.
 
-Bulk table construction is vectorized row-by-row in l; parallel and serial
-builds produce bit-identical results because each (n, l) entry is an
-independent deterministic computation.
+One loop computes every eigenvalue, a whole l-row at a time: it walks the
+panels outward from pi/4, adds each panel to the running sums of the rows
+still live, fixes a row at its stopping panel, and evaluates no panel once
+every row has stopped.  Parallel and serial builds produce bit-identical
+results because each (n, l) entry is an independent deterministic
+computation.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import json
 import math
 import os
 import tempfile
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -73,8 +77,6 @@ NULL_MODES = ((0, 0), (1, 0), (0, 1))
 # terminate panel accumulation once a panel contributes less than this
 # fraction of the running tolerance (the dyadic tail then sits well inside it)
 _PANEL_CUTOFF = 0.1
-
-_N_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -172,84 +174,66 @@ def _bracket_rows(n_arr: np.ndarray, l: int, logsin, logcos, ps, pc) -> np.ndarr
     return brackets
 
 
-@lru_cache(maxsize=8)
-def _panel_nodes(max_panels: int, nodes_per_panel: int):
-    """Concatenated Gauss nodes for all dyadic panels, coarse and fine order."""
-    out = {}
-    for tag, m in (("c", nodes_per_panel), ("f", 2 * nodes_per_panel)):
-        x, w = np.polynomial.legendre.leggauss(m)
-        thetas, weights = [], []
-        for j in range(max_panels):
-            hi = THETA_MAX * 0.5**j
-            lo = 0.5 * hi
-            thetas.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
-            weights.append(0.5 * (hi - lo) * w)
-        theta = np.concatenate(thetas)
-        out[tag] = (theta, np.concatenate(weights), np.log(np.sin(theta)),
-                    np.log(np.cos(theta)), np.sin(theta), np.cos(theta))
-    return out["c"], out["f"]
+_PanelRule = namedtuple("_PanelRule", "logsin logcos sin cos wbeta")
 
 
 @lru_cache(maxsize=32)
-def _beta_weights(params: KernelParams, quad: QuadratureSpec):
-    """w * beta at every node, coarse and fine sets."""
-    (tc, wc, *_), (tf, wf, *_) = _panel_nodes(quad.max_panels, quad.nodes_per_panel)
-    return wc * beta(tc, params), wf * beta(tf, params)
+def _panel_rules(params: KernelParams, quad: QuadratureSpec):
+    """Gauss rules on the dyadic panels at orders m and 2m.
 
-
-def _legendre_at_nodes(l: int, quad: QuadratureSpec):
-    (_, _, _, _, sc, cc), (_, _, _, _, sf, cf) = _panel_nodes(
-        quad.max_panels, quad.nodes_per_panel
-    )
-    pl = legendre_all(l, np.concatenate([sc, cc, sf, cf]))[l]
-    nc, nf = len(sc), len(sf)
-    return pl[:nc], pl[nc:2 * nc], pl[2 * nc:2 * nc + nf], pl[2 * nc + nf:]
+    Each field of a rule holds its values at the nodes (w * beta for the
+    weights), shape (max_panels, order); row j is panel
+    [pi/4 * 2^-(j+1), pi/4 * 2^-j].
+    """
+    hi = np.ldexp(THETA_MAX, -np.arange(quad.max_panels))[:, None]
+    lo = 0.5 * hi
+    rules = []
+    for m in (quad.nodes_per_panel, 2 * quad.nodes_per_panel):
+        x, w = np.polynomial.legendre.leggauss(m)
+        theta = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        wbeta = 0.5 * (hi - lo) * w * beta(theta, params)
+        rules.append(_PanelRule(np.log(np.sin(theta)), np.log(np.cos(theta)),
+                                np.sin(theta), np.cos(theta), wbeta))
+    return tuple(rules)
 
 
 def _eigen_rows(l: int, n_arr: np.ndarray, params: KernelParams, quad: QuadratureSpec):
     """lambda and err for all n in n_arr at fixed l (the one true code path).
 
-    Both the scalar ``eigenvalue`` and the bulk table builder run through
-    here, so single entries, serial builds and parallel builds agree
+    Panels are added outward from pi/4 to the running sums of the rows still
+    live; a row stops at the first panel whose fine integral falls below
+    ``_PANEL_CUTOFF`` times its tolerance, and the loop ends when no row is
+    live.  Both the scalar ``eigenvalue`` and the bulk table builder run
+    through here, so single entries, serial builds and parallel builds agree
     bit-for-bit.
     """
     n_arr = np.asarray(n_arr, dtype=np.int64)
+    rules = _panel_rules(params, quad)
+    # one Legendre evaluation per row, at the sin and cos nodes of both orders
+    pl = legendre_all(l, np.concatenate([np.ravel((r.sin, r.cos)) for r in rules]))[l]
+    legendre = [p.reshape(2, *r.sin.shape)
+                for r, p in zip(rules, np.split(pl, [2 * rules[0].sin.size]))]
     lam = np.empty(len(n_arr))
     err = np.empty(len(n_arr))
-    for start in range(0, len(n_arr), _N_CHUNK):
-        block = n_arr[start:start + _N_CHUNK]
-        lam_b, err_b = _eigen_rows_block(l, block, params, quad)
-        lam[start:start + _N_CHUNK] = lam_b
-        err[start:start + _N_CHUNK] = err_b
-    return lam, err
-
-
-def _eigen_rows_block(l, n_block, params, quad):
-    coarse, fine = _panel_nodes(quad.max_panels, quad.nodes_per_panel)
-    bwc, bwf = _beta_weights(params, quad)
-    psc, pcc, psf, pcf = _legendre_at_nodes(l, quad)
-    mc, mf = quad.nodes_per_panel, 2 * quad.nodes_per_panel
-    P = quad.max_panels
-
-    br_c = _bracket_rows(n_block, l, coarse[2], coarse[3], psc, pcc)
-    br_f = _bracket_rows(n_block, l, fine[2], fine[3], psf, pcf)
-    i_coarse = (br_c * bwc).reshape(len(n_block), P, mc).sum(axis=2)
-    i_fine = (br_f * bwf).reshape(len(n_block), P, mf).sum(axis=2)
-
-    cum = np.cumsum(i_fine, axis=1)
-    cum_err = np.cumsum(np.abs(i_fine - i_coarse), axis=1)
-    tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(cum))
-    done = np.abs(i_fine) < _PANEL_CUTOFF * tol
-    if not done.any(axis=1).all():
-        bad = np.nonzero(~done.any(axis=1))[0]
-        pairs = [(int(n_block[i]), l) for i in bad]
-        partial = {(int(n_block[i]), l): float(cum[i, -1]) for i in bad}
-        raise QuadratureConvergenceError(pairs, partial)
-    stop = np.argmax(done, axis=1)
-    rows = np.arange(len(n_block))
-    lam = cum[rows, stop]
-    err = cum_err[rows, stop] + np.abs(i_fine[rows, stop])
-    return lam, err
+    rows = np.arange(len(n_arr))
+    cum = np.zeros(len(n_arr))
+    cum_err = np.zeros(len(n_arr))
+    for j in range(quad.max_panels):
+        i_coarse, i_fine = (
+            (_bracket_rows(n_arr[rows], l, r.logsin[j], r.logcos[j], ps[j], pc[j])
+             * r.wbeta[j]).sum(axis=1)
+            for r, (ps, pc) in zip(rules, legendre))
+        cum += i_fine
+        cum_err += np.abs(i_fine - i_coarse)
+        tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(cum))
+        done = np.abs(i_fine) < _PANEL_CUTOFF * tol
+        lam[rows[done]] = cum[done]
+        err[rows[done]] = cum_err[done] + np.abs(i_fine[done])
+        rows, cum, cum_err = rows[~done], cum[~done], cum_err[~done]
+        if not len(rows):
+            return lam, err
+    pairs = [(int(n), l) for n in n_arr[rows]]
+    raise QuadratureConvergenceError(pairs, dict(zip(pairs, cum.tolist())))
 
 
 def eigen_integrand(n: int, l: int, theta, params: KernelParams):

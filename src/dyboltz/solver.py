@@ -565,6 +565,7 @@ class EvolutionReport:
     def to_csv(self) -> str:
         lines = ["time,norm,value"]
         for t, sp, v in self.rows():
+            sp = f'"{sp}"' if "," in sp else sp
             lines.append(f"{t!r},{sp},{v!r}")
         return "\n".join(lines) + "\n"
 

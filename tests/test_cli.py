@@ -1,9 +1,11 @@
+import csv
 import json
 import math
 import os
 
 import pytest
 
+from dyboltz import cli
 from dyboltz.cli import main
 from dyboltz.kernel import KernelParams, radial_eigenvalues
 
@@ -63,6 +65,40 @@ def test_eigs_corrupt_cache_rejected(tmp_path):
     doc["header"]["version"] = "f" * 16
     json.dump(doc, open(cache_file, "w"))
     assert run(tmp_path, "eigs", *args, "--out", str(tmp_path)) == 2
+
+
+def test_cache_second_round_builds_nothing(tmp_path, monkeypatch):
+    builds = []
+    build = cli.eigenvalue_table
+
+    def counted(nmax, lmax, *args, **kwargs):
+        builds.append((nmax, lmax))
+        return build(nmax, lmax, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "eigenvalue_table", counted)
+    cache = str(tmp_path / "cache")
+    jobs = [["evolve", "--s", "1", "--init", "delay:tau0=0.5,N=200", "--times", "0.5,1"],
+            ["eigs", "--s", "1", "--nmax", "6", "--lmax", "6"]]
+    outputs = []
+    for rnd in ("a", "b"):
+        out = str(tmp_path / rnd)
+        for job in jobs:
+            assert run(tmp_path, *job, "--cache-dir", cache, "--out", out) == 0
+        outputs.append([open(os.path.join(out, f), "rb").read()
+                        for f in ("evolve_s1.csv", "eigs_s1_n6_l6.csv")])
+    assert builds == [(200, 0), (6, 6)]  # all in the first round
+    assert outputs[0] == outputs[1]
+    names = sorted(p.name for p in (tmp_path / "cache").iterdir())
+    assert [n.split("-", 2)[2] for n in names] == ["n200-l0.json", "n6-l6.json"]
+
+
+def test_cache_rejects_table_of_other_shape(tmp_path):
+    cache = tmp_path / "cache"
+    args = ["--s", "2", "--lmax", "3", "--cache-dir", str(cache), "--out", str(tmp_path)]
+    assert run(tmp_path, "eigs", "--nmax", "3", *args) == 0
+    small = next(cache.glob("eigs-*.json"))
+    os.replace(small, str(small).replace("-n3-", "-n4-"))
+    assert run(tmp_path, "eigs", "--nmax", "4", *args) == 2
 
 
 def test_convergence_failure_exit_code(tmp_path, capsys):
@@ -137,6 +173,18 @@ def test_evolve_series_init_all_norms(tmp_path, init, n_min, coeff):
                 weight(n, 1.0 if n <= 1 else lam[n]) * coeff(n, lam[n]) ** 2
                 * math.exp(-2.0 * lam[n] * t) for n in range(n_min, 201)))
             assert abs(got - want) <= 1e-12 * want, (t, name, got, want)
+
+
+def test_evolve_csv_quotes_logsob_norm(tmp_path):
+    norms = ["l2", "logsob:tau=1,nu=2", "shubin:k=2"]
+    assert run(tmp_path, "evolve", "--s", "2", "--init", "modes:2,0,0,1,0;3,1,0,0,1",
+               "--times", "0,1", "--norms", ";".join(norms), "--out", str(tmp_path)) == 0
+    with open(tmp_path / "evolve_s2.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["norm"] for r in rows] == norms * 2
+    assert all(None not in r and float(r["value"]) > 0.0 for r in rows)
+    text = open(tmp_path / "evolve_s2.csv").read()
+    assert ',"logsob:tau=1,nu=2",' in text and ",l2," in text
 
 
 def test_evolve_rejects_unknown_norm(tmp_path, capsys):

@@ -188,13 +188,21 @@ def test_single_entry_equals_table_entry(table_factory):
     tab = table_factory(2.0, 8, 8)
     for n, l in [(5, 3), (0, 7), (8, 8)]:
         assert eigenvalue(n, l, P2, QUAD).lam == tab.lam(n, l)
+    # the table's corners and (120, 41) stop at panels 21 to 23 of their rows
+    tab = table_factory(2.0, 200, 200)
+    for n, l in [(200, 0), (0, 200), (200, 200), (120, 41)]:
+        assert eigenvalue(n, l, P2, QUAD).lam == tab.lam(n, l)
 
 
-def test_radial_path_matches_table(table_factory):
+def test_radial_path_matches_table(table_factory, radial_factory):
     lam = radial_eigenvalues(8, P2, QUAD)
     tab = table_factory(2.0, 8, 8)
     for n in range(9):
         assert lam[n] == tab.lam(n, 0)
+    # at s = 1 these rows stop at panels 21 to 25 of one radial build
+    lam = radial_factory(1.0, 10000)
+    for n in [2, 3, 2276, 3138, 8354, 10000]:
+        assert lam[n] == eigenvalue(n, 0, P1, QUAD).lam
 
 
 def test_convergence_error_carries_modes():
@@ -203,6 +211,15 @@ def test_convergence_error_carries_modes():
         eigenvalue(5, 0, P1, tight)
     assert (5, 0) in exc.value.pairs
     assert (5, 0) in exc.value.partial
+    with pytest.raises(QuadratureConvergenceError) as exc:
+        eigenvalue_table(4, 1, P1, tight)
+    # the l = 0 row fails first; its null modes (0,0) and (1,0) converge
+    assert exc.value.pairs == [(2, 0), (3, 0), (4, 0)]
+    assert set(exc.value.partial) == set(exc.value.pairs)
+    for n, l in exc.value.pairs:
+        with pytest.raises(QuadratureConvergenceError) as single:
+            eigenvalue(n, l, P1, tight)
+        assert single.value.partial == {(n, l): exc.value.partial[(n, l)]}
 
 
 def test_halving_tolerance_refines_within_error():
