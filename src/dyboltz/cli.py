@@ -28,8 +28,8 @@ from . import verify as verify_mod
 from .basis import SpectralField
 from .errors import CacheError, QuadratureConvergenceError
 from .kernel import (KernelParams, QuadratureSpec, asymptotic_leading,
-                     eigenvalue_table, load_table, radial_eigenvalues,
-                     save_table, table_version)
+                     eigenvalue_table, load_table, save_table, table_version)
+from .kernel import radial_eigenvalues  # not called; the benchmark tracer wraps this name
 from .solver import (DelaySeries, EvolutionReport, S2DelaySeries,
                      SobolevSeries, classify_frontier, series_tail_classify)
 from .spaces import NormSpec, parse_norm_spec
@@ -50,9 +50,10 @@ def _write_atomic(path: str, text: str):
 
 
 def _params(args) -> KernelParams:
-    if args.s <= 0.0:
-        raise UsageError(f"--s must be positive, got {args.s}")
-    return KernelParams(s=args.s)
+    try:
+        return KernelParams(s=args.s)
+    except ValueError as exc:
+        raise UsageError(f"--s: {exc}") from None
 
 
 def _quad(args) -> QuadratureSpec:
@@ -89,6 +90,8 @@ def _get_table(args, nmax: int, lmax: int):
 # ---------------------------------------------------------------------------
 
 def cmd_eigs(args) -> int:
+    if min(args.nmax, args.lmax) < 0:
+        raise UsageError("--nmax and --lmax must be nonnegative")
     table, from_cache = _get_table(args, args.nmax, args.lmax)
     s = table.params.s
     rows = []
@@ -176,7 +179,10 @@ def cmd_evolve(args) -> int:
     else:
         table, _ = _get_table(args, init.N, 0)
         field = init.field(table.lams[:, 0])
-    report = EvolutionReport.compute(field, times, norms, table)
+    try:
+        report = EvolutionReport.compute(field, times, norms, table)
+    except ValueError as exc:
+        raise UsageError(f"bad --times {args.times!r}: {exc}") from None
     path = os.path.join(args.out, f"evolve_s{table.params.s:g}.{args.format}")
     _write_atomic(path, report.to_csv() if args.format == "csv" else report.to_json())
     print(f"wrote {path}")
@@ -208,57 +214,51 @@ def cmd_verify(args) -> int:
 # scenario
 # ---------------------------------------------------------------------------
 
-def _verdict_rows(spec, ts, norms, params, quad, lam, extra=()):
+def _verdict_rows(spec, ts, norms, table, extra=()):
     for t in ts:
         for label, norm in norms:
-            v = series_tail_classify(spec, t, norm, params, quad, lam=lam)
+            v = series_tail_classify(spec, t, norm, table)
             yield (*extra, t, label, v.classification, v.p_hat,
                    v.window_growth_log10, v.log10_tail_estimate)
 
 
 def cmd_scenario(args) -> int:
-    params, quad = _params(args), _quad(args)
-    N = args.series_n
+    name, N = args.scenario, args.series_n
+    specs = {"remark14": lambda: DelaySeries(tau0=args.tau0, N=N),
+             "example41": lambda: S2DelaySeries(N=N),
+             "example42": lambda: SobolevSeries(tau=args.tau, N=N)}
+    if name not in specs:
+        raise UsageError(f"unknown scenario {name!r}; choose remark14, example41 or example42")
     ts = _parse_times(args.times) if args.times else None
+    try:
+        spec = specs[name]()
+        ks = [float(x) for x in args.k_grid.split(",")] if name == "example41" else []
+    except ValueError as exc:
+        raise UsageError(f"scenario {name}: {exc}") from None
+    table, _ = _get_table(args, N, 0)
     header = "t,norm,classification,p_hat,window_growth_log10,log10_tail_estimate"
-    if args.scenario == "remark14":
-        spec = DelaySeries(tau0=args.tau0, N=N)
-        lam = radial_eigenvalues(N, params, quad)
+    if name == "remark14":
         ts = ts or [round(args.tau0 * f, 6) for f in
                     (0.2, 0.5, 0.8, 0.95, 1.05, 1.2, 2.0, 4.0)]
-        rows = _verdict_rows(spec, ts, [("l2", NormSpec.l2())], params, quad, lam)
-        body = [",".join(map(str, r)) for r in rows]
-        path = os.path.join(args.out, "scenario_remark14.csv")
-        _write_atomic(path, "\n".join([header] + body) + "\n")
-    elif args.scenario == "example41":
-        spec = S2DelaySeries(N=N)
-        lam = radial_eigenvalues(N, params, quad)
-        ks = [float(x) for x in args.k_grid.split(",")]
-        body, frontier = [], ["k,t_star"]
+        rows = list(_verdict_rows(spec, ts, [("l2", NormSpec.l2())], table))
+    elif name == "example41":
+        header = "k," + header
+        rows, frontier = [], ["k,t_star"]
         for k in ks:
             tgrid = ts or [round(k * f, 6) for f in (0.25, 0.5, 0.8, 1.0, 1.2, 1.6, 2.4)]
-            rows = _verdict_rows(spec, tgrid, [(f"shubin:k={k:g}", NormSpec.shubin(k))],
-                                 params, quad, lam, extra=(k,))
-            body += [",".join(map(str, r)) for r in rows]
-            frontier.append(f"{k!r},{classify_frontier(spec, k, params, quad, lam=lam)!r}")
-        path = os.path.join(args.out, "scenario_example41.csv")
-        _write_atomic(path, "\n".join(["k," + header] + body) + "\n")
+            rows += _verdict_rows(spec, tgrid, [(f"shubin:k={k:g}", NormSpec.shubin(k))],
+                                  table, extra=(k,))
+            frontier.append(f"{k!r},{classify_frontier(spec, k, table)!r}")
         fpath = os.path.join(args.out, "scenario_example41_frontier.csv")
         _write_atomic(fpath, "\n".join(frontier) + "\n")
         print(f"wrote {fpath}")
-    elif args.scenario == "example42":
-        spec = SobolevSeries(tau=args.tau, N=N)
-        lam = radial_eigenvalues(N, params, quad)
+    else:
         ts = ts or [0.5, 1.0, 2.0, 5.0, 10.0]
         norms = [(f"shubin:k={args.tau:g}", NormSpec.shubin(args.tau)),
                  (f"shubin:k={args.tau_prime:g}", NormSpec.shubin(args.tau_prime))]
-        rows = _verdict_rows(spec, ts, norms, params, quad, lam)
-        body = [",".join(map(str, r)) for r in rows]
-        path = os.path.join(args.out, "scenario_example42.csv")
-        _write_atomic(path, "\n".join([header] + body) + "\n")
-    else:
-        raise UsageError(f"unknown scenario {args.scenario!r}; "
-                         "choose remark14, example41 or example42")
+        rows = list(_verdict_rows(spec, ts, norms, table))
+    path = os.path.join(args.out, f"scenario_{name}.csv")
+    _write_atomic(path, "\n".join([header] + [",".join(map(str, r)) for r in rows]) + "\n")
     print(f"wrote {path}")
     return 0
 
@@ -278,25 +278,29 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--s", type=float, default=2.0,
                        help="Debye-Yukawa exponent s > 0 (default 2)")
+        p.add_argument("--out", default=".", help="output directory")
+
+    def table_options(p):  # for the subcommands that get tables through _get_table
+        common(p)
         p.add_argument("--rel-tol", type=float, default=1e-10)
         p.add_argument("--abs-tol", type=float, default=1e-13)
         p.add_argument("--max-panels", type=int, default=72)
         p.add_argument("--nodes-per-panel", type=int, default=16)
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--cache-dir", default=None,
                        help="eigenvalue cache directory (keyed by hash and shape)")
         p.add_argument("--workers", type=int, default=1,
                        help="parallel workers for table construction")
 
     p = sub.add_parser("eigs", help="build and export an eigenvalue table")
-    common(p)
+    table_options(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--nmax", type=int, default=64)
     p.add_argument("--lmax", type=int, default=64)
     p.set_defaults(fn=cmd_eigs)
 
     p = sub.add_parser("evolve", help="evolve initial data and tabulate norms")
-    common(p)
+    table_options(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--init", required=True,
                    help="modes:n,l,m,re,im;... | delay:tau0=T[,N=..] | "
                         "s2delay:[N=..] | sobolev:tau=T[,N=..]")
@@ -313,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("scenario", help="tail-classifier sweeps for the series data")
-    common(p)
+    table_options(p)
     p.add_argument("--scenario", required=True,
                    help="remark14 | example41 | example42")
     p.add_argument("--times", default=None, help="override the t grid")

@@ -2,9 +2,10 @@
 
 Each check runs a fast, self-contained subset of the package's correctness
 properties and returns a CheckResult with the measured value and the
-threshold it was held to.  These are sized for interactive use (tables up
-to 48x48, reduced mode ranges); the pytest acceptance suite runs the same
-claims at full scale.
+threshold it was held to.  These are sized for interactive use: the checks
+that depend on s share one 60x60 eigenvalue table built by ``run_suite``
+(the gap and ratio checks read its 48x48 corner), and the pytest acceptance
+suite runs the same claims at full scale.
 """
 
 from __future__ import annotations
@@ -156,24 +157,20 @@ def check_gap_golden(rng) -> CheckResult:
     return CheckResult("eigenvalues_vs_golden", worst <= 1e-7, worst, 1e-7)
 
 
-def _small_table(s: float) -> kernel.EigenvalueTable:
-    return kernel.eigenvalue_table(48, 48, kernel.KernelParams(s=s))
-
-
-def check_spectral_gap(rng, s: float) -> CheckResult:
-    tab = _small_table(s)
+def check_spectral_gap(rng, table: kernel.EigenvalueTable) -> CheckResult:
+    tab = table.subset(48, 48)
     n, l = np.indices(tab.lams.shape)
     keep = n + l >= 2
     worst = float(np.min(tab.lams[keep] - (tab.lam(2, 0) - tab.errs[keep])))
     return CheckResult("spectral_gap_48", worst >= 0.0, worst, 0.0,
-                       detail=f"s={s}, min margin over table(48,48)")
+                       detail=f"s={table.params.s}, min margin over table(48,48)")
 
 
-def check_ratio_interval(rng, s: float) -> CheckResult:
-    rb = kernel.ratio_bounds(_small_table(s))
+def check_ratio_interval(rng, table: kernel.EigenvalueTable) -> CheckResult:
+    rb = kernel.ratio_bounds(table.subset(48, 48))
     ratio = rb.c_max / rb.c_min
     return CheckResult("ratio_interval_48", rb.c_min > 0.0 and ratio <= 50.0,
-                       ratio, 50.0, detail=f"s={s}, c_min={rb.c_min:.5g}")
+                       ratio, 50.0, detail=f"s={table.params.s}, c_min={rb.c_min:.5g}")
 
 
 def check_table_determinism(rng) -> CheckResult:
@@ -289,56 +286,51 @@ def _random_field(rng, count: int, nmax: int = 40, lmax: int = 40):
 # solver
 # ---------------------------------------------------------------------------
 
-def check_exact_decay(rng, s: float) -> CheckResult:
-    p = kernel.KernelParams(s=s)
-    lam = kernel.lambda_gap(p).lam
-    tab = kernel.eigenvalue_table(4, 4, p)
+def check_exact_decay(rng, table: kernel.EigenvalueTable) -> CheckResult:
+    lam = table.lam(2, 0)
     g = basis.SpectralField({(2, 0, 0): 1.0})
     worst = 0.0
     for t in (0.1, 1.0, 10.0):
-        got = basis.project_null(solver.evolve(g, t, tab), "orthogonal").l2_norm()
+        got = basis.project_null(solver.evolve(g, t, table), "orthogonal").l2_norm()
         expect = math.exp(-lam * t)
         worst = max(worst, abs(got - expect) / expect)
     return CheckResult("exact_single_mode_decay", worst <= 1e-12, worst, 1e-12)
 
 
-def check_semigroup(rng, s: float) -> CheckResult:
-    tab = kernel.eigenvalue_table(12, 12, kernel.KernelParams(s=s))
+def check_semigroup(rng, table: kernel.EigenvalueTable) -> CheckResult:
     g = _random_field(rng, 25, nmax=12, lmax=12)
-    a = solver.evolve(solver.evolve(g, 0.6, tab), 1.7, tab)
-    b = solver.evolve(g, 2.3, tab)
+    a = solver.evolve(solver.evolve(g, 0.6, table), 1.7, table)
+    b = solver.evolve(g, 2.3, table)
     worst = max(abs(a.amplitude(m) - b.amplitude(m)) / abs(b.amplitude(m))
                 for m in b.modes())
     return CheckResult("semigroup", worst <= 1e-12, worst, 1e-12)
 
 
-def check_weak_form(rng, s: float) -> CheckResult:
-    tab = kernel.eigenvalue_table(12, 12, kernel.KernelParams(s=s))
+def check_weak_form(rng, table: kernel.EigenvalueTable) -> CheckResult:
     worst = 0.0
     for _ in range(20):
         g = _random_field(rng, 10, nmax=12, lmax=12)
         test = list(g.modes())[:4] + [(1, 1, 0)]
         t = float(rng.uniform(0.1, 3.0))
-        worst = max(worst, solver.weak_form_residual(g, test, t, tab))
+        worst = max(worst, solver.weak_form_residual(g, test, t, table))
     return CheckResult("weak_form_residual", worst <= 1e-10, worst, 1e-10)
 
 
-def check_rate1(rng, s: float) -> CheckResult:
+def check_rate1(rng, table: kernel.EigenvalueTable) -> CheckResult:
+    s = table.params.s
     if s > 2.0:
         return CheckResult("rate1_certificate", True, math.nan, 0.0,
                            detail=f"skipped: rate1 applies for s <= 2, got s={s}")
-    tab = kernel.eigenvalue_table(60, 60, kernel.KernelParams(s=s))
-    rep = solver.rate1_certificate(tab, s)
+    rep = solver.rate1_certificate(table, s)
     return CheckResult("rate1_certificate", rep.ok, rep.worst_margin, 0.0,
                        detail=f"s={s}, table(60,60), worst mode {rep.worst_mode}")
 
 
-def check_delay_verdicts(rng, s: float) -> CheckResult:
-    p = kernel.KernelParams(s=1.0)
-    lam = kernel.radial_eigenvalues(2000, p)
+def check_delay_verdicts(rng) -> CheckResult:
+    tab = kernel.eigenvalue_table(2000, 0, kernel.KernelParams(s=1.0))
     spec = solver.DelaySeries(tau0=0.5, N=2000)
-    v1 = solver.series_tail_classify(spec, 0.25, spaces.NormSpec.l2(), p, lam=lam)
-    v2 = solver.series_tail_classify(spec, 1.0, spaces.NormSpec.l2(), p, lam=lam)
+    v1 = solver.series_tail_classify(spec, 0.25, spaces.NormSpec.l2(), tab)
+    v2 = solver.series_tail_classify(spec, 1.0, spaces.NormSpec.l2(), tab)
     ok = v1.classification == "divergent" and v2.classification == "convergent"
     return CheckResult("delay_series_verdicts", ok, float(ok), 1.0,
                        detail=f"t=0.25 -> {v1.classification}, t=1.0 -> {v2.classification}")
@@ -360,7 +352,11 @@ SUITES = {
 
 
 def run_suite(suite: str, s: float = 2.0, seed: int = 20240801):
-    """Run one suite (or 'all'); returns a list of CheckResult."""
+    """Run one suite (or 'all'); returns a list of CheckResult.
+
+    Checks that take a second argument share one 60x60 table at s, built
+    only when such a check is selected.
+    """
     if suite == "all":
         names = list(SUITES)
     elif suite in SUITES:
@@ -368,12 +364,9 @@ def run_suite(suite: str, s: float = 2.0, seed: int = 20240801):
     else:
         raise ValueError(f"unknown suite {suite!r}; choose from "
                          f"{', '.join(list(SUITES) + ['all'])}")
+    checks = [fn for name in names for fn in SUITES[name]]
+    table = None
+    if any(fn.__code__.co_argcount == 2 for fn in checks):
+        table = kernel.eigenvalue_table(60, 60, kernel.KernelParams(s=s))
     rng = np.random.default_rng(seed)
-    results = []
-    for name in names:
-        for fn in SUITES[name]:
-            if fn.__code__.co_argcount == 2:
-                results.append(fn(rng, s))
-            else:
-                results.append(fn(rng))
-    return results
+    return [fn(rng, table) if fn.__code__.co_argcount == 2 else fn(rng) for fn in checks]

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from dyboltz.kernel import (KernelParams, QuadratureSpec, eigenvalue_table,
-                            radial_eigenvalues)
+from dyboltz.kernel import KernelParams, QuadratureSpec, eigenvalue_table
 
 QUAD = QuadratureSpec()
 
@@ -16,20 +15,6 @@ def table_factory():
         key = (s, nmax, lmax)
         if key not in cache:
             cache[key] = eigenvalue_table(nmax, lmax, KernelParams(s=s), QUAD)
-        return cache[key]
-
-    return get
-
-
-@pytest.fixture(scope="session")
-def radial_factory():
-    """Session-cached l = 0 eigenvalue arrays keyed by (s, nmax)."""
-    cache = {}
-
-    def get(s: float, nmax: int) -> np.ndarray:
-        key = (s, nmax)
-        if key not in cache:
-            cache[key] = radial_eigenvalues(nmax, KernelParams(s=s), QUAD)
         return cache[key]
 
     return get

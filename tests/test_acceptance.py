@@ -271,33 +271,31 @@ def test_c12_scaled_gap_bound():
                   f"per-l sup for l>=100 {tail_sup:.5f} <= 0.28")
 
 
-def test_c13_series_scenarios(radial_factory):
+def test_c13_series_scenarios(table_factory):
     t0 = time.time()
-    p1, p2, p4 = KernelParams(s=1.0), KernelParams(s=2.0), KernelParams(s=4.0)
-    lam1 = radial_factory(1.0, 10000)
-    lam2 = radial_factory(2.0, 10000)
-    lam4 = radial_factory(4.0, 10000)
+    tab1 = table_factory(1.0, 10000, 0)
+    tab2 = table_factory(2.0, 10000, 0)
+    tab4 = table_factory(4.0, 10000, 0)
 
     delay = DelaySeries(tau0=0.5, N=10000)
-    v_early = series_tail_classify(delay, 0.25, NormSpec.l2(), p1, QUAD, lam=lam1)
-    v_late = series_tail_classify(delay, 1.0, NormSpec.l2(), p1, QUAD, lam=lam1)
+    v_early = series_tail_classify(delay, 0.25, NormSpec.l2(), tab1)
+    v_late = series_tail_classify(delay, 1.0, NormSpec.l2(), tab1)
     delay_ok = (v_early.classification == "divergent"
                 and v_late.classification == "convergent")
 
     sob = SobolevSeries(tau=1.0, N=10000)
     sob_ok = True
     for t in (1.0, 10.0):
-        a = series_tail_classify(sob, t, NormSpec.shubin(1.0), p4, QUAD, lam=lam4)
-        b = series_tail_classify(sob, t, NormSpec.shubin(2.0), p4, QUAD, lam=lam4)
+        a = series_tail_classify(sob, t, NormSpec.shubin(1.0), tab4)
+        b = series_tail_classify(sob, t, NormSpec.shubin(2.0), tab4)
         sob_ok = sob_ok and a.classification == "convergent" \
             and b.classification == "divergent"
 
     n_fit = np.arange(1000, 10001)
     A = np.vstack([np.log(n_fit), np.ones_like(n_fit, dtype=float)]).T
-    gamma = float(np.linalg.lstsq(A, lam2[n_fit], rcond=None)[0][0])
+    gamma = float(np.linalg.lstsq(A, tab2.lams[n_fit, 0], rcond=None)[0][0])
     s2 = S2DelaySeries(N=10000)
-    frontier = {k: classify_frontier(s2, k, p2, QUAD, lam=lam2)
-                for k in (1.0, 2.0, 4.0)}
+    frontier = {k: classify_frontier(s2, k, tab2) for k in (1.0, 2.0, 4.0)}
     increasing = frontier[1.0] < frontier[2.0] < frontier[4.0]
     within = all(abs(frontier[k] - k / (2 * gamma)) <= 0.2 * (k / (2 * gamma))
                  for k in frontier)

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from dyboltz import cli
+from dyboltz import cli, kernel
 from dyboltz.cli import main
 from dyboltz.kernel import KernelParams, radial_eigenvalues
 
@@ -51,9 +51,33 @@ def test_eigs_json_format(tmp_path):
     assert len(doc["rows"]) == 16
 
 
-def test_eigs_rejects_bad_s(tmp_path):
-    assert run(tmp_path, "eigs", "--s", "0", "--out", str(tmp_path)) == 2
-    assert run(tmp_path, "eigs", "--s", "-1", "--out", str(tmp_path)) == 2
+BAD_VALUES = {
+    "s=0": ["eigs", "--s", "0"],
+    "s=-1": ["eigs", "--s", "-1"],
+    "s=nan": ["eigs", "--s", "nan"],
+    "nmax=-1": ["eigs", "--nmax", "-1"],
+    "series-n=1": ["scenario", "--scenario", "remark14", "--series-n", "1"],
+    "tau0=-1": ["scenario", "--scenario", "remark14", "--tau0", "-1"],
+    "k-grid=a": ["scenario", "--scenario", "example41", "--k-grid", "a"],
+    "times=-1": ["evolve", "--init", "modes:2,0,0,1,0", "--times", "-1"],
+    "times=1,1": ["evolve", "--init", "modes:2,0,0,1,0", "--times", "1,1"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_VALUES.values(), ids=BAD_VALUES)
+def test_eigs_rejects_bad_s(tmp_path, capsys, argv):
+    # a bad value is a usage error (exit 2) with a message, not a traceback
+    assert run(tmp_path, *argv, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_subcommands_reject_flags_they_do_not_read(tmp_path):
+    for argv in (["verify", "--suite", "kernel", "--workers", "2"],
+                 ["scenario", "--scenario", "remark14", "--format", "json"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
 
 def test_eigs_corrupt_cache_rejected(tmp_path):
@@ -68,7 +92,7 @@ def test_eigs_corrupt_cache_rejected(tmp_path):
 
 
 def test_cache_second_round_builds_nothing(tmp_path, monkeypatch):
-    builds = []
+    builds, radial = [], []
     build = cli.eigenvalue_table
 
     def counted(nmax, lmax, *args, **kwargs):
@@ -76,17 +100,22 @@ def test_cache_second_round_builds_nothing(tmp_path, monkeypatch):
         return build(nmax, lmax, *args, **kwargs)
 
     monkeypatch.setattr(cli, "eigenvalue_table", counted)
+    monkeypatch.setattr(cli, "radial_eigenvalues", lambda *a, **kw: radial.append(a))
     cache = str(tmp_path / "cache")
     jobs = [["evolve", "--s", "1", "--init", "delay:tau0=0.5,N=200", "--times", "0.5,1"],
-            ["eigs", "--s", "1", "--nmax", "6", "--lmax", "6"]]
+            ["eigs", "--s", "1", "--nmax", "6", "--lmax", "6"],
+            ["scenario", "--scenario", "remark14", "--s", "1", "--series-n", "200",
+             "--times", "0.25,1"]]
     outputs = []
     for rnd in ("a", "b"):
         out = str(tmp_path / rnd)
         for job in jobs:
             assert run(tmp_path, *job, "--cache-dir", cache, "--out", out) == 0
-        outputs.append([open(os.path.join(out, f), "rb").read()
-                        for f in ("evolve_s1.csv", "eigs_s1_n6_l6.csv")])
-    assert builds == [(200, 0), (6, 6)]  # all in the first round
+        outputs.append([open(os.path.join(out, f), "rb").read() for f in
+                        ("evolve_s1.csv", "eigs_s1_n6_l6.csv", "scenario_remark14.csv")])
+    # all in the first round; scenario reads the (200, 0) file that evolve wrote
+    assert builds == [(200, 0), (6, 6)]
+    assert radial == []
     assert outputs[0] == outputs[1]
     names = sorted(p.name for p in (tmp_path / "cache").iterdir())
     assert [n.split("-", 2)[2] for n in names] == ["n200-l0.json", "n6-l6.json"]
@@ -201,13 +230,28 @@ def test_evolve_rejects_bad_init(tmp_path):
     assert rc == 2
 
 
-def test_verify_kernel_suite_passes(tmp_path, capsys):
-    rc = run(tmp_path, "verify", "--suite", "kernel", "--s", "2",
+@pytest.mark.parametrize("suite,check,builds", [
+    ("kernel", "gap_closed_form_s2", [(60, 60), (10, 10), (10, 10)]),
+    ("solver", "delay_series_verdicts", [(60, 60), (2000, 0)]),
+], ids=["kernel", "solver"])
+def test_verify_kernel_suite_passes(tmp_path, monkeypatch, suite, check, builds):
+    # one shared 60x60 table at s; the determinism pair and the s=1 radial
+    # table of the delay check are built on purpose
+    seen = []
+    build = kernel.eigenvalue_table
+
+    def counted(nmax, lmax, *args, **kwargs):
+        seen.append((nmax, lmax))
+        return build(nmax, lmax, *args, **kwargs)
+
+    monkeypatch.setattr(kernel, "eigenvalue_table", counted)
+    rc = run(tmp_path, "verify", "--suite", suite, "--s", "2",
              "--out", str(tmp_path))
     assert rc == 0
-    doc = json.load(open(tmp_path / "verify_kernel.json"))
+    doc = json.load(open(tmp_path / f"verify_{suite}.json"))
     assert doc["passed"] is True
-    assert any(c["name"] == "gap_closed_form_s2" for c in doc["checks"])
+    assert any(c["name"] == check for c in doc["checks"])
+    assert seen == builds
 
 
 def test_verify_spaces_suite_passes(tmp_path):

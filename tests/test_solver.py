@@ -4,7 +4,7 @@ import pytest
 
 from dyboltz.basis import SpectralField, project_null
 from dyboltz.errors import EigenvalueLookupError
-from dyboltz.kernel import KernelParams, QuadratureSpec, ratio_bounds
+from dyboltz.kernel import ratio_bounds
 from dyboltz.spaces import W_SHIFT, NormSpec, spectral_norm
 from dyboltz.solver import (DelaySeries, EvolutionReport,
                             S2DelaySeries, SobolevSeries, choose_c0,
@@ -12,11 +12,6 @@ from dyboltz.solver import (DelaySeries, EvolutionReport,
                             galerkin_truncate, rate1_certificate, rate1_check,
                             rate2_check, series_tail_classify,
                             weak_form_residual)
-
-P1 = KernelParams(s=1.0)
-P2 = KernelParams(s=2.0)
-P4 = KernelParams(s=4.0)
-QUAD = QuadratureSpec()
 
 
 def _random_field(rng, count, nmax=20, lmax=20):
@@ -267,21 +262,14 @@ def test_rate2_validation(table_factory):
 # series classification
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def lam_s1_small():
-    from dyboltz.kernel import radial_eigenvalues
-    return radial_eigenvalues(2000, P1, QUAD)
-
-
-def test_delay_series_verdicts(lam_s1_small):
+def test_delay_series_verdicts(table_factory):
+    tab = table_factory(1.0, 2000, 0)
     spec = DelaySeries(tau0=0.5, N=2000)
-    assert series_tail_classify(spec, 0.25, NormSpec.l2(), P1, QUAD,
-                                lam=lam_s1_small).classification == "divergent"
-    assert series_tail_classify(spec, 1.0, NormSpec.l2(), P1, QUAD,
-                                lam=lam_s1_small).classification == "convergent"
+    assert series_tail_classify(spec, 0.25, NormSpec.l2(), tab).classification == "divergent"
+    assert series_tail_classify(spec, 1.0, NormSpec.l2(), tab).classification == "convergent"
 
 
-def test_series_spec_validation():
+def test_series_spec_validation(table_factory):
     with pytest.raises(ValueError):
         DelaySeries(tau0=0.0)
     with pytest.raises(ValueError):
@@ -289,25 +277,24 @@ def test_series_spec_validation():
     with pytest.raises(ValueError):
         SobolevSeries(tau=-1.0)
     with pytest.raises(TypeError):
-        series_tail_classify(SpectralField({}), 1.0, NormSpec.l2(), P1, QUAD)
+        series_tail_classify(SpectralField({}), 1.0, NormSpec.l2(),
+                             table_factory(1.0, 2000, 0))
 
 
-def test_sobolev_series_verdicts():
-    from dyboltz.kernel import radial_eigenvalues
-    lam = radial_eigenvalues(2000, P4, QUAD)
+def test_sobolev_series_verdicts(table_factory):
+    tab = table_factory(4.0, 2000, 0)
     spec = SobolevSeries(tau=1.0, N=2000)
-    a = series_tail_classify(spec, 1.0, NormSpec.shubin(1.0), P4, QUAD, lam=lam)
-    b = series_tail_classify(spec, 1.0, NormSpec.shubin(2.0), P4, QUAD, lam=lam)
+    a = series_tail_classify(spec, 1.0, NormSpec.shubin(1.0), tab)
+    b = series_tail_classify(spec, 1.0, NormSpec.shubin(2.0), tab)
     assert a.classification == "convergent"
     assert b.classification == "divergent"
 
 
-def test_frontier_monotone_small():
-    from dyboltz.kernel import radial_eigenvalues
-    lam = radial_eigenvalues(2000, P2, QUAD)
+def test_frontier_monotone_small(table_factory):
+    tab = table_factory(2.0, 2000, 0)
     spec = S2DelaySeries(N=2000)
-    t1 = classify_frontier(spec, 1.0, P2, QUAD, lam=lam)
-    t2 = classify_frontier(spec, 2.0, P2, QUAD, lam=lam)
+    t1 = classify_frontier(spec, 1.0, tab)
+    t2 = classify_frontier(spec, 2.0, tab)
     assert 0.0 < t1 < t2
 
 
@@ -345,9 +332,9 @@ def test_finite_field_norm_matches_series_partial_sum(family, norm, table_factor
     assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
 
-def test_verdict_evidence_fields(lam_s1_small):
+def test_verdict_evidence_fields(table_factory):
     v = series_tail_classify(DelaySeries(tau0=0.5, N=2000), 1.0, NormSpec.l2(),
-                             P1, QUAD, lam=lam_s1_small)
+                             table_factory(1.0, 2000, 0))
     assert len(v.log10_partial_sums) >= 8
     assert v.median_tail_ratio_log < 0.0
     d = v.to_json_dict()
