@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 from .errors import ResolutionError
 from .specfun import _ylm, assoc_legendre_norm, laguerre
@@ -235,6 +234,8 @@ def _sphere_rule(n_theta: int, n_phi: int):
 
 def _radial_pair_integral(na, la, nb, lb, n_radial: int) -> float:
     """int_0^inf r^2 R_a R_b dr via generalized Gauss-Laguerre in u = r^2/2."""
+    from scipy.special import roots_genlaguerre  # imported here to keep start-up light
+
     alpha = 0.5 * (la + lb + 1)
     u, w = roots_genlaguerre(n_radial, alpha)
     vals = laguerre(na, la + 0.5, u) * laguerre(nb, lb + 0.5, u)

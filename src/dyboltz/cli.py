@@ -232,30 +232,32 @@ def cmd_scenario(args) -> int:
     ts = _parse_times(args.times) if args.times else None
     try:
         spec = specs[name]()
-        ks = [float(x) for x in args.k_grid.split(",")] if name == "example41" else []
+        if name == "example41":
+            ks = [float(x) for x in args.k_grid.split(",")]
+            norms = [(f"shubin:k={k:g}", NormSpec.shubin(k)) for k in ks]
+        elif name == "example42":
+            norms = [(f"shubin:k={k:g}", NormSpec.shubin(k)) for k in (args.tau, args.tau_prime)]
+        else:
+            norms = [("l2", NormSpec.l2())]
+        if ts and min(ts) < 0.0:
+            raise ValueError("times must be nonnegative")
     except ValueError as exc:
         raise UsageError(f"scenario {name}: {exc}") from None
     table, _ = _get_table(args, N, 0)
     header = "t,norm,classification,p_hat,window_growth_log10,log10_tail_estimate"
-    if name == "remark14":
-        ts = ts or [round(args.tau0 * f, 6) for f in
-                    (0.2, 0.5, 0.8, 0.95, 1.05, 1.2, 2.0, 4.0)]
-        rows = list(_verdict_rows(spec, ts, [("l2", NormSpec.l2())], table))
-    elif name == "example41":
+    if name == "example41":
         header = "k," + header
         rows, frontier = [], ["k,t_star"]
-        for k in ks:
+        for k, norm in zip(ks, norms):
             tgrid = ts or [round(k * f, 6) for f in (0.25, 0.5, 0.8, 1.0, 1.2, 1.6, 2.4)]
-            rows += _verdict_rows(spec, tgrid, [(f"shubin:k={k:g}", NormSpec.shubin(k))],
-                                  table, extra=(k,))
+            rows += _verdict_rows(spec, tgrid, [norm], table, extra=(k,))
             frontier.append(f"{k!r},{classify_frontier(spec, k, table)!r}")
         fpath = os.path.join(args.out, "scenario_example41_frontier.csv")
         _write_atomic(fpath, "\n".join(frontier) + "\n")
         print(f"wrote {fpath}")
     else:
-        ts = ts or [0.5, 1.0, 2.0, 5.0, 10.0]
-        norms = [(f"shubin:k={args.tau:g}", NormSpec.shubin(args.tau)),
-                 (f"shubin:k={args.tau_prime:g}", NormSpec.shubin(args.tau_prime))]
+        ts = ts or ([round(args.tau0 * f, 6) for f in (0.2, 0.5, 0.8, 0.95, 1.05, 1.2, 2.0, 4.0)]
+                    if name == "remark14" else [0.5, 1.0, 2.0, 5.0, 10.0])
         rows = list(_verdict_rows(spec, ts, norms, table))
     path = os.path.join(args.out, f"scenario_{name}.csv")
     _write_atomic(path, "\n".join([header] + [",".join(map(str, r)) for r in rows]) + "\n")

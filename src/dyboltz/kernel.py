@@ -27,9 +27,11 @@ each panel is also evaluated at doubled order for an error estimate.  Modes
 One loop computes every eigenvalue, a whole l-row at a time: it walks the
 panels outward from pi/4, adds each panel to the running sums of the rows
 still live, fixes a row at its stopping panel, and evaluates no panel once
-every row has stopped.  Parallel and serial builds produce bit-identical
-results because each (n, l) entry is an independent deterministic
-computation.
+every row has stopped.  A table build runs the Legendre recurrence once
+for all its l-rows (once per contiguous l-block when parallel), and each
+bracket column evaluates only the branch it uses.  Parallel and serial
+builds produce bit-identical results because each (n, l) entry is an
+independent deterministic computation.
 """
 
 from __future__ import annotations
@@ -155,18 +157,18 @@ def beta(theta, params: KernelParams):
 def _bracket_rows(n_arr: np.ndarray, l: int, logsin, logcos, ps, pc) -> np.ndarray:
     """1 + delta - sin^K P_l(sin) - cos^K P_l(cos) for each n, stably.
 
-    Near theta = 0 the cos term approaches 1, so it is folded through
-    expm1 when P_l(cos theta) > 0; null-mode rows are identically zero and
-    are zeroed exactly.
+    Near theta = 0 the cos term approaches 1, so each column where
+    P_l(cos theta) > 0 is folded through expm1 and only the other columns
+    take 1 - cos^K P_l(cos); each column evaluates its own branch only.
+    Null-mode rows are identically zero and are zeroed exactly.
     """
     K = (2 * n_arr + l).astype(float)[:, None]
+    pos = pc > 0.0
+    brackets = np.empty((len(n_arr), len(pc)))
     with np.errstate(under="ignore"):
-        sin_term = np.exp(K * logsin[None, :]) * ps[None, :]
-        pos = pc > 0.0
-        log_pc = np.where(pos, np.log(np.where(pos, pc, 1.0)), 0.0)
-        br_pos = -np.expm1(K * logcos[None, :] + log_pc[None, :])
-        br_neg = 1.0 - np.exp(K * logcos[None, :]) * pc[None, :]
-    brackets = np.where(pos[None, :], br_pos, br_neg) - sin_term
+        brackets[:, pos] = -np.expm1(K * logcos[pos] + np.log(pc[pos]))
+        brackets[:, ~pos] = 1.0 - np.exp(K * logcos[~pos]) * pc[~pos]
+        brackets -= np.exp(K * logsin[None, :]) * ps[None, :]
     if l == 0:
         brackets[(n_arr == 0) | (n_arr == 1)] = 0.0
     elif l == 1:
@@ -197,20 +199,31 @@ def _panel_rules(params: KernelParams, quad: QuadratureSpec):
     return tuple(rules)
 
 
-def _eigen_rows(l: int, n_arr: np.ndarray, params: KernelParams, quad: QuadratureSpec):
+def _legendre_sweep(l_end: int, params: KernelParams, quad: QuadratureSpec) -> np.ndarray:
+    """P_0..P_l_end at the sin and cos nodes of both rules, by one recurrence.
+
+    Row l is the ``pl`` argument of ``_eigen_rows``; the three-term
+    recurrence gives P_l independently of the top degree, so a row read
+    from a long sweep equals that of a sweep ending at l.
+    """
+    rules = _panel_rules(params, quad)
+    return legendre_all(l_end, np.concatenate([np.ravel((r.sin, r.cos)) for r in rules]))
+
+
+def _eigen_rows(l: int, n_arr: np.ndarray, pl: np.ndarray, params: KernelParams,
+                quad: QuadratureSpec):
     """lambda and err for all n in n_arr at fixed l (the one true code path).
 
-    Panels are added outward from pi/4 to the running sums of the rows still
-    live; a row stops at the first panel whose fine integral falls below
-    ``_PANEL_CUTOFF`` times its tolerance, and the loop ends when no row is
-    live.  Both the scalar ``eigenvalue`` and the bulk table builder run
-    through here, so single entries, serial builds and parallel builds agree
-    bit-for-bit.
+    ``pl`` is row l of ``_legendre_sweep``.  Panels are added outward from
+    pi/4 to the running sums of the rows still live; a row stops at the
+    first panel whose fine integral falls below ``_PANEL_CUTOFF`` times its
+    tolerance, and the loop ends when no row is live.  Both the scalar
+    ``eigenvalue`` and the bulk table builder run through here, so single
+    entries, serial builds and parallel builds agree bit-for-bit.
     """
     n_arr = np.asarray(n_arr, dtype=np.int64)
     rules = _panel_rules(params, quad)
-    # one Legendre evaluation per row, at the sin and cos nodes of both orders
-    pl = legendre_all(l, np.concatenate([np.ravel((r.sin, r.cos)) for r in rules]))[l]
+    # P_l at the sin and cos nodes of both orders, split per rule
     legendre = [p.reshape(2, *r.sin.shape)
                 for r, p in zip(rules, np.split(pl, [2 * rules[0].sin.size]))]
     lam = np.empty(len(n_arr))
@@ -260,7 +273,8 @@ def eigenvalue(n: int, l: int, params: KernelParams,
     """One eigenvalue by graded-panel quadrature, exact 0 for the null modes."""
     if n < 0 or l < 0:
         raise ValueError("n and l must be nonnegative integers")
-    lam, err = _eigen_rows(l, np.array([n]), params, quad)
+    lam, err = _eigen_rows(l, np.array([n]), _legendre_sweep(l, params, quad)[l],
+                           params, quad)
     return EigenvalueEntry(n=n, l=l, lam=float(lam[0]), err=float(err[0]))
 
 
@@ -353,10 +367,11 @@ def table_version(params: KernelParams, quad: QuadratureSpec) -> str:
     return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
-def _row_task(args):
-    l, nmax, params, quad = args
-    lam, err = _eigen_rows(l, np.arange(nmax + 1), params, quad)
-    return l, lam, err
+def _block_task(args):
+    """lambda and err columns for the contiguous l-block ``ls``, one Legendre sweep."""
+    ls, nmax, params, quad = args
+    pl = _legendre_sweep(ls[-1], params, quad)
+    return ls, [_eigen_rows(l, np.arange(nmax + 1), pl[l], params, quad) for l in ls]
 
 
 def eigenvalue_table(nmax: int, lmax: int, params: KernelParams,
@@ -364,22 +379,27 @@ def eigenvalue_table(nmax: int, lmax: int, params: KernelParams,
                      workers: int = 1) -> EigenvalueTable:
     """All eigenvalues with n <= nmax, l <= lmax.
 
-    ``workers > 1`` distributes l-rows over processes; every entry is an
-    independent deterministic computation, so the result does not depend on
-    worker count or evaluation order.
+    A serial build sweeps the Legendre recurrence once for the whole table;
+    ``workers > 1`` distributes contiguous l-blocks over processes, each
+    with its own sweep.  Every entry is an independent deterministic
+    computation, so the result does not depend on worker count or
+    evaluation order.
     """
     if nmax < 0 or lmax < 0:
         raise ValueError("nmax and lmax must be nonnegative")
-    tasks = [(l, nmax, params, quad) for l in range(lmax + 1)]
     if workers > 1 and lmax > 0:
+        size = -(-(lmax + 1) // (4 * workers))  # about four blocks per worker
+        tasks = [(range(l, min(l + size, lmax + 1)), nmax, params, quad)
+                 for l in range(0, lmax + 1, size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_row_task, tasks, chunksize=max(1, lmax // (4 * workers))))
+            blocks = list(pool.map(_block_task, tasks))
     else:
-        rows = [_row_task(t) for t in tasks]
+        blocks = [_block_task((range(lmax + 1), nmax, params, quad))]
     lams = np.empty((nmax + 1, lmax + 1))
     errs = np.empty((nmax + 1, lmax + 1))
-    for l, lam, err in rows:
-        lams[:, l], errs[:, l] = lam, err
+    for ls, rows in blocks:
+        for l, (lam, err) in zip(ls, rows):
+            lams[:, l], errs[:, l] = lam, err
     return EigenvalueTable(params=params, quad=quad, lams=lams, errs=errs,
                            version=table_version(params, quad))
 
@@ -387,7 +407,8 @@ def eigenvalue_table(nmax: int, lmax: int, params: KernelParams,
 def radial_eigenvalues(nmax: int, params: KernelParams,
                        quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """lambda_{n,0} for n = 0..nmax as a flat array (cheap P_0 = 1 path)."""
-    lam, _ = _eigen_rows(0, np.arange(nmax + 1), params, quad)
+    lam, _ = _eigen_rows(0, np.arange(nmax + 1), _legendre_sweep(0, params, quad)[0],
+                         params, quad)
     return lam
 
 

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -61,6 +63,12 @@ BAD_VALUES = {
     "k-grid=a": ["scenario", "--scenario", "example41", "--k-grid", "a"],
     "times=-1": ["evolve", "--init", "modes:2,0,0,1,0", "--times", "-1"],
     "times=1,1": ["evolve", "--init", "modes:2,0,0,1,0", "--times", "1,1"],
+    "scenario-times=-1": ["scenario", "--scenario", "remark14", "--s", "1",
+                          "--series-n", "200", "--times", "-1"],
+    "k-grid=-1": ["scenario", "--scenario", "example41", "--series-n", "200",
+                  "--k-grid", "-1"],
+    "tau-prime=-1": ["scenario", "--scenario", "example42", "--s", "4",
+                     "--series-n", "200", "--tau-prime", "-1"],
 }
 
 
@@ -70,6 +78,15 @@ def test_eigs_rejects_bad_s(tmp_path, capsys, argv):
     assert run(tmp_path, *argv, "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    r = subprocess.run([sys.executable, "-c",
+                        "import sys, dyboltz.cli; print('scipy' in sys.modules)"],
+                       capture_output=True, text=True, check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+    assert r.stdout.strip() == "False"
 
 
 def test_subcommands_reject_flags_they_do_not_read(tmp_path):

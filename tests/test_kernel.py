@@ -6,6 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from dyboltz import kernel
 from dyboltz.errors import (CacheError, EigenvalueLookupError,
                             QuadratureConvergenceError)
 from dyboltz.kernel import (NULL_MODES, EigenvalueEntry, EigenvalueTable,
@@ -169,11 +170,23 @@ def test_table_positivity_and_gap(table_factory):
 
 
 def test_parallel_and_serial_builds_bitwise_equal():
-    a = eigenvalue_table(14, 14, P1, QUAD, workers=1)
-    b = eigenvalue_table(14, 14, P1, QUAD, workers=3)
-    assert a.version == b.version
-    assert np.array_equal(a.lams, b.lams)
-    assert np.array_equal(a.errs, b.errs)
+    # workers=2 and 3 split l = 0..14 into blocks of 2 and a last block of 1
+    for lmax, workers in ((14, 2), (14, 3), (0, 2)):
+        a = eigenvalue_table(14, lmax, P1, QUAD, workers=1)
+        b = eigenvalue_table(14, lmax, P1, QUAD, workers=workers)
+        assert a.version == b.version
+        assert np.array_equal(a.lams, b.lams)
+        assert np.array_equal(a.errs, b.errs)
+
+
+def test_serial_build_sweeps_legendre_once(monkeypatch):
+    degrees = []
+    sweep = kernel.legendre_all
+    monkeypatch.setattr(kernel, "legendre_all",
+                        lambda lmax, x: degrees.append(lmax) or sweep(lmax, x))
+    table = eigenvalue_table(14, 14, P1, QUAD)
+    assert degrees == [14]
+    assert table.lams[14, 14] > 0.0
 
 
 def test_subset_equals_direct_build(table_factory):
