@@ -21,17 +21,26 @@ Eigenvalues are
 computed over geometrically graded dyadic panels [pi/4 * 2^-(j+1), pi/4 * 2^-j]
 with fixed-order Gauss nodes per panel.  The integrand vanishes like
 theta * log(1/theta)^(2/s-1) at 0 for n + l >= 2, so the grading converges;
-each panel is also evaluated at doubled order for an error estimate.  Modes
-(0,0), (1,0), (0,1) have identically zero integrand and come out exactly 0.
+each panel is also evaluated at doubled order for an error estimate, and
+both orders sit side by side in one 48-column rule per panel by default.
+Modes (0,0), (1,0), (0,1) have identically zero integrand and come out
+exactly 0.
 
 One loop computes every eigenvalue, a whole l-row at a time: it walks the
 panels outward from pi/4, adds each panel to the running sums of the rows
 still live, fixes a row at its stopping panel, and evaluates no panel once
 every row has stopped.  A table build runs the Legendre recurrence once
-for all its l-rows (once per contiguous l-block when parallel), and each
-bracket column evaluates only the branch it uses.  Parallel and serial
-builds produce bit-identical results because each (n, l) entry is an
-independent deterministic computation.
+for all its l-rows (once per contiguous l-block when parallel), each panel
+takes one bracket call for both rules, and each bracket column evaluates
+only the branch it uses.  A sin^K term with K log sin theta < -700 is
+exactly 0: most terms of a table build are, and numpy's exp would spend
+about 19 ns on each that underflows to 0 and over 100 ns on each
+subnormal, against 1.2 ns on a normal result (numpy 2.4 on AVX-512).  The
+dropped terms are below 1e-304, so they move a bracket only where cos theta
+rounds to 1, and there a panel sum only by a subnormal amount that
+vanishes in the running sum.  Parallel and serial builds produce
+bit-identical results because each (n, l) entry is an independent
+deterministic computation.
 """
 
 from __future__ import annotations
@@ -80,6 +89,10 @@ NULL_MODES = ((0, 0), (1, 0), (0, 1))
 # fraction of the running tolerance (the dyadic tail then sits well inside it)
 _PANEL_CUTOFF = 0.1
 
+# a sin^K term whose exponent K log sin theta lies below this is taken as
+# exactly 0: e^-700 ~ 1e-304 cannot move a sum of order lambda
+_LOG_NEGLIGIBLE = -700.0
+
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -103,10 +116,12 @@ class QuadratureSpec:
     nodes_per_panel: int = 16
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_panels < 1:
-            raise ValueError("max_panels must be a positive integer")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("quadrature tolerances must be positive and finite")
+        # the innermost panel starts at pi/4 * 2^-max_panels, which is a
+        # positive normal double only up to max_panels = 1021
+        if not 1 <= self.max_panels <= 1021:
+            raise ValueError("max_panels must be an integer from 1 to 1021")
         if self.nodes_per_panel < 8:
             raise ValueError("nodes_per_panel must be at least 8")
 
@@ -157,22 +172,31 @@ def beta(theta, params: KernelParams):
 def _bracket_rows(n_arr: np.ndarray, l: int, logsin, logcos, ps, pc) -> np.ndarray:
     """1 + delta - sin^K P_l(sin) - cos^K P_l(cos) for each n, stably.
 
-    Near theta = 0 the cos term approaches 1, so each column where
-    P_l(cos theta) > 0 is folded through expm1 and only the other columns
-    take 1 - cos^K P_l(cos); each column evaluates its own branch only.
-    Null-mode rows are identically zero and are zeroed exactly.
+    Near theta = 0 the cos term approaches 1, so it is folded through expm1
+    on the columns where P_l(cos theta) > 0 (the whole block when every
+    column is) and only the other columns take 1 - cos^K P_l(cos).
+    A sin term with K log sin theta below ``_LOG_NEGLIGIBLE`` is exactly 0,
+    never e^-700: ``n_arr`` ascends, so the rows with every term negligible
+    form a suffix that is skipped, and the other rows clamp the exponent
+    and multiply by the mask.  numpy's exp costs about 1.2 ns per normal
+    result, 19 ns per result that underflows to 0 and over 100 ns per
+    subnormal one, and most terms of a table build underflow.  Null-mode
+    rows are identically zero and are zeroed exactly.
     """
     K = (2 * n_arr + l).astype(float)[:, None]
     pos = pc > 0.0
-    brackets = np.empty((len(n_arr), len(pc)))
+    live = np.searchsorted(K[:, 0], _LOG_NEGLIGIBLE / logsin.max(), side="right")
+    arg = K[:live] * logsin
     with np.errstate(under="ignore"):
-        brackets[:, pos] = -np.expm1(K * logcos[pos] + np.log(pc[pos]))
-        brackets[:, ~pos] = 1.0 - np.exp(K * logcos[~pos]) * pc[~pos]
-        brackets -= np.exp(K * logsin[None, :]) * ps[None, :]
-    if l == 0:
-        brackets[(n_arr == 0) | (n_arr == 1)] = 0.0
-    elif l == 1:
-        brackets[n_arr == 0] = 0.0
+        if pos.all():
+            brackets = -np.expm1(K * logcos + np.log(pc))
+        else:
+            brackets = np.empty((len(n_arr), len(pc)))
+            brackets[:, pos] = -np.expm1(K * logcos[pos] + np.log(pc[pos]))
+            brackets[:, ~pos] = 1.0 - np.exp(K * logcos[~pos]) * pc[~pos]
+        brackets[:live] -= np.exp(np.maximum(arg, _LOG_NEGLIGIBLE)) * (arg > _LOG_NEGLIGIBLE) * ps
+    if l <= 1:
+        brackets[n_arr + l <= 1] = 0.0
     return brackets
 
 
@@ -180,62 +204,61 @@ _PanelRule = namedtuple("_PanelRule", "logsin logcos sin cos wbeta")
 
 
 @lru_cache(maxsize=32)
-def _panel_rules(params: KernelParams, quad: QuadratureSpec):
-    """Gauss rules on the dyadic panels at orders m and 2m.
+def _panel_rules(params: KernelParams, quad: QuadratureSpec) -> _PanelRule:
+    """Gauss rules of orders m and 2m on the dyadic panels, side by side.
 
-    Each field of a rule holds its values at the nodes (w * beta for the
-    weights), shape (max_panels, order); row j is panel
-    [pi/4 * 2^-(j+1), pi/4 * 2^-j].
+    Each field holds its values at the nodes (w * beta for the weights),
+    shape (max_panels, 3m): row j is panel [pi/4 * 2^-(j+1), pi/4 * 2^-j],
+    its first m columns the coarse rule and the other 2m the fine one, so
+    one bracket call per panel serves both rules (48 columns by default).
     """
     hi = np.ldexp(THETA_MAX, -np.arange(quad.max_panels))[:, None]
     lo = 0.5 * hi
-    rules = []
-    for m in (quad.nodes_per_panel, 2 * quad.nodes_per_panel):
-        x, w = np.polynomial.legendre.leggauss(m)
-        theta = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        wbeta = 0.5 * (hi - lo) * w * beta(theta, params)
-        rules.append(_PanelRule(np.log(np.sin(theta)), np.log(np.cos(theta)),
-                                np.sin(theta), np.cos(theta), wbeta))
-    return tuple(rules)
+    x, w = zip(*(np.polynomial.legendre.leggauss(m)
+                 for m in (quad.nodes_per_panel, 2 * quad.nodes_per_panel)))
+    theta = 0.5 * (hi - lo) * np.concatenate(x) + 0.5 * (hi + lo)
+    wbeta = 0.5 * (hi - lo) * np.concatenate(w) * beta(theta, params)
+    return _PanelRule(np.log(np.sin(theta)), np.log(np.cos(theta)),
+                      np.sin(theta), np.cos(theta), wbeta)
 
 
 def _legendre_sweep(l_end: int, params: KernelParams, quad: QuadratureSpec) -> np.ndarray:
-    """P_0..P_l_end at the sin and cos nodes of both rules, by one recurrence.
+    """P_0..P_l_end at the sin and cos nodes of the panel rule, by one recurrence.
 
     Row l is the ``pl`` argument of ``_eigen_rows``; the three-term
     recurrence gives P_l independently of the top degree, so a row read
     from a long sweep equals that of a sweep ending at l.
     """
-    rules = _panel_rules(params, quad)
-    return legendre_all(l_end, np.concatenate([np.ravel((r.sin, r.cos)) for r in rules]))
+    rule = _panel_rules(params, quad)
+    return legendre_all(l_end, np.concatenate([rule.sin.ravel(), rule.cos.ravel()]))
 
 
 def _eigen_rows(l: int, n_arr: np.ndarray, pl: np.ndarray, params: KernelParams,
                 quad: QuadratureSpec):
     """lambda and err for all n in n_arr at fixed l (the one true code path).
 
-    ``pl`` is row l of ``_legendre_sweep``.  Panels are added outward from
-    pi/4 to the running sums of the rows still live; a row stops at the
-    first panel whose fine integral falls below ``_PANEL_CUTOFF`` times its
-    tolerance, and the loop ends when no row is live.  Both the scalar
-    ``eigenvalue`` and the bulk table builder run through here, so single
-    entries, serial builds and parallel builds agree bit-for-bit.
+    ``pl`` is row l of ``_legendre_sweep`` and ``n_arr`` ascends.  Panels
+    are added outward from pi/4 to the running sums of the rows still live;
+    a row stops at the first panel whose fine integral falls below
+    ``_PANEL_CUTOFF`` times its tolerance, and the loop ends when no row is
+    live.  Both the scalar ``eigenvalue`` and the bulk table builder run
+    through here, so single entries, serial builds and parallel builds
+    agree bit-for-bit.
     """
     n_arr = np.asarray(n_arr, dtype=np.int64)
-    rules = _panel_rules(params, quad)
-    # P_l at the sin and cos nodes of both orders, split per rule
-    legendre = [p.reshape(2, *r.sin.shape)
-                for r, p in zip(rules, np.split(pl, [2 * rules[0].sin.size]))]
+    rule = _panel_rules(params, quad)
+    m = quad.nodes_per_panel
+    ps, pc = pl.reshape(2, *rule.sin.shape)
     lam = np.empty(len(n_arr))
     err = np.empty(len(n_arr))
     rows = np.arange(len(n_arr))
     cum = np.zeros(len(n_arr))
     cum_err = np.zeros(len(n_arr))
     for j in range(quad.max_panels):
-        i_coarse, i_fine = (
-            (_bracket_rows(n_arr[rows], l, r.logsin[j], r.logcos[j], ps[j], pc[j])
-             * r.wbeta[j]).sum(axis=1)
-            for r, (ps, pc) in zip(rules, legendre))
+        terms = (_bracket_rows(n_arr[rows], l, rule.logsin[j], rule.logcos[j], ps[j], pc[j])
+                 * rule.wbeta[j])
+        i_coarse, i_fine = terms[:, :m].sum(axis=1), terms[:, m:].sum(axis=1)
+        del terms  # free this panel's block (4 MB in a radial build) before the next
         cum += i_fine
         cum_err += np.abs(i_fine - i_coarse)
         tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(cum))

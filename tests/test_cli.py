@@ -69,6 +69,10 @@ BAD_VALUES = {
                   "--k-grid", "-1"],
     "tau-prime=-1": ["scenario", "--scenario", "example42", "--s", "4",
                      "--series-n", "200", "--tau-prime", "-1"],
+    "rel-tol=nan": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2", "--rel-tol", "nan"],
+    "abs-tol=inf": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2", "--abs-tol", "inf"],
+    "max-panels=1100": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2",
+                        "--max-panels", "1100"],
 }
 
 

@@ -37,6 +37,10 @@ def test_kernel_params_validation():
         QuadratureSpec(nodes_per_panel=4)
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
+    for bad in ({"rel_tol": math.nan}, {"abs_tol": math.inf}, {"max_panels": 1022}):
+        with pytest.raises(ValueError):
+            QuadratureSpec(**bad)
+    assert QuadratureSpec(max_panels=1021).max_panels == 1021
 
 
 def test_beta_values():
@@ -177,6 +181,73 @@ def test_parallel_and_serial_builds_bitwise_equal():
         assert a.version == b.version
         assert np.array_equal(a.lams, b.lams)
         assert np.array_equal(a.errs, b.errs)
+
+
+def _bracket_rows_reference(n_arr, l, logsin, logcos, ps, pc, negligible=None):
+    """The bracket as first written: both branches by mask, every sin^K term.
+
+    With ``negligible`` set, a sin^K term whose exponent lies below it is
+    replaced by exactly 0.
+    """
+    K = (2 * n_arr + l).astype(float)[:, None]
+    pos = pc > 0.0
+    brackets = np.empty((len(n_arr), len(pc)))
+    with np.errstate(under="ignore"):
+        brackets[:, pos] = -np.expm1(K * logcos[pos] + np.log(pc[pos]))
+        brackets[:, ~pos] = 1.0 - np.exp(K * logcos[~pos]) * pc[~pos]
+        term = np.exp(K * logsin) * ps
+    if negligible is not None:
+        term[K * logsin < negligible] = 0.0
+    brackets -= term
+    if l == 0:
+        brackets[(n_arr == 0) | (n_arr == 1)] = 0.0
+    elif l == 1:
+        brackets[n_arr == 0] = 0.0
+    return brackets
+
+
+def test_bracket_skip_is_exact(monkeypatch):
+    skipped = []
+    fast = kernel._bracket_rows
+
+    def spy(n_arr, l, logsin, *rest):
+        # rows ascend in K, so the last row is skipped if any row is
+        skipped.append((2 * n_arr[-1] + l) * logsin.max() < kernel._LOG_NEGLIGIBLE)
+        return fast(n_arr, l, logsin, *rest)
+
+    builds = [lambda s=s: eigenvalue_table(60, 60, KernelParams(s=s), QUAD)
+              for s in (0.5, 2.0)]
+    builds.append(lambda: radial_eigenvalues(2000, P1, QUAD))
+    for build in builds:
+        monkeypatch.setattr(kernel, "_bracket_rows", spy)
+        skipped.clear()
+        got = build()
+        assert any(skipped)
+        monkeypatch.setattr(kernel, "_bracket_rows", _bracket_rows_reference)
+        want = build()
+        if isinstance(got, EigenvalueTable):
+            assert got.lams.tobytes() == want.lams.tobytes()
+            assert got.errs.tobytes() == want.errs.tobytes()
+        else:
+            assert got.tobytes() == want.tobytes()
+    monkeypatch.undo()
+
+    # the integrand drops exactly the negligible terms: a value that is 0
+    # or -1e-90 stays so, never beta * e^-700
+    thetas = np.array([1e-160, 1e-100, 1e-30, 1e-3, 0.7])
+    for n, l in [(2, 0), (5, 3), (200, 0)]:
+        sin = np.sin(thetas)
+        pl = kernel.legendre_all(l, np.concatenate([sin, np.cos(thetas)]))[l]
+        want = beta(thetas, P2) * _bracket_rows_reference(
+            np.array([n]), l, np.log(sin), np.log(np.cos(thetas)), pl[:5], pl[5:],
+            negligible=kernel._LOG_NEGLIGIBLE)[0]
+        # a call per theta skips the row where every term is negligible;
+        # one call for all thetas masks the negligible columns instead
+        singles = [eigen_integrand(n, l, t, P2) for t in thetas]
+        assert np.array_equal(singles, want)
+        assert np.array_equal(eigen_integrand(n, l, thetas, P2), want)
+    assert eigen_integrand(2, 0, 1e-160, P2) == 0.0
+    assert eigen_integrand(2, 0, 1e-30, P2) < 0.0
 
 
 def test_serial_build_sweeps_legendre_once(monkeypatch):
