@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -232,12 +233,23 @@ def _sphere_rule(n_theta: int, n_phi: int):
     return x, w, phi, wphi
 
 
-def _radial_pair_integral(na, la, nb, lb, n_radial: int) -> float:
-    """int_0^inf r^2 R_a R_b dr via generalized Gauss-Laguerre in u = r^2/2."""
+@lru_cache(maxsize=128)
+def _laguerre_rule(n_radial: int, alpha: float):
+    """Read-only generalized Gauss-Laguerre nodes and weights, one per (n_radial, alpha).
+
+    A Gram scan over l <= lmax asks for 2 lmax + 1 distinct alphas but
+    (lmax + 1)^2 (nmax + 1)^2 / 2 pair integrals.
+    """
     from scipy.special import roots_genlaguerre  # imported here to keep start-up light
 
-    alpha = 0.5 * (la + lb + 1)
     u, w = roots_genlaguerre(n_radial, alpha)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
+def _radial_pair_integral(na, la, nb, lb, n_radial: int) -> float:
+    """int_0^inf r^2 R_a R_b dr via generalized Gauss-Laguerre in u = r^2/2."""
+    u, w = _laguerre_rule(n_radial, 0.5 * (la + lb + 1))
     vals = laguerre(na, la + 0.5, u) * laguerre(nb, lb + 0.5, u)
     return (_radial_norm_const(na, la) * _radial_norm_const(nb, lb)
             * math.sqrt(2.0) * float(np.dot(w, vals)))

@@ -23,11 +23,12 @@ import math
 import os
 import sys
 
+import numpy as np
 
 from . import verify as verify_mod
 from .basis import SpectralField
 from .errors import CacheError, QuadratureConvergenceError
-from .kernel import (KernelParams, QuadratureSpec, asymptotic_leading,
+from .kernel import (KernelParams, QuadratureSpec, _dumps_with_rows, asymptotic_leading,
                      eigenvalue_table, load_table, save_table, table_version)
 from .kernel import radial_eigenvalues  # not called; the benchmark tracer wraps this name
 from .solver import (DelaySeries, EvolutionReport, S2DelaySeries,
@@ -94,29 +95,29 @@ def cmd_eigs(args) -> int:
         raise UsageError("--nmax and --lmax must be nonnegative")
     table, from_cache = _get_table(args, args.nmax, args.lmax)
     s = table.params.s
-    rows = []
-    for n, l, lam, err in table.rows():
-        K = 2 * n + l
-        ratio = lam / math.log(K + math.e) ** (2.0 / s) if n + l >= 2 else math.nan
-        asym = asymptotic_leading(n, l, table.params) if K >= 3 else math.nan
-        rows.append((n, l, lam, err, ratio, asym))
+    text = repr if args.format == "csv" else lambda x: "null" if math.isnan(x) else repr(x)
+    # both extra columns depend on (n, l) only through K = 2n + l: one Python
+    # expression per K, then one IEEE division per entry, which rounds as `/` does
+    n, l = np.indices(table.lams.shape)
+    K = (2 * n + l).ravel()
+    ks = range(int(K[-1]) + 1)
+    ratio = table.lams.ravel() / np.array([math.log(k + math.e) ** (2.0 / s) for k in ks])[K]
+    ratio[(n + l).ravel() < 2] = math.nan
+    asym = [text(asymptotic_leading(k // 2, k % 2, table.params) if k >= 3 else math.nan)
+            for k in ks]
+    rows = map(",".join, zip(table._row_texts, map(text, ratio.tolist()),
+                             map(asym.__getitem__, K.tolist())))
     name = f"eigs_s{s:g}_n{args.nmax}_l{args.lmax}.{args.format}"
     path = os.path.join(args.out, name)
     if args.format == "csv":
-        lines = ["n,l,lambda,err,ratio_to_log_bound,asymptotic_leading"]
-        lines += [f"{n},{l},{lam!r},{err!r},{ratio!r},{asym!r}"
-                  for n, l, lam, err, ratio, asym in rows]
-        _write_atomic(path, "\n".join(lines) + "\n")
+        out = "\n".join(["n,l,lambda,err,ratio_to_log_bound,asymptotic_leading", *rows, ""])
     else:
-        doc = {"s": s, "nmax": args.nmax, "lmax": args.lmax,
-               "version": table.version,
-               "columns": ["n", "l", "lambda", "err", "ratio_to_log_bound",
-                           "asymptotic_leading"],
-               "rows": [[n, l, lam, err,
-                         None if math.isnan(ratio) else ratio,
-                         None if math.isnan(asym) else asym]
-                        for n, l, lam, err, ratio, asym in rows]}
-        _write_atomic(path, json.dumps(doc, separators=(",", ":"), sort_keys=True))
+        out = _dumps_with_rows({"s": s, "nmax": args.nmax, "lmax": args.lmax,
+                                "version": table.version,
+                                "columns": ["n", "l", "lambda", "err",
+                                            "ratio_to_log_bound", "asymptotic_leading"]},
+                               rows)
+    _write_atomic(path, out)
     print(f"{'cache hit' if from_cache else 'built'}: {path}")
     return 0
 

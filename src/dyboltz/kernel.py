@@ -41,6 +41,14 @@ rounds to 1, and there a panel sum only by a subnormal amount that
 vanishes in the running sum.  Parallel and serial builds produce
 bit-identical results because each (n, l) entry is an independent
 deterministic computation.
+
+The loop's fixed cost per panel is kept small: the bracket block is built
+and weighted in place, the two Gauss sums are direct add-reductions, and
+the live rows are updated only on panels where some row stops.  An
+in-place ufunc applies to each element the same operation as the
+expression it replaces, so no bit moves.  A cache file and the CLI's
+``eigs`` output share one formatting pass per table: each float is written
+by repr, once, which for a finite float is the text json.dumps writes.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ import tempfile
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -119,23 +127,27 @@ class QuadratureSpec:
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
             raise ValueError("quadrature tolerances must be positive and finite")
         # the innermost panel starts at pi/4 * 2^-max_panels, which is a
-        # positive normal double only up to max_panels = 1021
-        if not 1 <= self.max_panels <= 1021:
-            raise ValueError("max_panels must be an integer from 1 to 1021")
-        if self.nodes_per_panel < 8:
-            raise ValueError("nodes_per_panel must be at least 8")
+        # positive normal double only up to max_panels = 1021; _panel_rules
+        # solves leggauss(2 * nodes_per_panel), a dense eigenproblem, up front
+        for name, lo, hi in (("max_panels", 1, 1021), ("nodes_per_panel", 8, 256)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and lo <= value <= hi):
+                raise ValueError(f"{name} must be an integer from {lo} to {hi}")
 
 
 def _check_eigenvalues(n, l, lam, err):
     """Raise ValueError at the first (n, l) that breaks an eigenvalue invariant.
 
-    Null modes (n + l <= 1) are exactly 0, every other lambda is positive and
-    every error estimate is nonnegative.  Arguments broadcast, so one entry
-    and a whole table are checked by the same code.
+    Every lambda and error estimate is finite, null modes (n + l <= 1) are
+    exactly 0, every other lambda is positive and every error estimate is
+    nonnegative.  Arguments broadcast, so one entry and a whole table are
+    checked by the same code.
     """
     n, l, lam, err = (np.ravel(a) for a in np.broadcast_arrays(n, l, lam, err))
     null = n + l <= 1
     for bad, message in (
+            (~(np.isfinite(lam) & np.isfinite(err)),
+             "lambda and err must be finite for (n,l)=({n},{l}), got {lam} and {err}"),
             (null & (lam != 0.0), "null mode ({n},{l}) must have lambda = 0"),
             (~null & ~(lam > 0.0), "lambda must be positive for (n,l)=({n},{l}), got {lam}"),
             (~(err >= 0.0), "err estimate must be nonnegative for (n,l)=({n},{l}), "
@@ -181,20 +193,28 @@ def _bracket_rows(n_arr: np.ndarray, l: int, logsin, logcos, ps, pc) -> np.ndarr
     and multiply by the mask.  numpy's exp costs about 1.2 ns per normal
     result, 19 ns per result that underflows to 0 and over 100 ns per
     subnormal one, and most terms of a table build underflow.  Null-mode
-    rows are identically zero and are zeroed exactly.
+    rows are identically zero and are zeroed exactly.  The block is built
+    with in-place ufuncs (``out=``, ``*=``) that apply to each element the
+    operations of the expression form, in the same order, so the bits are
+    the same and fewer temporaries are allocated.
     """
     K = (2 * n_arr + l).astype(float)[:, None]
     pos = pc > 0.0
-    live = np.searchsorted(K[:, 0], _LOG_NEGLIGIBLE / logsin.max(), side="right")
+    live = K[:, 0].searchsorted(_LOG_NEGLIGIBLE / logsin.max(), side="right")
     arg = K[:live] * logsin
     with np.errstate(under="ignore"):
         if pos.all():
-            brackets = -np.expm1(K * logcos + np.log(pc))
+            brackets = K * logcos
+            brackets += np.log(pc)
+            np.negative(np.expm1(brackets, out=brackets), out=brackets)
         else:
             brackets = np.empty((len(n_arr), len(pc)))
             brackets[:, pos] = -np.expm1(K * logcos[pos] + np.log(pc[pos]))
             brackets[:, ~pos] = 1.0 - np.exp(K * logcos[~pos]) * pc[~pos]
-        brackets[:live] -= np.exp(np.maximum(arg, _LOG_NEGLIGIBLE)) * (arg > _LOG_NEGLIGIBLE) * ps
+        term = np.exp(np.maximum(arg, _LOG_NEGLIGIBLE))
+        term *= arg > _LOG_NEGLIGIBLE
+        term *= ps
+        brackets[:live] -= term
     if l <= 1:
         brackets[n_arr + l <= 1] = 0.0
     return brackets
@@ -243,7 +263,10 @@ def _eigen_rows(l: int, n_arr: np.ndarray, pl: np.ndarray, params: KernelParams,
     ``_PANEL_CUTOFF`` times its tolerance, and the loop ends when no row is
     live.  Both the scalar ``eigenvalue`` and the bulk table builder run
     through here, so single entries, serial builds and parallel builds
-    agree bit-for-bit.
+    agree bit-for-bit.  Each panel weights its bracket block in place and
+    sums both rules with ``np.add.reduce``, the reduction ``sum`` calls;
+    the stop bookkeeping (the lam/err scatter and three compressions) runs
+    only on panels where some row stops, which most panels are not.
     """
     n_arr = np.asarray(n_arr, dtype=np.int64)
     rule = _panel_rules(params, quad)
@@ -255,14 +278,16 @@ def _eigen_rows(l: int, n_arr: np.ndarray, pl: np.ndarray, params: KernelParams,
     cum = np.zeros(len(n_arr))
     cum_err = np.zeros(len(n_arr))
     for j in range(quad.max_panels):
-        terms = (_bracket_rows(n_arr[rows], l, rule.logsin[j], rule.logcos[j], ps[j], pc[j])
-                 * rule.wbeta[j])
-        i_coarse, i_fine = terms[:, :m].sum(axis=1), terms[:, m:].sum(axis=1)
+        terms = _bracket_rows(n_arr[rows], l, rule.logsin[j], rule.logcos[j], ps[j], pc[j])
+        terms *= rule.wbeta[j]
+        i_coarse, i_fine = np.add.reduce(terms[:, :m], 1), np.add.reduce(terms[:, m:], 1)
         del terms  # free this panel's block (4 MB in a radial build) before the next
         cum += i_fine
         cum_err += np.abs(i_fine - i_coarse)
         tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(cum))
         done = np.abs(i_fine) < _PANEL_CUTOFF * tol
+        if not done.any():
+            continue
         lam[rows[done]] = cum[done]
         err[rows[done]] = cum_err[done] + np.abs(i_fine[done])
         rows, cum, cum_err = rows[~done], cum[~done], cum_err[~done]
@@ -374,6 +399,16 @@ class EigenvalueTable:
         for n, (lam_row, err_row) in enumerate(zip(self.lams.tolist(), self.errs.tolist())):
             for l, (lam, err) in enumerate(zip(lam_row, err_row)):
                 yield n, l, lam, err
+
+    @cached_property
+    def _row_texts(self) -> list:
+        """The text "n,l,lambda,err" of every entry in (n, l) order, floats by repr.
+
+        Formatted once per table, so the cache file and the ``eigs`` output
+        of one job share it.  repr is json.dumps's text for every finite
+        float, and a table holds no other.
+        """
+        return [f"{n},{l},{lam!r},{err!r}" for n, l, lam, err in self.rows()]
 
 
 def table_version(params: KernelParams, quad: QuadratureSpec) -> str:
@@ -490,8 +525,25 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+def _dumps_with_rows(doc: dict, rows) -> str:
+    """Compact key-sorted json.dumps of doc plus "rows", each row given as JSON text.
+
+    A row text is its elements without the brackets ("0,1,0.0,0.0"), so
+    preformatted rows are joined, not encoded again; the output equals
+    json.dumps({**doc, "rows": [...]}, separators=(",", ":"), sort_keys=True).
+    """
+    head, tail = json.dumps({**doc, "rows": 0}, separators=(",", ":"),
+                            sort_keys=True).split('"rows":0', 1)
+    return "".join((head, '"rows":[[', "],[".join(rows), "]]", tail))
+
+
 def save_table(table: EigenvalueTable, path: str):
-    """Write the cache file atomically (temp file + rename)."""
+    """Write the cache file atomically (temp file + rename).
+
+    The header goes through json.dumps; the rows are the table's
+    ``_row_texts``, formatted once per table, so an ``eigs`` job that saves
+    and then writes its output formats each float once.
+    """
     header = {
         "s": table.params.s,
         "theta_max": table.params.theta_max,
@@ -501,9 +553,7 @@ def save_table(table: EigenvalueTable, path: str):
         "nodes_per_panel": table.quad.nodes_per_panel,
         "version": table.version,
     }
-    rows = [list(row) for row in table.rows()]
-    _atomic_write(path, json.dumps({"header": header, "rows": rows},
-                                   separators=(",", ":"), sort_keys=True))
+    _atomic_write(path, _dumps_with_rows({"header": header}, table._row_texts))
 
 
 def load_table(path: str, params: KernelParams | None = None,

@@ -148,6 +148,26 @@ def test_orthonormality_matrix_small():
     assert orthonormality_max_deviation(6, 6) < 1e-8
 
 
+def test_laguerre_rule_built_once_per_alpha(monkeypatch):
+    import scipy.special
+
+    from dyboltz import basis
+    calls = []
+    source = scipy.special.roots_genlaguerre
+    monkeypatch.setattr(scipy.special, "roots_genlaguerre",
+                        lambda n, alpha: calls.append((n, alpha)) or source(n, alpha))
+    basis._laguerre_rule.cache_clear()
+    try:
+        assert orthonormality_max_deviation(3, 3) < 1e-8
+        assert abs(inner_product_numeric((2, 3, 1), (2, 3, 1)) - 1.0) < 1e-8
+        u, w = basis._laguerre_rule(64, 0.5)
+        assert not (u.flags.writeable or w.flags.writeable)
+    finally:
+        basis._laguerre_rule.cache_clear()  # drop the rules built through the spy
+    # l, l' <= 3 give alpha = (l + l' + 1) / 2 in 0.5..3.5, each built once
+    assert calls == [(64, 0.5 * (k + 1)) for k in range(7)]
+
+
 def test_oscillator_residual_examples(rng):
     pts = rng.uniform(-2.5, 2.5, size=(120, 3))
     pts = pts[np.linalg.norm(pts, axis=1) > 0.5][:100]

@@ -73,6 +73,8 @@ BAD_VALUES = {
     "abs-tol=inf": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2", "--abs-tol", "inf"],
     "max-panels=1100": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2",
                         "--max-panels", "1100"],
+    "nodes-per-panel=300": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2",
+                            "--nodes-per-panel", "300"],
 }
 
 
@@ -82,6 +84,54 @@ def test_eigs_rejects_bad_s(tmp_path, capsys, argv):
     assert run(tmp_path, *argv, "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _reference_eigs(table, fmt):
+    """The eigs file by the per-row formulas, one Python expression per entry."""
+    s = table.params.s
+    rows = []
+    for n, l, lam, err in table.rows():
+        K = 2 * n + l
+        ratio = lam / math.log(K + math.e) ** (2.0 / s) if n + l >= 2 else math.nan
+        asym = kernel.asymptotic_leading(n, l, table.params) if K >= 3 else math.nan
+        rows.append((n, l, lam, err, ratio, asym))
+    if fmt == "csv":
+        lines = ["n,l,lambda,err,ratio_to_log_bound,asymptotic_leading"]
+        lines += [f"{n},{l},{lam!r},{err!r},{ratio!r},{asym!r}"
+                  for n, l, lam, err, ratio, asym in rows]
+        return "\n".join(lines) + "\n"
+    doc = {"s": s, "nmax": table.nmax, "lmax": table.lmax, "version": table.version,
+           "columns": ["n", "l", "lambda", "err", "ratio_to_log_bound",
+                       "asymptotic_leading"],
+           "rows": [[n, l, lam, err,
+                     None if math.isnan(ratio) else ratio,
+                     None if math.isnan(asym) else asym]
+                    for n, l, lam, err, ratio, asym in rows]}
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+
+def _reference_cache(table):
+    header = {"s": table.params.s, "theta_max": table.params.theta_max,
+              "rel_tol": table.quad.rel_tol, "abs_tol": table.quad.abs_tol,
+              "max_panels": table.quad.max_panels,
+              "nodes_per_panel": table.quad.nodes_per_panel, "version": table.version}
+    return json.dumps({"header": header, "rows": [list(r) for r in table.rows()]},
+                      separators=(",", ":"), sort_keys=True)
+
+
+def test_eigs_outputs_match_reference_formatting(tmp_path):
+    # a non-square table, so a swapped n and l changes the bytes; the csv run
+    # builds and saves the table, the json run formats the loaded cache file
+    for s in ("0.5", "2"):
+        table = kernel.eigenvalue_table(12, 9, KernelParams(s=float(s)))
+        cache = tmp_path / f"cache-{s}"
+        for fmt in ("csv", "json"):
+            assert run(tmp_path, "eigs", "--s", s, "--nmax", "12", "--lmax", "9",
+                       "--format", fmt, "--cache-dir", str(cache), "--out", str(tmp_path)) == 0
+            got = (tmp_path / f"eigs_s{s}_n12_l9.{fmt}").read_bytes()
+            assert got == _reference_eigs(table, fmt).encode()
+        got = (cache / f"eigs-{table.version}-n12-l9.json").read_bytes()
+        assert got == _reference_cache(table).encode()
 
 
 def test_cli_import_leaves_scipy_unloaded():

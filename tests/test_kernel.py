@@ -37,10 +37,12 @@ def test_kernel_params_validation():
         QuadratureSpec(nodes_per_panel=4)
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
-    for bad in ({"rel_tol": math.nan}, {"abs_tol": math.inf}, {"max_panels": 1022}):
+    for bad in ({"rel_tol": math.nan}, {"abs_tol": math.inf}, {"max_panels": 1022},
+                {"max_panels": 2.5}, {"nodes_per_panel": 16.5}, {"nodes_per_panel": 257}):
         with pytest.raises(ValueError):
             QuadratureSpec(**bad)
     assert QuadratureSpec(max_panels=1021).max_panels == 1021
+    assert QuadratureSpec(nodes_per_panel=256).nodes_per_panel == 256
 
 
 def test_beta_values():
@@ -147,7 +149,9 @@ def test_table_invariants_enforced():
     EigenvalueTable(P2, QUAD, lams, errs, "v")
     for (n, l), value, arr, what in [((1, 0), 0.1, "lams", "null mode"),
                                      ((2, 1), 0.0, "lams", "positive"),
-                                     ((1, 2), -1.0, "errs", "nonnegative")]:
+                                     ((1, 2), -1.0, "errs", "nonnegative"),
+                                     ((2, 2), math.inf, "lams", "finite"),
+                                     ((2, 0), math.nan, "errs", "finite")]:
         bad = {"lams": lams.copy(), "errs": errs.copy()}
         bad[arr][n, l] = value
         with pytest.raises(ValueError, match=rf"{what}.*\({n},{l}\)"):
@@ -395,6 +399,14 @@ def _nonzero_null_mode(rows):
     rows[_row_index(rows, 1, 0)][2] = 1e-3
 
 
+def _infinite_lambda(rows):
+    rows[_row_index(rows, 3, 2)][2] = math.inf  # json writes Infinity, and reads it back
+
+
+def _nan_err(rows):
+    rows[_row_index(rows, 5, 1)][3] = math.nan
+
+
 def _missing_row(rows):
     del rows[_row_index(rows, 4, 4)]
 
@@ -403,8 +415,9 @@ def _duplicated_row(rows):
     rows.append(list(rows[_row_index(rows, 4, 4)]))
 
 
-@pytest.mark.parametrize("edit", [_negative_lambda, _nonzero_null_mode, _missing_row,
-                                  _duplicated_row], ids=lambda f: f.__name__[1:])
+@pytest.mark.parametrize("edit", [_negative_lambda, _nonzero_null_mode, _infinite_lambda,
+                                  _nan_err, _missing_row, _duplicated_row],
+                         ids=lambda f: f.__name__[1:])
 def test_cache_rejects_invalid_rows(tmp_path, table_factory, edit):
     path = str(tmp_path / "tab.json")
     save_table(table_factory(2.0, 8, 8), path)
