@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ResolutionError
-from .specfun import _ylm, assoc_legendre_norm, laguerre
+from .specfun import _ylm, assoc_legendre_norm, laguerre, laguerre_all
 
 __all__ = [
     "ModeIndex",
@@ -240,11 +240,50 @@ def _laguerre_rule(n_radial: int, alpha: float):
     A Gram scan over l <= lmax asks for 2 lmax + 1 distinct alphas but
     (lmax + 1)^2 (nmax + 1)^2 / 2 pair integrals.
     """
-    from scipy.special import roots_genlaguerre  # imported here to keep start-up light
-
-    u, w = roots_genlaguerre(n_radial, alpha)
+    u, w = _gauss_laguerre(n_radial, alpha)
     u.flags.writeable = w.flags.writeable = False
     return u, w
+
+
+def _gauss_laguerre(n: int, alpha: float):
+    """Nodes and weights of the n-point rule for the weight x^alpha e^(-x) on (0, inf).
+
+    Nodes are the eigenvalues of the Jacobi matrix (diagonal 2k + alpha + 1,
+    off-diagonal sqrt(k (k + alpha))), refined by one Newton step.  Weights
+    come from the derivative formula 1 / (L_{n-1}(x) L_n'(x)), scaled to sum
+    to Gamma(alpha + 1), not from eigenvectors: at n = 64 eigenvector tail
+    weights (about 1e-100) were off by up to 1e41, and the Laguerre values
+    they multiply there reach 1e57.  Tail weights below the double range
+    round to 0.  Raises ResolutionError when a weight is not finite: the
+    Laguerre values at the nodes overflow from n = 363 on (alpha = 0.5), and
+    Gamma(alpha + 1) does for alpha >= 170.
+    """
+    if n < 1:
+        raise ValueError(f"n_radial must be positive, got {n}")
+    k = np.arange(n, dtype=float)
+    # eigvalsh reads only the lower triangle of the symmetric Jacobi matrix
+    u = np.linalg.eigvalsh(np.diag(2.0 * k + alpha + 1.0)
+                           + np.diag(np.sqrt(k[1:] * (k[1:] + alpha)), -1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lag = laguerre_all(n, alpha, u)
+        dlag = (n * lag[n] - (n + alpha) * lag[n - 1]) / u  # L_n' at the nodes
+        u = u - lag[n] / dlag  # one Newton step
+        lag = laguerre_all(n, alpha, u)
+        dlag = (n * lag[n] - (n + alpha) * lag[n - 1]) / u
+        # both factors span many decades; centre each in log space first
+        w = 1.0 / (_log_centred(lag[n - 1]) * _log_centred(dlag))
+        w *= (math.gamma(alpha + 1.0) if alpha < 170.0 else math.inf) / w.sum()
+    if not np.all(np.isfinite(w) & (w >= 0.0)):
+        raise ResolutionError(
+            f"Gauss-Laguerre rule n_radial={n}, alpha={alpha} leaves the double range: "
+            "a weight is not finite or is negative")
+    return u, w
+
+
+def _log_centred(v):
+    """v divided by the geometric mean of its largest and smallest |v|."""
+    logs = np.log(np.abs(v))
+    return v / np.exp(0.5 * (logs.max() + logs.min()))
 
 
 def _radial_pair_integral(na, la, nb, lb, n_radial: int) -> float:

@@ -59,7 +59,6 @@ import math
 import os
 import tempfile
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -449,6 +448,8 @@ def eigenvalue_table(nmax: int, lmax: int, params: KernelParams,
         size = -(-(lmax + 1) // (4 * workers))  # about four blocks per worker
         tasks = [(range(l, min(l + size, lmax + 1)), nmax, params, quad)
                  for l in range(0, lmax + 1, size)]
+        from concurrent.futures import ProcessPoolExecutor  # only parallel builds pay for it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_block_task, tasks))
     else:
@@ -606,7 +607,10 @@ def _grid_from_rows(rows):
     n, l = idx.astype(np.int64).T
     shape = (int(n.max()) + 1, int(l.max()) + 1)
     flat = n * shape[1] + l
-    if len(rows) != shape[0] * shape[1] or np.unique(flat).size != len(rows):
+    covered = np.zeros(len(rows), dtype=bool)  # stays False unless the sizes match
+    if len(rows) == shape[0] * shape[1]:
+        covered[flat] = True
+    if not covered.all():
         raise CacheError(f"cache rows do not cover the {shape[0]}x{shape[1]} (n, l) "
                          f"grid exactly once ({len(rows)} rows)")
     lams, errs = np.empty(shape), np.empty(shape)

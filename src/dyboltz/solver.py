@@ -47,7 +47,7 @@ import numpy as np
 from .basis import ModeIndex, SpectralField, project_null
 from .kernel import EigenvalueTable, ratio_bounds
 from .kernel import radial_eigenvalues  # not called; the benchmark tracer wraps this name
-from .spaces import W_SHIFT, NormSpec, log_weight, spectral_norm
+from .spaces import W_SHIFT, NormSpec, _weighted_norm, log_weight, spectral_norm
 
 __all__ = [
     "evolve",
@@ -521,10 +521,13 @@ class EvolutionReport:
         if len(set(times)) != len(times):
             raise ValueError("times must be distinct")
         specs = tuple(norms)
+        # evolve and spectral_norm on arrays: the same ufuncs on the same values
+        n, l, amps = g0.mode_arrays()
+        lam = table.lams_at(n, l)
         rows = []
         for t in times:
-            gt = evolve(g0, t, table)
-            rows.append(tuple(spectral_norm(gt, sp, table) for sp in specs))
+            amps_t = amps * np.exp(-lam * t)
+            rows.append(tuple(_weighted_norm(sp, n, l, amps_t, lam) for sp in specs))
         slopes = []
         tarr = np.array(times)
         for j in range(len(specs)):

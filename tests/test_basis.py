@@ -148,13 +148,43 @@ def test_orthonormality_matrix_small():
     assert orthonormality_max_deviation(6, 6) < 1e-8
 
 
-def test_laguerre_rule_built_once_per_alpha(monkeypatch):
-    import scipy.special
+def test_orthonormality_deviation_at_roundoff():
+    # the 1e-8 gates stay; this records the numpy rule's accuracy
+    assert orthonormality_max_deviation(6, 6) <= 1e-13
+    assert orthonormality_max_deviation(10, 10) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+def test_laguerre_rule_matches_scipy(n):
+    from scipy.special import roots_genlaguerre
 
     from dyboltz import basis
+    for alpha in np.arange(0.5, 13.0, 0.5):
+        u, w = basis._gauss_laguerre(n, float(alpha))
+        u_ref, w_ref = roots_genlaguerre(n, alpha)
+        assert np.max(np.abs(u / u_ref - 1.0)) <= 1e-12
+        assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-10
+        if n == 64:  # exact for x^j, j <= 2n - 1
+            moments = [np.sum(w * u ** j) for j in range(2 * n)]
+            exact = [math.gamma(alpha + j + 1) for j in range(2 * n)]
+            assert np.max(np.abs(np.array(moments) / exact - 1.0)) <= 1e-13
+
+
+def test_large_laguerre_rules_raise_instead_of_nan():
+    assert abs(inner_product_numeric((0, 0, 0), (0, 0, 0), n_radial=300) - 1.0) <= 1e-12
+    with pytest.raises(ResolutionError, match="n_radial=400, alpha=0.5"):
+        inner_product_numeric((0, 0, 0), (0, 0, 0), n_radial=400)
+    with pytest.raises(ResolutionError, match="n_radial=500"):
+        orthonormality_max_deviation(2, 2, n_radial=500)
+    with pytest.raises(ResolutionError, match="alpha=200.5"):
+        inner_product_numeric((0, 200, 0), (0, 200, 0), n_theta=256, n_phi=8)
+
+
+def test_laguerre_rule_built_once_per_alpha(monkeypatch):
+    from dyboltz import basis
     calls = []
-    source = scipy.special.roots_genlaguerre
-    monkeypatch.setattr(scipy.special, "roots_genlaguerre",
+    source = basis._gauss_laguerre
+    monkeypatch.setattr(basis, "_gauss_laguerre",
                         lambda n, alpha: calls.append((n, alpha)) or source(n, alpha))
     basis._laguerre_rule.cache_clear()
     try:

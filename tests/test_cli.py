@@ -134,13 +134,28 @@ def test_eigs_outputs_match_reference_formatting(tmp_path):
         assert got == _reference_cache(table).encode()
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _modules_loaded_by(argv, names):
+    """The modules among ``names`` that a fresh process holds after ``main(argv)``."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    r = subprocess.run([sys.executable, "-c",
-                        "import sys, dyboltz.cli; print('scipy' in sys.modules)"],
+    code = ("import sys; from dyboltz.cli import main; "
+            "rc = main(sys.argv[2:]) if sys.argv[2:] else None; "
+            "print(rc, sorted(m for m in sys.argv[1].split(',') if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code, ",".join(names), *argv],
                        capture_output=True, text=True, check=True,
                        env={**os.environ, "PYTHONPATH": src})
-    assert r.stdout.strip() == "False"
+    return r.stdout.strip().splitlines()[-1]  # after the command's own output
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    lazy = ["scipy", "concurrent.futures.process"]
+    assert _modules_loaded_by([], lazy) == "None []"  # import only
+    assert _modules_loaded_by(["verify", "--suite", "basis", "--out", str(tmp_path)],
+                              lazy) == "0 []"
+    args = ["eigs", "--s", "2", "--nmax", "6", "--lmax", "5",
+            "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)]
+    assert run(tmp_path, *args) == 0
+    # a cache hit loads the table without numpy.ma (np.unique imports it)
+    assert _modules_loaded_by(args, [*lazy, "numpy.ma"]) == "0 []"
 
 
 def test_subcommands_reject_flags_they_do_not_read(tmp_path):

@@ -428,6 +428,18 @@ def test_cache_rejects_invalid_rows(tmp_path, table_factory, edit):
         load_table(path, P2, QUAD)
 
 
+def test_cache_rejects_duplicate_in_place_of_row(tmp_path, table_factory):
+    # the row count still matches the grid; only the coverage check sees the gap
+    path = str(tmp_path / "tab.json")
+    save_table(table_factory(2.0, 8, 8), path)
+    doc = json.load(open(path))
+    rows = doc["rows"]
+    rows[_row_index(rows, 4, 4)] = list(rows[_row_index(rows, 3, 3)])
+    json.dump(doc, open(path, "w"))
+    with pytest.raises(CacheError, match="exactly once"):
+        load_table(path, P2, QUAD)
+
+
 def test_csv_export_mirrors_rows(tmp_path, table_factory):
     # the CLI's eigs CSV is the table's (n, l, lambda, err) rows plus two columns
     from dyboltz.cli import main

@@ -399,3 +399,17 @@ def test_report_null_mode_constant(table_factory):
     g = SpectralField({(0, 1, 0): 2.0})
     rep = EvolutionReport.compute(g, [0.0, 1.0, 5.0], [NormSpec.l2()], tab)
     assert all(row[0] == 2.0 for row in rep.values)
+
+
+def test_report_values_equal_per_time_spectral_norms(rng, table_factory):
+    tab = table_factory(2.0, 20, 20)
+    g = _random_field(rng, 40) + SpectralField(
+        {(0, 0, 0): 1.0, (1, 0, 0): -0.5, (0, 1, 1): 0.25j, (3, 4, -2): 2.0 - 1.0j})
+    norms = [NormSpec.l2(), NormSpec.shubin(2.5), NormSpec.logsob(0.7, 1.5),
+             NormSpec.domain(0.5), NormSpec.domain_dual(0.5),
+             NormSpec.domain_plus(1.0), NormSpec.domain_plus_dual(1.0)]
+    times = [0.0, 0.3, 1.0, 4.0]
+    rep = EvolutionReport.compute(g, times, norms, tab)
+    for t, row in zip(times, rep.values):
+        gt = evolve(g, t, tab)
+        assert row == tuple(spectral_norm(gt, sp, tab) for sp in norms)
