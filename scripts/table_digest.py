@@ -11,10 +11,12 @@ change that should leave eigenvalues untouched is checked by diffing two runs:
     PYTHONPATH=src python3 scripts/table_digest.py > new.json
     diff old.json new.json
 
-The 38 cases are 201x201 and 49x49 tables, a ``workers=2`` 31x31 table and
+The 39 cases are 201x201 and 49x49 tables, a ``workers=2`` 31x31 table and
 the entries (10^6, 0), (120, 41), (5, 3), (2, 0), (0, 0) at s = 0.5, 1, 2
-and 4; radial builds to n = 10^4 at s = 1, 2 and 4; and three builds that
-stop at ``max_panels``.  A full run takes 5 to 10 seconds on a two-core Xeon.
+and 4; radial builds to n = 10^4 at s = 0.5, 1, 2 and 4 (at s = 0.5 their
+rows stop at panels 25-27, where cos theta rounds to 1); and three builds
+that stop at ``max_panels``.  A full run takes 5 to 10 seconds on a two-core
+Xeon.
 """
 
 import hashlib
@@ -63,7 +65,7 @@ def cases():
         yield f"table 31x31 workers=2 s={s}", lambda s=s: _table(30, 30, s, workers=2)
         for n, l in ENTRIES:
             yield f"entry ({n},{l}) s={s}", lambda s=s, n=n, l=l: _entry(n, l, s)
-    for s in (1.0, 2.0, 4.0):
+    for s in S_VALUES:
         yield (f"radial 10001 s={s}",
                lambda s=s: _sha(radial_eigenvalues(10_000, KernelParams(s=s)), []))
     yield "error table 5x2 s=1.0 max_panels=2", lambda: _failure(

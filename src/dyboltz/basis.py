@@ -26,6 +26,7 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -286,10 +287,19 @@ def _log_centred(v):
     return v / np.exp(0.5 * (logs.max() + logs.min()))
 
 
-def _radial_pair_integral(na, la, nb, lb, n_radial: int) -> float:
-    """int_0^inf r^2 R_a R_b dr via generalized Gauss-Laguerre in u = r^2/2."""
-    u, w = _laguerre_rule(n_radial, 0.5 * (la + lb + 1))
-    vals = laguerre(na, la + 0.5, u) * laguerre(nb, lb + 0.5, u)
+def _radial_factor(n: int, l: int, lsum: int, n_radial: int) -> np.ndarray:
+    """L_n^(l+1/2) at the nodes of the rule for the pairs with la + lb = lsum."""
+    return laguerre(n, l + 0.5, _laguerre_rule(n_radial, 0.5 * (lsum + 1))[0])
+
+
+def _radial_pair_integral(na, la, nb, lb, n_radial: int, factor=_radial_factor) -> float:
+    """int_0^inf r^2 R_a R_b dr via generalized Gauss-Laguerre in u = r^2/2.
+
+    ``factor`` gives the Laguerre values at the nodes; a Gram scan passes a
+    memoised ``_radial_factor``, since each one recurs across many pairs.
+    """
+    _, w = _laguerre_rule(n_radial, 0.5 * (la + lb + 1))
+    vals = factor(na, la, la + lb, n_radial) * factor(nb, lb, la + lb, n_radial)
     return (_radial_norm_const(na, la) * _radial_norm_const(nb, lb)
             * math.sqrt(2.0) * float(np.dot(w, vals)))
 
@@ -341,9 +351,16 @@ def orthonormality_max_deviation(nmax: int, lmax: int, n_radial: int = 64,
 
     rad_modes = [(n, l) for n in range(nmax + 1) for l in range(lmax + 1)]
     R = np.empty((len(rad_modes), len(rad_modes)))
-    for i, (na, la) in enumerate(rad_modes):
-        for j, (nb, lb) in enumerate(rad_modes[: i + 1]):
-            R[i, j] = R[j, i] = _radial_pair_integral(na, la, nb, lb, n_radial)
+    for lsum in range(2 * lmax + 1):
+        # the pairs with la + lb = lsum share one rule: each factor once on it,
+        # and only one rule's factors held at a time
+        factor = lru_cache(maxsize=None)(_radial_factor)
+        for la in range(max(0, lsum - lmax), min(lsum, lmax) + 1):
+            lb = lsum - la
+            for na, nb in itertools.product(range(nmax + 1), repeat=2):
+                i, j = na * (lmax + 1) + la, nb * (lmax + 1) + lb  # rad_modes indices
+                if j <= i:
+                    R[i, j] = R[j, i] = _radial_pair_integral(na, la, nb, lb, n_radial, factor)
 
     rad_pos = {nl: i for i, nl in enumerate(rad_modes)}
     sph_pos = {lm: i for i, lm in enumerate(sph_modes)}

@@ -93,8 +93,13 @@ def _get_table(args, nmax: int, lmax: int):
 def cmd_eigs(args) -> int:
     if min(args.nmax, args.lmax) < 0:
         raise UsageError("--nmax and --lmax must be nonnegative")
+    K, s = 2 * args.nmax + args.lmax, _params(args).s
+    try:  # the largest ratio-column divisor; asymptotic_leading stays below it
+        math.log(K + math.e) ** (2.0 / s)
+    except OverflowError:
+        raise UsageError(f"--s {s:g} is too small for 2 nmax + lmax = {K}: "
+                         f"log(K + e)^(2/s) overflows a double") from None
     table, from_cache = _get_table(args, args.nmax, args.lmax)
-    s = table.params.s
     text = repr if args.format == "csv" else lambda x: "null" if math.isnan(x) else repr(x)
     # both extra columns depend on (n, l) only through K = 2n + l: one Python
     # expression per K, then one IEEE division per entry, which rounds as `/` does

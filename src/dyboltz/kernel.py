@@ -30,25 +30,40 @@ One loop computes every eigenvalue, a whole l-row at a time: it walks the
 panels outward from pi/4, adds each panel to the running sums of the rows
 still live, fixes a row at its stopping panel, and evaluates no panel once
 every row has stopped.  A table build runs the Legendre recurrence once
-for all its l-rows (once per contiguous l-block when parallel), each panel
-takes one bracket call for both rules, and each bracket column evaluates
-only the branch it uses.  A sin^K term with K log sin theta < -700 is
-exactly 0: most terms of a table build are, and numpy's exp would spend
-about 19 ns on each that underflows to 0 and over 100 ns on each
-subnormal, against 1.2 ns on a normal result (numpy 2.4 on AVX-512).  The
-dropped terms are below 1e-304, so they move a bracket only where cos theta
-rounds to 1, and there a panel sum only by a subnormal amount that
-vanishes in the running sum.  Parallel and serial builds produce
-bit-identical results because each (n, l) entry is an independent
-deterministic computation.
+for all its l-rows (once per contiguous l-block when parallel), and each
+panel takes one bracket call for both rules.  The bracket folds its whole
+block through expm1 and recomputes only the columns where
+P_l(cos theta) <= 0, on the panels that have any.  A sin^K term with
+K log sin theta < -700 is exactly 0: most terms of a table build are, and
+numpy's exp would spend about 19 ns on each that underflows to 0 and over
+100 ns on each subnormal, against 1.2 ns on a normal result (numpy 2.4 on
+AVX-512).  The dropped terms are below 1e-304, so they move a bracket only
+where cos theta rounds to 1, and there a panel sum only by a subnormal
+amount that vanishes in the running sum.
+
+Most of the remaining sin^K terms cannot change a bit either.  For a
+non-null mode the cos part 1 - cos^K P_l(cos theta) is at least
+sin^2 theta, the floor, so a term below e^-1 2^-64 of sin^2 theta_min is
+under half an ulp of every bracket of its panel and is skipped.  The floor
+bound is applied only on panels with sin^2 theta_min > 1e-10 (panels 0-15
+by default), where the computed cos part provably keeps that floor; below
+theta = 1.05e-8 cos theta rounds to 1 and the computed bracket is 0 or
+negative, so the deep panels keep only the e^-700 rule.  At 201x201, s = 2,
+the sin^K term is then evaluated on 0.5M of the 44.9M bracket elements
+(9.1M under the e^-700 rule alone).  ``_bracket_rows`` gives the proof.
+Parallel and serial builds produce bit-identical results because each
+(n, l) entry is an independent deterministic computation.
 
 The loop's fixed cost per panel is kept small: the bracket block is built
-and weighted in place, the two Gauss sums are direct add-reductions, and
-the live rows are updated only on panels where some row stops.  An
-in-place ufunc applies to each element the same operation as the
-expression it replaces, so no bit moves.  A cache file and the CLI's
-``eigs`` output share one formatting pass per table: each float is written
-by repr, once, which for a finite float is the text json.dumps writes.
+and weighted in place, the per-panel constants (log P_l(cos theta), the
+sign-change columns, the cut points of the sin^K term) are computed for
+all panels of a row at once, the two Gauss sums are direct
+add-reductions, and the live rows are updated only on panels where some
+row stops.  An in-place ufunc applies to each element the same operation
+as the expression it replaces, so no bit moves.  A cache file and the
+CLI's ``eigs`` output share one formatting pass per table: each float is
+written by repr, once, which for a finite float is the text json.dumps
+writes.
 """
 
 from __future__ import annotations
@@ -99,6 +114,15 @@ _PANEL_CUTOFF = 0.1
 # a sin^K term whose exponent K log sin theta lies below this is taken as
 # exactly 0: e^-700 ~ 1e-304 cannot move a sum of order lambda
 _LOG_NEGLIGIBLE = -700.0
+
+# the floor bound on the sin^K term (see _bracket_rows) is applied only on
+# panels with sin^2 theta_min above this, where the computed bracket keeps
+# its floor sin^2 theta
+_LOG_FLOOR_GUARD = math.log(1e-10)
+
+# log of 1 / (e 2^64): a term below this fraction of a bracket is far under
+# half its ulp
+_LOG_BELOW_HALF_ULP = 64.0 * math.log(2.0) + 1.0
 
 
 @dataclass(frozen=True)
@@ -180,46 +204,112 @@ def beta(theta, params: KernelParams):
     return float(out[0]) if scalar else out
 
 
-def _bracket_rows(n_arr: np.ndarray, l: int, logsin, logcos, ps, pc) -> np.ndarray:
-    """1 + delta - sin^K P_l(sin) - cos^K P_l(cos) for each n, stably.
+_Panel = namedtuple("_Panel", "logsin logcos ps pc logpc neg live_k full_k")
 
-    Near theta = 0 the cos term approaches 1, so it is folded through expm1
-    on the columns where P_l(cos theta) > 0 (the whole block when every
-    column is) and only the other columns take 1 - cos^K P_l(cos).
-    A sin term with K log sin theta below ``_LOG_NEGLIGIBLE`` is exactly 0,
-    never e^-700: ``n_arr`` ascends, so the rows with every term negligible
-    form a suffix that is skipped, and the other rows clamp the exponent
-    and multiply by the mask.  numpy's exp costs about 1.2 ns per normal
-    result, 19 ns per result that underflows to 0 and over 100 ns per
-    subnormal one, and most terms of a table build underflow.  Null-mode
-    rows are identically zero and are zeroed exactly.  The block is built
-    with in-place ufuncs (``out=``, ``*=``) that apply to each element the
-    operations of the expression form, in the same order, so the bits are
-    the same and fewer temporaries are allocated.
+
+def _panels(logsin, logcos, ps, pc):
+    """The bracket inputs of each row (panel) of these node arrays, one by one.
+
+    Besides its node values a panel carries log P_l(cos theta), taken as 0
+    where P_l(cos theta) <= 0; the indices of those columns, or None when
+    there are none; and the K cut points of the sin^K term that
+    ``_bracket_rows`` describes.  ``full_k`` keeps a relative margin of 1e-9
+    so that K log sin theta, rounded, still clears ``_LOG_NEGLIGIBLE``.  All
+    panels are prepared in a few array operations and handed out lazily,
+    since the panel loop stops at panel 18-27 of 72.
     """
-    K = (2 * n_arr + l).astype(float)[:, None]
+    hi, lo = logsin.max(1), logsin.min(1)
+    live_k = np.where(2.0 * lo > _LOG_FLOOR_GUARD, (2.0 * lo - _LOG_BELOW_HALF_ULP) / hi,
+                      _LOG_NEGLIGIBLE / hi * (1.0 + 1e-9))
+    full_k = _LOG_NEGLIGIBLE / lo * (1.0 - 1e-9)
     pos = pc > 0.0
-    live = K[:, 0].searchsorted(_LOG_NEGLIGIBLE / logsin.max(), side="right")
-    arg = K[:live] * logsin
-    with np.errstate(under="ignore"):
-        if pos.all():
-            brackets = K * logcos
-            brackets += np.log(pc)
-            np.negative(np.expm1(brackets, out=brackets), out=brackets)
-        else:
-            brackets = np.empty((len(n_arr), len(pc)))
-            brackets[:, pos] = -np.expm1(K * logcos[pos] + np.log(pc[pos]))
-            brackets[:, ~pos] = 1.0 - np.exp(K * logcos[~pos]) * pc[~pos]
-        term = np.exp(np.maximum(arg, _LOG_NEGLIGIBLE))
-        term *= arg > _LOG_NEGLIGIBLE
-        term *= ps
+    logpc = np.log(np.where(pos, pc, 1.0))
+    for j, mixed in enumerate(~pos.all(1)):
+        yield _Panel(logsin[j], logcos[j], ps[j], pc[j], logpc[j],
+                     np.flatnonzero(~pos[j]) if mixed else None, live_k[j], full_k[j])
+
+
+def _bracket_rows(K: np.ndarray, l: int, p: _Panel) -> np.ndarray:
+    """1 + delta - sin^K P_l(sin) - cos^K P_l(cos) for each K at panel ``p``, stably.
+
+    ``K`` holds 2n + l as floats in ascending order, one row each.  Near
+    theta = 0 the cos term approaches 1, so the whole block is folded
+    through -expm1(K log cos + log P_l(cos)), and only the columns where
+    P_l(cos theta) <= 0 (``p.neg``, on the few panels that have any) are
+    overwritten with 1 - cos^K P_l(cos).  Null-mode rows (K <= 2 - l, a
+    prefix) are identically zero and are zeroed exactly.
+
+    The sin^K P_l(sin) term is subtracted only by the rows with
+    K <= ``p.live_k``, a prefix; every other row's term cannot change a bit:
+
+    * A term whose exponent K log sin theta lies below ``_LOG_NEGLIGIBLE``
+      is exactly 0, never e^-700.  The dropped terms are below 1e-304, so
+      they move a bracket only where cos theta rounds to 1, and there a
+      panel sum only by a subnormal amount that vanishes in the running sum.
+    * The floor bound.  For a non-null row K >= 2, and |P_l| <= 1 with
+      cos^K <= cos^2 gives 1 - cos^K P_l(cos theta) >= sin^2 theta, the
+      floor.  A row with K max log sin < 2 min log sin - 64 ln 2 - 1
+      therefore subtracts |term| < e^-1 2^-64 sin^2 theta_min, while a
+      subtraction moves a double c only when the term reaches half an ulp
+      below c, at least 2^-54 c.  So the row keeps c bit for bit, which is
+      what subtracting the term would give.  The computed c must keep its
+      floor, though, which ``p.live_k`` asks only of panels with
+      sin^2 theta_min > e^``_LOG_FLOOR_GUARD`` = 1e-10 (panels 0-15 by
+      default).  There log cos theta carries an absolute rounding of about
+      1.1e-16 against |log cos theta| > 5e-11, a relative 2.2e-6.  P_l at
+      the rounded cos theta is off by l(l+1)/2 times that rounding, and
+      the recurrence adds about 10 l eps (measured against mpmath up to
+      l = 1200), both against 1 - P_l(cos theta) ~ l(l+1) theta^2 / 4 >
+      l(l+1) 2.5e-11.  So c stays within a factor 1 - 1e-4 of its true
+      value, far inside the margin of e 2^10 between the bound and half an
+      ulp.  Where cos theta rounds to 1 (theta < 1.05e-8) the computed c is
+      0 or negative and the floor is lost, so those panels keep only the
+      e^-700 rule.
+
+    numpy's exp costs about 1.2 ns per normal result, 19 ns per result that
+    underflows to 0 and over 100 ns per subnormal one.  Rows with
+    K < ``p.full_k`` have every exponent above ``_LOG_NEGLIGIBLE`` and take
+    exp directly.  Only the rows between, a band of a few rows on the
+    panels past the floor guard, clamp the exponent to keep exp off that
+    path and set each dropped term to exactly +0 after the multiply by
+    P_l(sin theta); a mask multiply would leave -0 where P_l(sin theta) < 0,
+    which differs from the reference formula where cos theta rounds to 1.
+    The block is built with in-place ufuncs that apply to each element the
+    operations of the expression form, in the same order, so the bits are
+    those of the reference formula and fewer temporaries are allocated.
+    The caller sets ``np.errstate(under="ignore")``.
+    """
+    Kc = K[:, None]
+    brackets = Kc * p.logcos
+    brackets += p.logpc
+    np.negative(np.expm1(brackets, out=brackets), out=brackets)
+    if p.neg is not None:
+        brackets[:, p.neg] = 1.0 - np.exp(Kc * p.logcos[p.neg]) * p.pc[p.neg]
+    live = K.searchsorted(p.live_k, side="right")
+    if live:
+        full = min(K.searchsorted(p.full_k), live)
+        term = Kc[:live] * p.logsin
+        band = term[full:]
+        drop = band < _LOG_NEGLIGIBLE
+        np.maximum(band, _LOG_NEGLIGIBLE, out=band)
+        np.exp(term, out=term)
+        term *= p.ps
+        band[drop] = 0.0
         brackets[:live] -= term
     if l <= 1:
-        brackets[n_arr + l <= 1] = 0.0
+        brackets[:K.searchsorted(2 - l, side="right")] = 0.0
     return brackets
 
 
 _PanelRule = namedtuple("_PanelRule", "logsin logcos sin cos wbeta")
+
+
+@lru_cache(maxsize=32)
+def _gauss_legendre(m: int):
+    """Read-only Gauss-Legendre nodes and weights of order m on [-1, 1], solved once."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @lru_cache(maxsize=32)
@@ -233,8 +323,7 @@ def _panel_rules(params: KernelParams, quad: QuadratureSpec) -> _PanelRule:
     """
     hi = np.ldexp(THETA_MAX, -np.arange(quad.max_panels))[:, None]
     lo = 0.5 * hi
-    x, w = zip(*(np.polynomial.legendre.leggauss(m)
-                 for m in (quad.nodes_per_panel, 2 * quad.nodes_per_panel)))
+    x, w = zip(_gauss_legendre(quad.nodes_per_panel), _gauss_legendre(2 * quad.nodes_per_panel))
     theta = 0.5 * (hi - lo) * np.concatenate(x) + 0.5 * (hi + lo)
     wbeta = 0.5 * (hi - lo) * np.concatenate(w) * beta(theta, params)
     return _PanelRule(np.log(np.sin(theta)), np.log(np.cos(theta)),
@@ -262,36 +351,39 @@ def _eigen_rows(l: int, n_arr: np.ndarray, pl: np.ndarray, params: KernelParams,
     ``_PANEL_CUTOFF`` times its tolerance, and the loop ends when no row is
     live.  Both the scalar ``eigenvalue`` and the bulk table builder run
     through here, so single entries, serial builds and parallel builds
-    agree bit-for-bit.  Each panel weights its bracket block in place and
-    sums both rules with ``np.add.reduce``, the reduction ``sum`` calls;
-    the stop bookkeeping (the lam/err scatter and three compressions) runs
-    only on panels where some row stops, which most panels are not.
+    agree bit-for-bit.  One ``np.errstate`` covers the whole loop.  Each
+    panel weights its bracket block in place and sums both rules with
+    ``np.add.reduce``, the reduction ``sum`` calls; the stop bookkeeping
+    (the lam/err scatter and four compressions) runs only on panels where
+    some row stops, which most panels are not.
     """
     n_arr = np.asarray(n_arr, dtype=np.int64)
     rule = _panel_rules(params, quad)
     m = quad.nodes_per_panel
-    ps, pc = pl.reshape(2, *rule.sin.shape)
+    panels = _panels(rule.logsin, rule.logcos, *pl.reshape(2, *rule.sin.shape))
     lam = np.empty(len(n_arr))
     err = np.empty(len(n_arr))
     rows = np.arange(len(n_arr))
+    K = (2 * n_arr + l).astype(float)
     cum = np.zeros(len(n_arr))
     cum_err = np.zeros(len(n_arr))
-    for j in range(quad.max_panels):
-        terms = _bracket_rows(n_arr[rows], l, rule.logsin[j], rule.logcos[j], ps[j], pc[j])
-        terms *= rule.wbeta[j]
-        i_coarse, i_fine = np.add.reduce(terms[:, :m], 1), np.add.reduce(terms[:, m:], 1)
-        del terms  # free this panel's block (4 MB in a radial build) before the next
-        cum += i_fine
-        cum_err += np.abs(i_fine - i_coarse)
-        tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(cum))
-        done = np.abs(i_fine) < _PANEL_CUTOFF * tol
-        if not done.any():
-            continue
-        lam[rows[done]] = cum[done]
-        err[rows[done]] = cum_err[done] + np.abs(i_fine[done])
-        rows, cum, cum_err = rows[~done], cum[~done], cum_err[~done]
-        if not len(rows):
-            return lam, err
+    with np.errstate(under="ignore"):
+        for panel, wbeta in zip(panels, rule.wbeta):
+            terms = _bracket_rows(K, l, panel)
+            terms *= wbeta
+            i_coarse, i_fine = np.add.reduce(terms[:, :m], 1), np.add.reduce(terms[:, m:], 1)
+            del terms  # free this panel's block (4 MB in a radial build) before the next
+            cum += i_fine
+            cum_err += np.abs(i_fine - i_coarse)
+            tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(cum))
+            done = np.abs(i_fine) < _PANEL_CUTOFF * tol
+            if not done.any():
+                continue
+            lam[rows[done]] = cum[done]
+            err[rows[done]] = cum_err[done] + np.abs(i_fine[done])
+            rows, K, cum, cum_err = rows[~done], K[~done], cum[~done], cum_err[~done]
+            if not len(rows):
+                return lam, err
     pairs = [(int(n), l) for n in n_arr[rows]]
     raise QuadratureConvergenceError(pairs, dict(zip(pairs, cum.tolist())))
 
@@ -309,8 +401,9 @@ def eigen_integrand(n: int, l: int, theta, params: KernelParams):
         return float(out[0]) if scalar else out
     sin, cos = np.sin(theta), np.cos(theta)
     pl = legendre_all(l, np.concatenate([sin, cos]))[l]
-    ps, pc = pl[:len(sin)], pl[len(sin):]
-    br = _bracket_rows(np.array([n]), l, np.log(sin), np.log(cos), ps, pc)[0]
+    panel = next(_panels(np.log(sin)[None], np.log(cos)[None], *pl.reshape(2, 1, -1)))
+    with np.errstate(under="ignore"):
+        br = _bracket_rows(np.array([2.0 * n + l]), l, panel)[0]
     out = np.atleast_1d(b) * br
     return float(out[0]) if scalar else out
 

@@ -154,6 +154,17 @@ def test_orthonormality_deviation_at_roundoff():
     assert orthonormality_max_deviation(10, 10) <= 1e-13
 
 
+def test_orthonormality_scan_evaluates_each_laguerre_factor_once(monkeypatch):
+    from dyboltz import basis
+    calls = []
+    source = basis.laguerre
+    monkeypatch.setattr(basis, "laguerre",
+                        lambda n, alpha, x: calls.append((n, alpha, id(x))) or source(n, alpha, x))
+    assert orthonormality_max_deviation(4, 4) <= 1e-13
+    # one call per (n, l, rule): 5 n values, and for each l the 5 rules of l + lb
+    assert len(calls) == len(set(calls)) == 5 * 5 * 5
+
+
 @pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
 def test_laguerre_rule_matches_scipy(n):
     from scipy.special import roots_genlaguerre

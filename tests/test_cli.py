@@ -75,12 +75,16 @@ BAD_VALUES = {
                         "--max-panels", "1100"],
     "nodes-per-panel=300": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2",
                             "--nodes-per-panel", "300"],
+    "s=0.002 overflow": ["eigs", "--s", "0.002", "--nmax", "100", "--lmax", "0"],
 }
 
 
 @pytest.mark.parametrize("argv", BAD_VALUES.values(), ids=BAD_VALUES)
-def test_eigs_rejects_bad_s(tmp_path, capsys, argv):
-    # a bad value is a usage error (exit 2) with a message, not a traceback
+def test_eigs_rejects_bad_s(tmp_path, capsys, monkeypatch, argv):
+    # a bad value is a usage error (exit 2) with a message, not a traceback;
+    # eigs and scenario reject it before they build a table
+    if argv[0] in ("eigs", "scenario"):
+        monkeypatch.setattr(cli, "eigenvalue_table", lambda *a, **k: pytest.fail("built"))
     assert run(tmp_path, *argv, "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -1,10 +1,13 @@
 import csv
+import itertools
 import json
 import math
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dyboltz import kernel
 from dyboltz.errors import (CacheError, EigenvalueLookupError,
@@ -210,14 +213,23 @@ def _bracket_rows_reference(n_arr, l, logsin, logcos, ps, pc, negligible=None):
     return brackets
 
 
+def _reference_on_panel(K, l, p, negligible=None):
+    """``_bracket_rows_reference`` behind the production call (K, l, panel)."""
+    n_arr = ((K - l) // 2).astype(np.int64)
+    return _bracket_rows_reference(n_arr, l, p.logsin, p.logcos, p.ps, p.pc, negligible)
+
+
 def test_bracket_skip_is_exact(monkeypatch):
-    skipped = []
+    skipped, floored = [], []
     fast = kernel._bracket_rows
 
-    def spy(n_arr, l, logsin, *rest):
-        # rows ascend in K, so the last row is skipped if any row is
-        skipped.append((2 * n_arr[-1] + l) * logsin.max() < kernel._LOG_NEGLIGIBLE)
-        return fast(n_arr, l, logsin, *rest)
+    def spy(K, l, p):
+        # rows ascend in K, so the last row is skipped by the e^-700 rule if
+        # any row is; the floor bound also skips rows that rule keeps
+        negligible = K * p.logsin.max() < kernel._LOG_NEGLIGIBLE
+        skipped.append(negligible[-1])
+        floored.append(np.any((K > p.live_k) & ~negligible))
+        return fast(K, l, p)
 
     builds = [lambda s=s: eigenvalue_table(60, 60, KernelParams(s=s), QUAD)
               for s in (0.5, 2.0)]
@@ -225,9 +237,10 @@ def test_bracket_skip_is_exact(monkeypatch):
     for build in builds:
         monkeypatch.setattr(kernel, "_bracket_rows", spy)
         skipped.clear()
+        floored.clear()
         got = build()
-        assert any(skipped)
-        monkeypatch.setattr(kernel, "_bracket_rows", _bracket_rows_reference)
+        assert any(skipped) and any(floored)
+        monkeypatch.setattr(kernel, "_bracket_rows", _reference_on_panel)
         want = build()
         if isinstance(got, EigenvalueTable):
             assert got.lams.tobytes() == want.lams.tobytes()
@@ -252,6 +265,45 @@ def test_bracket_skip_is_exact(monkeypatch):
         assert np.array_equal(eigen_integrand(n, l, thetas, P2), want)
     assert eigen_integrand(2, 0, 1e-160, P2) == 0.0
     assert eigen_integrand(2, 0, 1e-30, P2) < 0.0
+
+
+@settings(max_examples=60, deadline=None)
+# panel 0 at l = 7 has sign-change columns, and n = 100 is skipped there by
+# the floor bound alone; at panel 20, n = 24 takes the clamp band; at
+# panel 27 cos theta rounds to 1 and the brackets are signed zeros
+@example(n=[0, 1, 2, 60, 100, 2000], l=7, j=0, s=2.0)
+@example(n=[0, 1, 2, 23, 24, 25, 3000], l=0, j=20, s=0.5)
+@example(n=list(range(30)), l=2, j=27, s=1.0)
+@given(n=st.lists(st.integers(0, 5000), min_size=1, max_size=40, unique=True),
+       l=st.integers(0, 300), j=st.integers(0, 71), s=st.floats(0.5, 4.0))
+def test_bracket_matches_reference_bytes(n, l, j, s):
+    # the production bracket, with its floor skip, clamp band and patched
+    # sign-change columns, equals the reference formula with the e^-700
+    # rule byte for byte on any rows of any panel
+    params = KernelParams(s=s)
+    rule = kernel._panel_rules(params, QUAD)
+    pl = kernel._legendre_sweep(l, params, QUAD)[l]
+    panels = kernel._panels(rule.logsin, rule.logcos, *pl.reshape(2, *rule.sin.shape))
+    p = next(itertools.islice(panels, j, None))
+    K = (2 * np.array(sorted(n)) + l).astype(float)
+    with np.errstate(under="ignore"):
+        got = kernel._bracket_rows(K, l, p)
+    want = _reference_on_panel(K, l, p, negligible=kernel._LOG_NEGLIGIBLE)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_gauss_legendre_solved_once_per_order(monkeypatch):
+    orders = []
+    solve = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda m: orders.append(m) or solve(m))
+    kernel._gauss_legendre.cache_clear()
+    kernel._panel_rules.cache_clear()
+    for s in (0.7, 1.3, 2.9):
+        kernel._panel_rules(KernelParams(s=s), QuadratureSpec(nodes_per_panel=12))
+    assert orders == [12, 24]
+    x, w = kernel._gauss_legendre(12)
+    assert not (x.flags.writeable or w.flags.writeable)
 
 
 def test_serial_build_sweeps_legendre_once(monkeypatch):
