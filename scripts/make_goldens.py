@@ -20,12 +20,25 @@ spot values) and edge_eigenvalues.csv (the s = 0.5 table-edge modes (100, 0)
 and (200, 0) that set c_min in acceptance criterion C04).  The edge values are
 cross-checked at generation time against Gauss-Legendre quadrature at 50
 digits on a finer dyadic grid.
+
+A third, high_l_eigenvalues.csv, holds modes with l = 200 and 400 at
+s = 0.5, 1 and 2, where P_l(cos theta) oscillates 25 to 50 times over
+(0, pi/4).  They are integrated in theta at 50 digits with one Gauss-Legendre
+rule per panel, uniform panels of one oscillation above theta = 1/l and
+dyadic ones below, and cross-checked against half-period panels with a
+coarser rule.  Only that file is rewritten by
+
+    python3 scripts/make_goldens.py high-l
+
+which takes several minutes.
 """
 
 import csv
 import pathlib
+import sys
 
 import mpmath as mp
+from mpmath.calculus.quadrature import GaussLegendre
 
 mp.mp.dps = 40
 
@@ -121,7 +134,85 @@ def write_edge_goldens():
     print(f"wrote {EDGE_OUT} (cross-checked to 1e-25)")
 
 
+HIGH_L_OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden" / "high_l_eigenvalues.csv"
+
+HIGH_L_CASES = [
+    (0, 200, "0.5"),
+    (100, 200, "0.5"),
+    (0, 400, "0.5"),
+    (400, 400, "0.5"),
+    (0, 400, "2"),
+    (50, 400, "1"),
+]
+
+HIGH_L_PROVENANCE = "mpmath-gauss-legendre-theta-panels-dps50"
+
+
+def legendre_rec(l, x):
+    """P_l(x) by the three-term recurrence, stable for |x| <= 1 at any degree."""
+    p0, p1 = mp.mpf(1), x
+    if l == 0:
+        return p0
+    for k in range(1, l):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1
+
+
+def eigen_theta(n, l, s, degree, per_period):
+    """lambda_{n,l} in theta on dyadic panels below 1/l and uniform panels above.
+
+    P_l(cos theta) oscillates with period 2 pi / l, so the panels above
+    theta = 1/l hold 1 / ``per_period`` of a period each; every panel takes
+    the 3 * 2^(degree - 1)-point Gauss-Legendre rule at the working
+    precision.  A sin^K term below 10^-60 is left out.
+    """
+    K = 2 * n + l
+    delta = 1 if (n == 0 and l == 0) else 0
+    power = 2 / mp.mpf(s) - 1
+
+    def f(theta):
+        sin, cos = mp.sin(theta), mp.cos(theta)
+        bracket = 1 + delta - cos**K * legendre_rec(l, cos)
+        if K * mp.log(sin) > -60 * mp.log(10):
+            bracket -= sin**K * legendre_rec(l, sin)
+        return mp.log(1 / sin) ** power / sin * bracket
+
+    knee = min(mp.mpf(1) / max(l, 1), mp.pi / 8)
+    points = [knee * mp.mpf(2) ** -j for j in range(120, 0, -1)] + [knee]
+    width = 2 * mp.pi / max(l, 1) / per_period
+    count = int(mp.ceil((mp.pi / 4 - knee) / width))
+    points += [knee + (mp.pi / 4 - knee) * i / count for i in range(1, count + 1)]
+    rule = GaussLegendre(mp.mp).calc_nodes(degree, mp.mp.prec)
+    total = mp.mpf(0)
+    for a, b in zip(points[:-1], points[1:]):
+        half, mid = (b - a) / 2, (b + a) / 2
+        total += half * mp.fsum(w * f(mid + half * x) for x, w in rule)
+    return total
+
+
+def write_high_l_goldens():
+    """Large-l rows at dps 50, each cross-checked by a second panel layout and rule."""
+    rows = []
+    with mp.workdps(50):
+        check = eigen_theta(5, 3, 2, degree=4, per_period=1)
+        assert abs(check - eigen_mp(5, 3, mp.mpf(2))) < mp.mpf(10) ** -25, check
+        for n, l, s in HIGH_L_CASES:
+            val = eigen_theta(n, l, s, degree=5, per_period=1)
+            other = eigen_theta(n, l, s, degree=4, per_period=2)
+            assert abs(val - other) < mp.mpf(10) ** -25 * val, (n, l, s, val, other)
+            rows.append((n, l, s, mp.nstr(val, 17), HIGH_L_PROVENANCE))
+            print(f"lambda(n={n}, l={l}, s={s}) = {mp.nstr(val, 17)}", flush=True)
+    with open(HIGH_L_OUT, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["n", "l", "s", "lambda", "provenance"])
+        w.writerows(rows)
+    print(f"wrote {HIGH_L_OUT} (cross-checked to 1e-25)")
+
+
 def main():
+    if sys.argv[1:] == ["high-l"]:
+        write_high_l_goldens()
+        return
     rows = []
     for n, l, s in CASES:
         val = eigen_mp(n, l, mp.mpf(s))
@@ -143,6 +234,7 @@ def main():
     print(f"wrote {OUT}")
     write_gap_goldens()
     write_edge_goldens()
+    write_high_l_goldens()
 
 
 if __name__ == "__main__":

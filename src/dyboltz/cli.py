@@ -25,14 +25,13 @@ import sys
 
 import numpy as np
 
-from . import verify as verify_mod
 from .basis import SpectralField
 from .errors import CacheError, QuadratureConvergenceError
 from .kernel import (KernelParams, QuadratureSpec, _dumps_with_rows, asymptotic_leading,
                      eigenvalue_table, load_table, save_table, table_version)
 from .kernel import radial_eigenvalues  # not called; the benchmark tracer wraps this name
-from .solver import (DelaySeries, EvolutionReport, S2DelaySeries,
-                     SobolevSeries, classify_frontier, series_tail_classify)
+from .solver import (DelaySeries, EvolutionReport, S2DelaySeries, SobolevSeries,
+                     _sorted_times, classify_frontier, series_tail_classify)
 from .spaces import NormSpec, parse_norm_spec
 
 USAGE_ERROR = 2
@@ -177,6 +176,10 @@ def cmd_evolve(args) -> int:
     init = _parse_init(args.init)
     norms = _parse_norms(args.norms)
     times = _parse_times(args.times)
+    try:  # before a table is built, or cached, for a rejected command
+        _sorted_times(times)
+    except ValueError as exc:
+        raise UsageError(f"bad --times {args.times!r}: {exc}") from None
     if isinstance(init, SpectralField):
         field = init
         nmax = max((m.n for m in field.coeffs), default=0)
@@ -185,10 +188,7 @@ def cmd_evolve(args) -> int:
     else:
         table, _ = _get_table(args, init.N, 0)
         field = init.field(table.lams[:, 0])
-    try:
-        report = EvolutionReport.compute(field, times, norms, table)
-    except ValueError as exc:
-        raise UsageError(f"bad --times {args.times!r}: {exc}") from None
+    report = EvolutionReport.compute(field, times, norms, table)
     path = os.path.join(args.out, f"evolve_s{table.params.s:g}.{args.format}")
     _write_atomic(path, report.to_csv() if args.format == "csv" else report.to_json())
     print(f"wrote {path}")
@@ -200,8 +200,10 @@ def cmd_evolve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    from . import verify  # only this command pays for importing the checks
+
     try:
-        results = verify_mod.run_suite(args.suite, s=args.s)
+        results = verify.run_suite(args.suite, s=args.s)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     doc = {"suite": args.suite, "s": args.s,

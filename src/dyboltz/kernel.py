@@ -19,27 +19,34 @@ Eigenvalues are
                    - cos(theta)^K P_l(cos theta)) dtheta,      K = 2n + l,
 
 computed over geometrically graded dyadic panels [pi/4 * 2^-(j+1), pi/4 * 2^-j]
-with fixed-order Gauss nodes per panel.  The integrand vanishes like
-theta * log(1/theta)^(2/s-1) at 0 for n + l >= 2, so the grading converges;
-each panel is also evaluated at doubled order for an error estimate, and
-both orders sit side by side in one 48-column rule per panel by default.
-Modes (0,0), (1,0), (0,1) have identically zero integrand and come out
-exactly 0.
+with a fixed Gauss-Kronrod pair per panel: the m-node Gauss rule (m =
+``nodes_per_panel``, 16 by default) embedded in its (2m+1)-node Kronrod
+extension, 33 columns by default.  A panel's value is the Kronrod sum and
+its error term |K_2m+1 - G_m|, summed over panels; that measures the error
+of the Gauss rule, so it overstates the error of the reported value.  The
+Kronrod nodes come from Laurie's algorithm (Math. Comp. 66, 1997) and the
+eigenvalues of the Jacobi-Kronrod matrix, once per m.  The integrand
+vanishes like theta * log(1/theta)^(2/s-1) at 0 for n + l >= 2, so the
+grading converges.  Modes (0,0), (1,0), (0,1) have identically zero
+integrand and come out exactly 0.
 
 One loop computes every eigenvalue, a whole l-row at a time: it walks the
 panels outward from pi/4, adds each panel to the running sums of the rows
 still live, fixes a row at its stopping panel, and evaluates no panel once
-every row has stopped.  A table build runs the Legendre recurrence once
-for all its l-rows (once per contiguous l-block when parallel), and each
-panel takes one bracket call for both rules.  The bracket folds its whole
-block through expm1 and recomputes only the columns where
-P_l(cos theta) <= 0, on the panels that have any.  A sin^K term with
-K log sin theta < -700 is exactly 0: most terms of a table build are, and
-numpy's exp would spend about 19 ns on each that underflows to 0 and over
-100 ns on each subnormal, against 1.2 ns on a normal result (numpy 2.4 on
-AVX-512).  The dropped terms are below 1e-304, so they move a bracket only
-where cos theta rounds to 1, and there a panel sum only by a subnormal
-amount that vanishes in the running sum.
+every row has stopped.  It takes the panels in groups, one bracket call
+and two weighted sums per group: a group keeps its bracket block within
+``_BLOCK_DOUBLES`` (64k doubles, 512 KB) and ends where the first live row
+could stop, so almost no panel past a row's stop is evaluated.  A table
+build runs the Legendre recurrence once for all its l-rows (once per
+contiguous l-block when parallel).  The bracket folds its whole block
+through expm1 and recomputes only the columns where P_l(cos theta) <= 0,
+on the panels that have any.  A sin^K term with K log sin theta < -700 is
+exactly 0: most terms of a table build are, and numpy's exp would spend
+about 19 ns on each that underflows to 0 and over 100 ns on each
+subnormal, against 1.2 ns on a normal result (numpy 2.4 on AVX-512).  The
+dropped terms are below 1e-304, so they move a bracket only where
+cos theta rounds to 1, and there a panel sum only by a subnormal amount
+that vanishes in the running sum.
 
 Most of the remaining sin^K terms cannot change a bit either.  For a
 non-null mode the cos part 1 - cos^K P_l(cos theta) is at least
@@ -49,21 +56,21 @@ bound is applied only on panels with sin^2 theta_min > 1e-10 (panels 0-15
 by default), where the computed cos part provably keeps that floor; below
 theta = 1.05e-8 cos theta rounds to 1 and the computed bracket is 0 or
 negative, so the deep panels keep only the e^-700 rule.  At 201x201, s = 2,
-the sin^K term is then evaluated on 0.5M of the 44.9M bracket elements
-(9.1M under the e^-700 rule alone).  ``_bracket_rows`` gives the proof.
-Parallel and serial builds produce bit-identical results because each
-(n, l) entry is an independent deterministic computation.
+a build evaluates 30.9M bracket elements in 647 groups of its 4,671
+panels, and the sin^K term on 1.8M of them (6.2M under the e^-700 rule
+alone).  ``_bracket_rows`` gives the proof.  Parallel and serial builds
+produce bit-identical results because each (n, l) entry is an independent
+deterministic computation: its panel sums do not depend on the group or
+on the other rows.
 
-The loop's fixed cost per panel is kept small: the bracket block is built
-and weighted in place, the per-panel constants (log P_l(cos theta), the
-sign-change columns, the cut points of the sin^K term) are computed for
-all panels of a row at once, the two Gauss sums are direct
-add-reductions, and the live rows are updated only on panels where some
-row stops.  An in-place ufunc applies to each element the same operation
-as the expression it replaces, so no bit moves.  A cache file and the
-CLI's ``eigs`` output share one formatting pass per table: each float is
-written by repr, once, which for a finite float is the text json.dumps
-writes.
+The loop's fixed cost per group is kept small: the bracket block is built
+in place, the per-panel constants (log P_l(cos theta), the sign-change
+columns, the cut points of the sin^K term) are computed for all panels of
+a row at once, each weighted sum is one ``np.einsum`` over the panels'
+columns, and the live rows are updated only in groups where some row
+stops.  A cache file and the CLI's ``eigs`` output share one formatting
+pass per table: each float is written by repr, once, which for a finite
+float is the text json.dumps writes.
 """
 
 from __future__ import annotations
@@ -101,7 +108,7 @@ __all__ = [
 ]
 
 # bump when the quadrature scheme changes; stale caches are rejected, never migrated
-CODE_VERSION = "dyboltz-kernel-1"
+CODE_VERSION = "dyboltz-kernel-2"
 
 THETA_MAX = math.pi / 4
 
@@ -151,7 +158,8 @@ class QuadratureSpec:
             raise ValueError("quadrature tolerances must be positive and finite")
         # the innermost panel starts at pi/4 * 2^-max_panels, which is a
         # positive normal double only up to max_panels = 1021; _panel_rules
-        # solves leggauss(2 * nodes_per_panel), a dense eigenproblem, up front
+        # solves leggauss(nodes_per_panel) and the Jacobi-Kronrod matrix of
+        # order 2 nodes_per_panel + 1, dense eigenproblems, up front
         for name, lo, hi in (("max_panels", 1, 1021), ("nodes_per_panel", 8, 256)):
             value = getattr(self, name)
             if not (isinstance(value, (int, np.integer)) and lo <= value <= hi):
@@ -204,43 +212,44 @@ def beta(theta, params: KernelParams):
     return float(out[0]) if scalar else out
 
 
-_Panel = namedtuple("_Panel", "logsin logcos ps pc logpc neg live_k full_k")
+_Panels = namedtuple("_Panels", "logsin logcos ps pc logpc neg live_k")
 
 
-def _panels(logsin, logcos, ps, pc):
-    """The bracket inputs of each row (panel) of these node arrays, one by one.
+def _panels(logsin, logcos, ps, pc) -> _Panels:
+    """The bracket inputs of each row (panel) of these node arrays.
 
     Besides its node values a panel carries log P_l(cos theta), taken as 0
-    where P_l(cos theta) <= 0; the indices of those columns, or None when
-    there are none; and the K cut points of the sin^K term that
-    ``_bracket_rows`` describes.  ``full_k`` keeps a relative margin of 1e-9
-    so that K log sin theta, rounded, still clears ``_LOG_NEGLIGIBLE``.  All
-    panels are prepared in a few array operations and handed out lazily,
-    since the panel loop stops at panel 18-27 of 72.
+    where P_l(cos theta) <= 0, and the mask of those columns; and the K cut
+    point of the sin^K term that ``_bracket_rows`` describes, with a
+    relative margin of 1e-9 on the e^-700 rule so that rounding cannot drop
+    a term the rule keeps.  Every field has one row per panel, so a group
+    of consecutive panels is the slice ``_group(panels, j, k)``.
     """
     hi, lo = logsin.max(1), logsin.min(1)
     live_k = np.where(2.0 * lo > _LOG_FLOOR_GUARD, (2.0 * lo - _LOG_BELOW_HALF_ULP) / hi,
                       _LOG_NEGLIGIBLE / hi * (1.0 + 1e-9))
-    full_k = _LOG_NEGLIGIBLE / lo * (1.0 - 1e-9)
     pos = pc > 0.0
-    logpc = np.log(np.where(pos, pc, 1.0))
-    for j, mixed in enumerate(~pos.all(1)):
-        yield _Panel(logsin[j], logcos[j], ps[j], pc[j], logpc[j],
-                     np.flatnonzero(~pos[j]) if mixed else None, live_k[j], full_k[j])
+    return _Panels(logsin, logcos, ps, pc, np.log(np.where(pos, pc, 1.0)), ~pos, live_k)
 
 
-def _bracket_rows(K: np.ndarray, l: int, p: _Panel) -> np.ndarray:
-    """1 + delta - sin^K P_l(sin) - cos^K P_l(cos) for each K at panel ``p``, stably.
+def _group(panels: _Panels, j: int, k: int) -> _Panels:
+    """Panels j..k-1 of ``panels``."""
+    return _Panels(*(field[j:k] for field in panels))
 
-    ``K`` holds 2n + l as floats in ascending order, one row each.  Near
-    theta = 0 the cos term approaches 1, so the whole block is folded
-    through -expm1(K log cos + log P_l(cos)), and only the columns where
-    P_l(cos theta) <= 0 (``p.neg``, on the few panels that have any) are
-    overwritten with 1 - cos^K P_l(cos).  Null-mode rows (K <= 2 - l, a
-    prefix) are identically zero and are zeroed exactly.
 
-    The sin^K P_l(sin) term is subtracted only by the rows with
-    K <= ``p.live_k``, a prefix; every other row's term cannot change a bit:
+def _bracket_rows(K: np.ndarray, l: int, p: _Panels) -> np.ndarray:
+    """1 + delta - sin^K P_l(sin) - cos^K P_l(cos) for each K at each panel of ``p``, stably.
+
+    ``K`` holds 2n + l as floats in ascending order; the block has shape
+    (panels, rows, columns).  Near theta = 0 the cos term approaches 1, so
+    the whole block is folded through -expm1(K log cos + log P_l(cos)), and
+    only the columns where P_l(cos theta) <= 0 (``p.neg``, on the few panels
+    that have any) are overwritten with 1 - cos^K P_l(cos).  Null-mode rows
+    (K <= 2 - l, a prefix) are identically zero and are zeroed exactly.
+
+    On each panel the sin^K P_l(sin) term is subtracted only by the rows
+    with K <= ``p.live_k``, a prefix; every other row's term cannot change a
+    bit:
 
     * A term whose exponent K log sin theta lies below ``_LOG_NEGLIGIBLE``
       is exactly 0, never e^-700.  The dropped terms are below 1e-304, so
@@ -267,41 +276,54 @@ def _bracket_rows(K: np.ndarray, l: int, p: _Panel) -> np.ndarray:
       e^-700 rule.
 
     numpy's exp costs about 1.2 ns per normal result, 19 ns per result that
-    underflows to 0 and over 100 ns per subnormal one.  Rows with
-    K < ``p.full_k`` have every exponent above ``_LOG_NEGLIGIBLE`` and take
-    exp directly.  Only the rows between, a band of a few rows on the
-    panels past the floor guard, clamp the exponent to keep exp off that
-    path and set each dropped term to exactly +0 after the multiply by
-    P_l(sin theta); a mask multiply would leave -0 where P_l(sin theta) < 0,
-    which differs from the reference formula where cos theta rounds to 1.
-    The block is built with in-place ufuncs that apply to each element the
+    underflows to 0 and over 100 ns per subnormal one.  The term is taken
+    for the rows up to the largest live prefix of the group; its exponent
+    is clamped at ``_LOG_NEGLIGIBLE`` to keep exp off that path, and each
+    dropped term, below the clamp or past its panel's prefix, is set to
+    exactly +0 after the multiply by P_l(sin theta).  Subtracting +0 leaves
+    every double as it is, -0 included, while a mask multiply would leave
+    -0 where P_l(sin theta) < 0, which differs from the reference formula
+    where cos theta rounds to 1.  An exponent above the clamp is left as it
+    is, so every kept term is exactly the reference's.  The block is built with in-place ufuncs that apply to each element the
     operations of the expression form, in the same order, so the bits are
-    those of the reference formula and fewer temporaries are allocated.
-    The caller sets ``np.errstate(under="ignore")``.
+    those of the reference formula, whatever the group, and fewer
+    temporaries are allocated.  The caller sets ``np.errstate(under="ignore")``.
     """
     Kc = K[:, None]
-    brackets = Kc * p.logcos
-    brackets += p.logpc
+    brackets = Kc * p.logcos[:, None]
+    if l:  # P_0 = 1, so log P_0 = 0 adds nothing
+        brackets += p.logpc[:, None]
     np.negative(np.expm1(brackets, out=brackets), out=brackets)
-    if p.neg is not None:
-        brackets[:, p.neg] = 1.0 - np.exp(Kc * p.logcos[p.neg]) * p.pc[p.neg]
+    if p.neg.any():
+        g, c = np.nonzero(p.neg)
+        brackets[g, :, c] = 1.0 - np.exp(Kc.T * p.logcos[g, c, None]) * p.pc[g, c, None]
     live = K.searchsorted(p.live_k, side="right")
-    if live:
-        full = min(K.searchsorted(p.full_k), live)
-        term = Kc[:live] * p.logsin
-        band = term[full:]
-        drop = band < _LOG_NEGLIGIBLE
-        np.maximum(band, _LOG_NEGLIGIBLE, out=band)
+    top = live.max()
+    if top:
+        term = Kc[:top] * p.logsin[:, None]
+        drop = term < _LOG_NEGLIGIBLE
+        drop |= np.arange(top)[:, None] >= live[:, None, None]
+        np.maximum(term, _LOG_NEGLIGIBLE, out=term)
         np.exp(term, out=term)
-        term *= p.ps
-        band[drop] = 0.0
-        brackets[:live] -= term
+        if l:
+            term *= p.ps[:, None]
+        np.copyto(term, 0.0, where=drop)
+        brackets[:, :top] -= term
     if l <= 1:
-        brackets[:K.searchsorted(2 - l, side="right")] = 0.0
+        brackets[:, :K.searchsorted(2 - l, side="right")] = 0.0
     return brackets
 
 
-_PanelRule = namedtuple("_PanelRule", "logsin logcos sin cos wbeta")
+_PanelRule = namedtuple("_PanelRule", "logsin logcos sin cos wvalue wcheck")
+
+# a group of consecutive panels is evaluated in one numpy call per step,
+# as many as keep its bracket block within this many doubles (512 KB,
+# inside a core's L2 cache)
+_BLOCK_DOUBLES = 1 << 16
+
+# log of the factor by which a panel's value falls from one panel to the
+# next below the knee (theta^2 over dyadic panels); it only sizes groups
+_LOG_DECAY = math.log(4.0)
 
 
 @lru_cache(maxsize=32)
@@ -312,22 +334,103 @@ def _gauss_legendre(m: int):
     return x, w
 
 
+def _kronrod_jacobi(m: int) -> np.ndarray:
+    """Off-diagonal squares b_0..b_2m of the Jacobi-Kronrod matrix of G_m in K_2m+1.
+
+    Laurie's algorithm (D. P. Laurie, Math. Comp. 66, 1997) for the
+    Legendre weight on [-1, 1].  The Kronrod matrix keeps the first
+    ceil(3m/2) + 1 Legendre coefficients b_k = k^2 / (4k^2 - 1) (b_0 = 2,
+    the weight's mass) and the algorithm fills in the rest from the mixed
+    moments s, t.  The weight is even, so every diagonal entry is 0 and the
+    diagonal updates of the general algorithm drop out.
+    """
+    b = np.zeros(2 * m + 1)
+    k = np.arange(1.0, (3 * m + 1) // 2 + 1)
+    b[0] = 2.0
+    b[1:len(k) + 1] = k * k / (4.0 * k * k - 1.0)
+    s, t = np.zeros(m // 2 + 2), np.zeros(m // 2 + 2)
+    t[1] = b[m + 1]
+    for i in range(m - 1):
+        k = np.arange((i + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + m + 1] * s[k] - b[i - k] * s[k + 1])
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for i in range(m - 1, 2 * m - 2):
+        k = np.arange(i + 1 - m, (i - 1) // 2 + 1)
+        j = m - 1 - (i - k)
+        s[j + 1] = np.cumsum(b[i - k] * s[j + 2] - b[k + m + 1] * s[j + 1])
+        if i % 2:
+            b[(i + 1) // 2 + m + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    return b
+
+
+def _jacobi_walk(x: np.ndarray, b: np.ndarray):
+    """Three-term recurrence of the Jacobi matrix with zero diagonal and b at x.
+
+    Returns the characteristic polynomial q, up to a positive factor, its
+    derivative, and the Christoffel numbers 1 / sum_k p_k(x)^2 over the
+    orthonormal polynomials p_0..p_{N-1}: at an eigenvalue x these are the
+    weights of the matrix's Gauss rule, a sum of positive terms and so
+    accurate to a few ulp.
+    """
+    root = np.sqrt(b)
+    p0, p1 = np.zeros_like(x), np.full_like(x, 1.0 / root[0])
+    d0, d1 = np.zeros_like(x), np.zeros_like(x)
+    total = p1 * p1
+    for k in range(len(b)):
+        c = root[k + 1] if k + 1 < len(b) else 1.0
+        back = root[k] if k else 0.0
+        p0, p1, d0, d1 = p1, (x * p1 - back * p0) / c, d1, (p1 + x * d1 - back * d0) / c
+        if k + 1 < len(b):
+            total += p1 * p1
+    return p1, d1, 1.0 / total
+
+
+@lru_cache(maxsize=32)
+def _gauss_kronrod(m: int):
+    """Read-only Gauss-Kronrod rule G_m in K_2m+1 on [-1, 1], solved once.
+
+    Returns the nodes x, the 2m + 1 Kronrod weights and the m Gauss weights.
+    The first m nodes are those of ``_gauss_legendre(m)``, the other m + 1
+    the Kronrod nodes, each ascending.  The eigenvalues of the
+    Jacobi-Kronrod matrix interlace Gauss and Kronrod nodes; each Kronrod
+    node takes one Newton step on the characteristic polynomial, and all
+    weights are Christoffel numbers, symmetrized as the nodes are.  For m
+    from 8 to 256 the rule integrates P_0..P_3m+1 to about 5e-16.
+    """
+    b = _kronrod_jacobi(m)
+    xk = np.linalg.eigvalsh(np.diag(np.sqrt(b[1:]), -1))[0::2]
+    q, dq, _ = _jacobi_walk(xk, b)
+    xk -= q / dq
+    xg, wg = _gauss_legendre(m)
+    x = np.concatenate([xg, 0.5 * (xk - xk[::-1])])
+    w = _jacobi_walk(x, b)[2]
+    w[:m], w[m:] = 0.5 * (w[:m] + w[m - 1::-1]), 0.5 * (w[m:] + w[:m - 1:-1])
+    for a in (x, w):
+        a.flags.writeable = False
+    return x, w, wg
+
+
 @lru_cache(maxsize=32)
 def _panel_rules(params: KernelParams, quad: QuadratureSpec) -> _PanelRule:
-    """Gauss rules of orders m and 2m on the dyadic panels, side by side.
+    """The Gauss-Kronrod pair G_m in K_2m+1 on the dyadic panels.
 
-    Each field holds its values at the nodes (w * beta for the weights),
-    shape (max_panels, 3m): row j is panel [pi/4 * 2^-(j+1), pi/4 * 2^-j],
-    its first m columns the coarse rule and the other 2m the fine one, so
-    one bracket call per panel serves both rules (48 columns by default).
+    Each node field has shape (max_panels, 2m + 1): row j is panel
+    [pi/4 * 2^-(j+1), pi/4 * 2^-j], its first m columns the Gauss nodes and
+    the other m + 1 the Kronrod nodes (33 columns by default).  ``wvalue``
+    holds w * beta of the Kronrod rule, whose sum is the panel's value, and
+    ``wcheck`` that of the Gauss rule on the first m columns, whose
+    difference from the value is the panel's error term.
     """
+    m = quad.nodes_per_panel
     hi = np.ldexp(THETA_MAX, -np.arange(quad.max_panels))[:, None]
     lo = 0.5 * hi
-    x, w = zip(_gauss_legendre(quad.nodes_per_panel), _gauss_legendre(2 * quad.nodes_per_panel))
-    theta = 0.5 * (hi - lo) * np.concatenate(x) + 0.5 * (hi + lo)
-    wbeta = 0.5 * (hi - lo) * np.concatenate(w) * beta(theta, params)
+    x, wk, wg = _gauss_kronrod(m)
+    theta = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    scale = 0.5 * (hi - lo) * beta(theta, params)
     return _PanelRule(np.log(np.sin(theta)), np.log(np.cos(theta)),
-                      np.sin(theta), np.cos(theta), wbeta)
+                      np.sin(theta), np.cos(theta), scale * wk, scale[:, :m] * wg)
 
 
 def _legendre_sweep(l_end: int, params: KernelParams, quad: QuadratureSpec) -> np.ndarray:
@@ -341,51 +444,86 @@ def _legendre_sweep(l_end: int, params: KernelParams, quad: QuadratureSpec) -> n
     return legendre_all(l_end, np.concatenate([rule.sin.ravel(), rule.cos.ravel()]))
 
 
+def _running_sums(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """``start`` (one row) and its sums with each row of ``steps`` in turn, as ``+=`` adds.
+
+    ``np.add.accumulate`` adds row after row in sequence, but it loops once
+    per column, so a single step is one vectorized add instead.
+    """
+    if len(steps) == 1:
+        return np.concatenate([start, start + steps])
+    return np.add.accumulate(np.concatenate([start, steps]))
+
+
 def _eigen_rows(l: int, n_arr: np.ndarray, pl: np.ndarray, params: KernelParams,
                 quad: QuadratureSpec):
     """lambda and err for all n in n_arr at fixed l (the one true code path).
 
     ``pl`` is row l of ``_legendre_sweep`` and ``n_arr`` ascends.  Panels
     are added outward from pi/4 to the running sums of the rows still live;
-    a row stops at the first panel whose fine integral falls below
-    ``_PANEL_CUTOFF`` times its tolerance, and the loop ends when no row is
-    live.  Both the scalar ``eigenvalue`` and the bulk table builder run
-    through here, so single entries, serial builds and parallel builds
-    agree bit-for-bit.  One ``np.errstate`` covers the whole loop.  Each
-    panel weights its bracket block in place and sums both rules with
-    ``np.add.reduce``, the reduction ``sum`` calls; the stop bookkeeping
-    (the lam/err scatter and four compressions) runs only on panels where
-    some row stops, which most panels are not.
+    a row stops at the first panel whose value falls below ``_PANEL_CUTOFF``
+    times its tolerance, and the loop ends when no row is live.  The rule
+    is data (``_PanelRule``): a panel's value is the sum of its weighted
+    brackets, its error term the distance of the check rule's sum from it.
+
+    Each step evaluates a group of consecutive panels in one bracket call.
+    The group keeps its block within ``_BLOCK_DOUBLES`` and ends at the
+    first panel where a live row could stop: below the knee a panel's
+    value falls about 4-fold per panel, as theta^2 does, so a row whose
+    last value is q times its stopping threshold stops no sooner than
+    floor(log_4 q) + 1 panels later (before the first panel, q is
+    1 / (``_PANEL_CUTOFF`` rel_tol), as if that panel held all of lambda).
+    This only sizes the groups; the running sums go through a group with
+    ``np.add.accumulate``, which adds in sequence as ``+=`` does, and a
+    row takes the sums at its own stopping panel.  Each weighted sum is an
+    ``np.einsum`` whose inner loop runs over one panel's contiguous columns
+    of one row (no BLAS), so every bit is independent of the group and of
+    the other rows: single entries, serial builds, parallel builds and any
+    group size agree bit-for-bit.  One ``np.errstate`` covers the whole
+    loop.
     """
     n_arr = np.asarray(n_arr, dtype=np.int64)
     rule = _panel_rules(params, quad)
     m = quad.nodes_per_panel
     panels = _panels(rule.logsin, rule.logcos, *pl.reshape(2, *rule.sin.shape))
+    n_panels, width = rule.sin.shape
     lam = np.empty(len(n_arr))
     err = np.empty(len(n_arr))
     rows = np.arange(len(n_arr))
     K = (2 * n_arr + l).astype(float)
-    cum = np.zeros(len(n_arr))
-    cum_err = np.zeros(len(n_arr))
+    cum = np.zeros((1, len(n_arr)))
+    cum_err = np.zeros((1, len(n_arr)))
+    j, reach = 0, -math.log(_PANEL_CUTOFF * quad.rel_tol)
     with np.errstate(under="ignore"):
-        for panel, wbeta in zip(panels, rule.wbeta):
-            terms = _bracket_rows(K, l, panel)
-            terms *= wbeta
-            i_coarse, i_fine = np.add.reduce(terms[:, :m], 1), np.add.reduce(terms[:, m:], 1)
-            del terms  # free this panel's block (4 MB in a radial build) before the next
-            cum += i_fine
-            cum_err += np.abs(i_fine - i_coarse)
-            tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(cum))
-            done = np.abs(i_fine) < _PANEL_CUTOFF * tol
-            if not done.any():
-                continue
-            lam[rows[done]] = cum[done]
-            err[rows[done]] = cum_err[done] + np.abs(i_fine[done])
-            rows, K, cum, cum_err = rows[~done], K[~done], cum[~done], cum_err[~done]
-            if not len(rows):
-                return lam, err
+        while j < n_panels:
+            steps = max(1, _BLOCK_DOUBLES // (len(rows) * width))
+            if reach < steps * _LOG_DECAY:  # False for NaN, which keeps the budget
+                steps = int(reach / _LOG_DECAY) + 1
+            k = min(n_panels, j + steps)
+            terms = _bracket_rows(K, l, _group(panels, j, k))
+            value = np.einsum("grc,gc->gr", terms, rule.wvalue[j:k])
+            check = np.einsum("grc,gc->gr", terms[..., :m], rule.wcheck[j:k])
+            del terms  # free this group's block before the next
+            run = _running_sums(cum, value)
+            run_err = _running_sums(cum_err, np.abs(value - check))
+            size = np.abs(value)
+            limit = _PANEL_CUTOFF * np.maximum(quad.abs_tol, quad.rel_tol * np.abs(run[1:]))
+            done = size < limit
+            last = size[-1] / limit[-1]
+            j = k
+            cum, cum_err = run[-1:], run_err[-1:]
+            if done.any():
+                stop = done.any(0)
+                g, i = done.argmax(0)[stop], np.flatnonzero(stop)
+                lam[rows[i]] = run[g + 1, i]
+                err[rows[i]] = run_err[g + 1, i] + size[g, i]
+                rows, K, cum, cum_err = rows[~stop], K[~stop], cum[:, ~stop], cum_err[:, ~stop]
+                if not len(rows):
+                    return lam, err
+                last = last[~stop]
+            reach = math.log(max(last.min(), 1.0))  # a live row's last ratio is >= 1 or NaN
     pairs = [(int(n), l) for n in n_arr[rows]]
-    raise QuadratureConvergenceError(pairs, dict(zip(pairs, cum.tolist())))
+    raise QuadratureConvergenceError(pairs, dict(zip(pairs, cum[0].tolist())))
 
 
 def eigen_integrand(n: int, l: int, theta, params: KernelParams):
@@ -401,9 +539,9 @@ def eigen_integrand(n: int, l: int, theta, params: KernelParams):
         return float(out[0]) if scalar else out
     sin, cos = np.sin(theta), np.cos(theta)
     pl = legendre_all(l, np.concatenate([sin, cos]))[l]
-    panel = next(_panels(np.log(sin)[None], np.log(cos)[None], *pl.reshape(2, 1, -1)))
+    panel = _panels(np.log(sin)[None], np.log(cos)[None], *pl.reshape(2, 1, -1))
     with np.errstate(under="ignore"):
-        br = _bracket_rows(np.array([2.0 * n + l]), l, panel)[0]
+        br = _bracket_rows(np.array([2.0 * n + l]), l, panel)[0, 0]
     out = np.atleast_1d(b) * br
     return float(out[0]) if scalar else out
 
@@ -500,7 +638,9 @@ class EigenvalueTable:
         of one job share it.  repr is json.dumps's text for every finite
         float, and a table holds no other.
         """
-        return [f"{n},{l},{lam!r},{err!r}" for n, l, lam, err in self.rows()]
+        prefixes = [f"{n},{l}," for n in range(self.nmax + 1) for l in range(self.lmax + 1)]
+        texts = (map(float.__repr__, a.ravel().tolist()) for a in (self.lams, self.errs))
+        return list(map("{}{},{}".format, prefixes, *texts))
 
 
 def table_version(params: KernelParams, quad: QuadratureSpec) -> str:

@@ -1,13 +1,16 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately avoids the package's evaluation paths:
-explicit derivative/sum formulas via sympy, a truncated Bessel series, and
-tensorized Gauss-Hermite quadrature of the defining Fourier integral.
+explicit derivative/sum formulas via sympy, a truncated Bessel series,
+tensorized Gauss-Hermite quadrature of the defining Fourier integral, the
+Gauss-Kronrod rule from its Stieltjes polynomial in rationals, and the
+exact s = 2 eigenvalues of the l = 0 column in mpmath.
 """
 
 import math
 from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 import sympy as sp
 
@@ -87,3 +90,79 @@ def fourier_by_gauss_hermite(eval_phi, mode, xi, nodes: int = 40) -> complex:
     poly = eval_phi(mode, v) * np.exp(0.25 * r2) * (2.0 * math.pi) ** -0.75
     phase = np.exp(-1j * (v @ np.asarray(xi, dtype=float)))
     return complex(2.0 ** 1.5 * np.dot(W, poly * phase))
+
+
+def gauss_kronrod_mp(m: int, dps: int = 40):
+    """Nodes and weights of the Gauss-Kronrod rule G_m in K_2m+1 on [-1, 1], ascending.
+
+    The m + 1 Kronrod nodes are the zeros of the Stieltjes polynomial
+    E_{m+1}, the monic polynomial of degree m + 1 orthogonal to x^k P_m(x)
+    for k <= m.  Its coefficients solve that linear system exactly, in
+    rationals, from the moments int_{-1}^{1} x^j dx = 2 / (j + 1).  mpmath's
+    ``polyroots`` finds its zeros and those of P_m, and the weights solve the
+    Legendre moment equations sum_j w_j P_k(x_j) = 2 delta_k0, k <= 2m, all
+    at ``dps`` digits.  Nothing here shares a step with Laurie's algorithm.
+    """
+    x = sp.Symbol("x")
+    pm = sp.Poly(sp.legendre(m, x), x)
+    powers = range(m - 1, -1, -2)  # E_{m+1} has the parity of m + 1
+    unknowns = sp.symbols(f"c0:{len(powers)}")
+    stieltjes = sp.Poly(x ** (m + 1) + sum(c * x ** k for c, k in zip(unknowns, powers)), x)
+
+    def integral(poly):
+        return sum(c * sp.Rational(2, j + 1) for (j,), c in poly.terms() if j % 2 == 0)
+
+    equations = [integral(pm * sp.Poly(x ** k, x) * stieltjes) for k in range(m + 1)]
+    solution = sp.solve([e for e in equations if e != 0], unknowns, dict=True)[0]
+    coeffs = [sp.Rational(c) for c in stieltjes.as_expr().subs(solution).as_poly(x).all_coeffs()]
+    with mp.workdps(dps):
+        def roots(cs):
+            found = mp.polyroots([mp.mpf(c.p) / c.q for c in cs], maxsteps=500,
+                                 extraprec=4 * dps)
+            return [mp.re(r) for r in found]
+
+        nodes = sorted(roots(coeffs) + roots([sp.Rational(c) for c in pm.all_coeffs()]))
+        A = mp.matrix([[mp.legendre(k, xj) for xj in nodes] for k in range(2 * m + 1)])
+        w = mp.lu_solve(A, mp.matrix([2] + [0] * (2 * m)))
+        return nodes, [w[i] for i in range(2 * m + 1)]
+
+
+def lambda_s2_l0(nmax: int, dps: int = 40):
+    """Exact lambda_{n,0} at s = 2 for n = 0..nmax, as mpmath numbers.
+
+    At s = 2, beta = 1/sin theta, and the l = 0 eigenvalue is
+
+        lambda_{n,0} = sum_{j<n} (1 - 2^-(j+1/2)) / (2j + 1) - W_{2n-1},
+
+    with the Wallis integrals W_m = int_0^{pi/4} sin^m theta dtheta,
+    W_m = ((m-1)/m) W_{m-2} - (sqrt(2)/2)^m / m, W_0 = pi/4 and
+    W_1 = 1 - sqrt(2)/2.  The recurrence loses relative accuracy as W_m
+    shrinks, but only an absolute 10^-dps, far below lambda.  lambda_{0,0}
+    is 0 (a null mode), and the formula gives lambda_{1,0} = 0 exactly.
+    """
+    with mp.workdps(dps):
+        c = mp.sqrt(2) / 2
+        out, total, wallis = [mp.mpf(0)], mp.mpf(0), 1 - c
+        for n in range(1, nmax + 1):
+            j = n - 1
+            total += (1 - mp.mpf(2) ** -(j + mp.mpf(1) / 2)) / (2 * j + 1)
+            if n > 1:
+                m = 2 * n - 1
+                wallis = mp.mpf(m - 1) / m * wallis - c ** m / m
+            out.append(total - wallis)
+        return out
+
+
+def lambda_s2_l0_digamma(n: int, dps: int = 40):
+    """lambda_{n,0} at s = 2 for large n: psi(2n+1) - psi(n+1)/2 + gamma/2 - log(1 + sqrt 2).
+
+    The sum in ``lambda_s2_l0`` is H_{2n} - H_n / 2 less its tail
+    sum_{j>=n} 2^-(j+1/2) / (2j + 1) from the series of artanh(1/sqrt 2) =
+    log(1 + sqrt 2); the tail and W_{2n-1} are both below 2^-n, under
+    10^-dps once n > 3.33 dps.
+    """
+    if n <= 3.33 * dps:
+        raise ValueError("the dropped terms exceed 10^-dps below n = 3.33 dps")
+    with mp.workdps(dps):
+        return (mp.digamma(2 * n + 1) - mp.digamma(n + 1) / 2 + mp.euler / 2
+                - mp.log(1 + mp.sqrt(2)))

@@ -82,9 +82,8 @@ BAD_VALUES = {
 @pytest.mark.parametrize("argv", BAD_VALUES.values(), ids=BAD_VALUES)
 def test_eigs_rejects_bad_s(tmp_path, capsys, monkeypatch, argv):
     # a bad value is a usage error (exit 2) with a message, not a traceback;
-    # eigs and scenario reject it before they build a table
-    if argv[0] in ("eigs", "scenario"):
-        monkeypatch.setattr(cli, "eigenvalue_table", lambda *a, **k: pytest.fail("built"))
+    # every command rejects it before it builds a table
+    monkeypatch.setattr(cli, "eigenvalue_table", lambda *a, **k: pytest.fail("built"))
     assert run(tmp_path, *argv, "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -152,14 +151,19 @@ def _modules_loaded_by(argv, names):
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     lazy = ["scipy", "concurrent.futures.process"]
-    assert _modules_loaded_by([], lazy) == "None []"  # import only
+    # import only; the verify checks are imported by the verify command alone
+    assert _modules_loaded_by([], [*lazy, "dyboltz.verify"]) == "None []"
     assert _modules_loaded_by(["verify", "--suite", "basis", "--out", str(tmp_path)],
                               lazy) == "0 []"
     args = ["eigs", "--s", "2", "--nmax", "6", "--lmax", "5",
             "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)]
     assert run(tmp_path, *args) == 0
     # a cache hit loads the table without numpy.ma (np.unique imports it)
-    assert _modules_loaded_by(args, [*lazy, "numpy.ma"]) == "0 []"
+    assert _modules_loaded_by(args, [*lazy, "numpy.ma", "dyboltz.verify"]) == "0 []"
+    # the tail classifier takes its median without numpy.ma (np.median imports it)
+    scenario = ["scenario", "--scenario", "remark14", "--s", "1", "--series-n", "400",
+                "--out", str(tmp_path)]
+    assert _modules_loaded_by(scenario, [*lazy, "numpy.ma"]) == "0 []"
 
 
 def test_subcommands_reject_flags_they_do_not_read(tmp_path):

@@ -1,7 +1,7 @@
 import csv
-import itertools
 import json
 import math
+import pathlib
 from importlib import resources
 
 import numpy as np
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from dyboltz import kernel
 from dyboltz.errors import (CacheError, EigenvalueLookupError,
                             QuadratureConvergenceError)
@@ -103,7 +104,6 @@ def test_s05_edge_eigenvalues_match_oracle():
     # (100, 0) and (200, 0) at s = 0.5 set c_min of the 100x100 and 200x200
     # tables in acceptance criterion C04.  The oracle's own ratios move by
     # more than C04's 5% gate, so that criterion is red because of the kernel.
-    import pathlib
     path = pathlib.Path(__file__).parent / "golden" / "edge_eigenvalues.csv"
     ratio = {}
     with open(path) as fh:
@@ -116,6 +116,31 @@ def test_s05_edge_eigenvalues_match_oracle():
             assert abs(e.lam - gold) <= max(e.err, 1e-11 * gold), row
             ratio[n] = gold / math.log(2 * n + l + math.e) ** (2.0 / p.s)
     assert (ratio[100] - ratio[200]) / ratio[100] > 0.05
+
+
+def test_s2_l0_column_matches_exact_values(table_factory):
+    # at s = 2 the l = 0 column has a closed form (tests/oracles.py); every
+    # entry of a table column, of a radial row and (10^6, 0) meets rel_tol
+    exact = oracles.lambda_s2_l0(10_000)
+    assert abs(oracles.lambda_s2_l0_digamma(200) - exact[200]) < 1e-35
+    want = np.array(exact, dtype=float)
+    for got in (table_factory(2.0, 200, 200).lams[:, 0], radial_eigenvalues(10_000, P2, QUAD)):
+        assert got[0] == got[1] == 0.0
+        rel = np.abs(got[2:] - want[2:len(got)]) / want[2:len(got)]
+        assert rel.max() < QUAD.rel_tol, (int(np.argmax(rel)) + 2, rel.max())
+    big = float(oracles.lambda_s2_l0_digamma(10**6))
+    assert abs(eigenvalue(10**6, 0, P2, QUAD).lam - big) < QUAD.rel_tol * big
+
+
+@pytest.mark.parametrize("row", list(csv.DictReader(open(
+    pathlib.Path(__file__).parent / "golden" / "high_l_eigenvalues.csv"))),
+    ids=lambda r: f"({r['n']},{r['l']})@s={r['s']}")
+def test_high_l_eigenvalues_match_oracle(row):
+    # l = 200 and 400, where P_l(cos theta) oscillates over the outer panels
+    # and the entries hardly depend on n; offline mpmath values at 50 digits
+    n, l, gold = int(row["n"]), int(row["l"]), float(row["lambda"])
+    e = eigenvalue(n, l, KernelParams(s=float(row["s"])), QUAD)
+    assert abs(e.lam - gold) < QUAD.rel_tol * gold, (e.lam, gold)
 
 
 def test_null_modes_exact_zero():
@@ -214,9 +239,10 @@ def _bracket_rows_reference(n_arr, l, logsin, logcos, ps, pc, negligible=None):
 
 
 def _reference_on_panel(K, l, p, negligible=None):
-    """``_bracket_rows_reference`` behind the production call (K, l, panel)."""
+    """``_bracket_rows_reference`` behind the production call (K, l, group), panel by panel."""
     n_arr = ((K - l) // 2).astype(np.int64)
-    return _bracket_rows_reference(n_arr, l, p.logsin, p.logcos, p.ps, p.pc, negligible)
+    return np.stack([_bracket_rows_reference(n_arr, l, *fields, negligible)
+                     for fields in zip(p.logsin, p.logcos, p.ps, p.pc)])
 
 
 def test_bracket_skip_is_exact(monkeypatch):
@@ -224,11 +250,12 @@ def test_bracket_skip_is_exact(monkeypatch):
     fast = kernel._bracket_rows
 
     def spy(K, l, p):
-        # rows ascend in K, so the last row is skipped by the e^-700 rule if
-        # any row is; the floor bound also skips rows that rule keeps
-        negligible = K * p.logsin.max() < kernel._LOG_NEGLIGIBLE
-        skipped.append(negligible[-1])
-        floored.append(np.any((K > p.live_k) & ~negligible))
+        # rows ascend in K, so on each panel of the group the last row is
+        # skipped by the e^-700 rule if any row is; the floor bound also
+        # skips rows that rule keeps
+        negligible = K[:, None] * p.logsin.max(1) < kernel._LOG_NEGLIGIBLE
+        skipped.append(negligible[-1].any())
+        floored.append(np.any((K[:, None] > p.live_k) & ~negligible))
         return fast(K, l, p)
 
     builds = [lambda s=s: eigenvalue_table(60, 60, KernelParams(s=s), QUAD)
@@ -280,11 +307,7 @@ def test_bracket_matches_reference_bytes(n, l, j, s):
     # the production bracket, with its floor skip, clamp band and patched
     # sign-change columns, equals the reference formula with the e^-700
     # rule byte for byte on any rows of any panel
-    params = KernelParams(s=s)
-    rule = kernel._panel_rules(params, QUAD)
-    pl = kernel._legendre_sweep(l, params, QUAD)[l]
-    panels = kernel._panels(rule.logsin, rule.logcos, *pl.reshape(2, *rule.sin.shape))
-    p = next(itertools.islice(panels, j, None))
+    p = kernel._group(_panels_of(l, s), j, j + 1)
     K = (2 * np.array(sorted(n)) + l).astype(float)
     with np.errstate(under="ignore"):
         got = kernel._bracket_rows(K, l, p)
@@ -292,18 +315,105 @@ def test_bracket_matches_reference_bytes(n, l, j, s):
     assert got.tobytes() == want.tobytes()
 
 
+def _panels_of(l, s):
+    params = KernelParams(s=s)
+    rule = kernel._panel_rules(params, QUAD)
+    pl = kernel._legendre_sweep(l, params, QUAD)[l]
+    return kernel._panels(rule.logsin, rule.logcos, *pl.reshape(2, *rule.sin.shape))
+
+
+@settings(max_examples=40, deadline=None)
+# panels 12-20 straddle the floor guard, so the group's live prefixes and
+# clamp bands differ from panel to panel
+@example(n=[0, 1, 2, 23, 24, 25, 60, 3000], l=0, j=12, size=9, s=0.5)
+@example(n=[0, 1, 2, 60, 100, 2000], l=7, j=0, size=4, s=2.0)
+@given(n=st.lists(st.integers(0, 5000), min_size=1, max_size=40, unique=True),
+       l=st.integers(0, 300), j=st.integers(0, 71), size=st.integers(2, 12),
+       s=st.floats(0.5, 4.0))
+def test_bracket_group_equals_its_panels(n, l, j, size, s):
+    # a group call gives each panel the bytes of that panel's own call,
+    # whatever the other panels' live prefixes, bands and sign changes
+    panels = _panels_of(l, s)
+    K = (2 * np.array(sorted(n)) + l).astype(float)
+    k = min(j + size, len(panels.logsin))
+    with np.errstate(under="ignore"):
+        got = kernel._bracket_rows(K, l, kernel._group(panels, j, k))
+        want = [kernel._bracket_rows(K, l, kernel._group(panels, i, i + 1)) for i in range(j, k)]
+    assert got.tobytes() == np.concatenate(want).tobytes()
+
+
 def test_gauss_legendre_solved_once_per_order(monkeypatch):
-    orders = []
-    solve = np.polynomial.legendre.leggauss
+    # the Gauss rule (leggauss) and the Kronrod extension (one eigvalsh of
+    # the 2m + 1 Jacobi-Kronrod matrix) are each solved once per order m
+    orders, kronrod = [], []
+    solve, eig = np.polynomial.legendre.leggauss, np.linalg.eigvalsh
     monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                         lambda m: orders.append(m) or solve(m))
-    kernel._gauss_legendre.cache_clear()
-    kernel._panel_rules.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: kronrod.append(len(a)) or eig(a))
+    for cached in (kernel._gauss_legendre, kernel._gauss_kronrod, kernel._panel_rules):
+        cached.cache_clear()
     for s in (0.7, 1.3, 2.9):
         kernel._panel_rules(KernelParams(s=s), QuadratureSpec(nodes_per_panel=12))
-    assert orders == [12, 24]
-    x, w = kernel._gauss_legendre(12)
-    assert not (x.flags.writeable or w.flags.writeable)
+    assert orders == [12] and kronrod.count(2 * 12 + 1) == 1  # leggauss also calls eigvalsh
+    for a in (*kernel._gauss_legendre(12), *kernel._gauss_kronrod(12)):
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("m", [8, 12, 16, 64, 256])
+def test_gauss_kronrod_rule(m):
+    x, wk, wg = kernel._gauss_kronrod(m)
+    assert x.shape == wk.shape == (2 * m + 1,) and wg.shape == (m,)
+    gx, gw = kernel._gauss_legendre(m)
+    assert np.array_equal(x[:m], gx) and np.array_equal(wg, gw)
+    assert np.all(np.diff(x[m:]) > 0.0) and np.all(np.abs(x) < 1.0)
+    # Kronrod and Gauss nodes interlace, and every weight is positive
+    both = np.sort(x)
+    assert np.array_equal(both[1::2], gx) and np.all(wk > 0.0)
+    # K_2m+1 integrates P_0..P_3m+1 exactly: the moments are 2, 0, 0, ...
+    # (eigenvector weights, symmetrized, reach 1.2e-15 to 1.7e-15 here)
+    moments = np.polynomial.legendre.legvander(x, 3 * m + 1).T @ wk
+    assert abs(moments[0] - 2.0) < 1e-15 and np.abs(moments[1:]).max() < 1e-15
+
+
+def test_gauss_kronrod_matches_mpmath_reference():
+    nodes, weights = oracles.gauss_kronrod_mp(16)
+    x, wk, _ = kernel._gauss_kronrod(16)
+    order = np.argsort(x)
+    assert np.abs(x[order] - np.array(nodes, dtype=float)).max() <= 1.2e-16
+    assert np.abs(wk[order] / np.array(weights, dtype=float) - 1.0).max() < 2e-14
+
+
+def test_group_size_leaves_every_bit(monkeypatch):
+    # one panel per group, the panel-by-panel loop, gives the same bytes as
+    # the default groups: tables (the shape sets the group), radial rows
+    # and failures at max_panels
+    def builds():
+        yield eigenvalue_table(30, 30, KernelParams(s=0.5), QUAD)
+        yield eigenvalue_table(60, 12, P2, QUAD)
+        yield radial_eigenvalues(3000, P1, QUAD)
+        yield eigenvalue(120, 41, P2, QUAD)
+        with pytest.raises(QuadratureConvergenceError) as exc:
+            eigenvalue_table(4, 1, P1, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16,
+                                                      max_panels=3))
+        yield exc.value.partial
+
+    def digest(results):
+        out = []
+        for r in results:
+            if isinstance(r, EigenvalueTable):
+                r = (r.lams, r.errs)
+            elif isinstance(r, EigenvalueEntry):
+                r = ([r.lam], [r.err])
+            elif isinstance(r, dict):
+                r = (list(r), list(r.values()))
+            else:
+                r = (r,)
+            out.append(b"".join(np.asarray(a, dtype=float).tobytes() for a in r))
+        return out
+
+    default = digest(builds())
+    monkeypatch.setattr(kernel, "_BLOCK_DOUBLES", 1)
+    assert digest(builds()) == default
 
 
 def test_serial_build_sweeps_legendre_once(monkeypatch):
@@ -512,7 +622,6 @@ def test_large_mode_fast_path():
 
 def test_ratio_interval_regression_snapshot(table_factory):
     # observed intervals on the full table, frozen as a change detector
-    import pathlib
     path = pathlib.Path(__file__).parent / "golden" / "ratio_intervals.csv"
     with open(path) as fh:
         for row in csv.DictReader(fh):

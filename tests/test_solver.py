@@ -1,7 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dyboltz import solver
 from dyboltz.basis import SpectralField, project_null
 from dyboltz.errors import EigenvalueLookupError
 from dyboltz.kernel import ratio_bounds
@@ -413,3 +417,25 @@ def test_report_values_equal_per_time_spectral_norms(rng, table_factory):
     for t, row in zip(times, rep.values):
         gt = evolve(g, t, tab)
         assert row == tuple(spectral_norm(gt, sp, tab) for sp in norms)
+
+
+@settings(max_examples=300, deadline=None)
+@example(xs=[1.0, math.nan, 2.0])
+@example(xs=[-math.inf, math.inf])
+@example(xs=[1e308, 1.7e308])
+@example(xs=[3.0, -1.0, 2.0, 0.5])
+@given(xs=st.lists(st.floats(width=64), min_size=1, max_size=60)
+       | st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 1.0, 4.0]), min_size=1, max_size=9))
+def test_median_equals_numpy_median(xs):
+    # the tail classifier's sort-based median is np.median's double (NaN for
+    # any NaN); only a zero median may carry the other sign
+    x = np.array(xs)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.median(x)
+        got = solver._median(x)
+    assert isinstance(got, float)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want
+        assert want == 0.0 or np.float64(got).tobytes() == want.tobytes()
