@@ -11,12 +11,13 @@ change that should leave eigenvalues untouched is checked by diffing two runs:
     PYTHONPATH=src python3 scripts/table_digest.py > new.json
     diff old.json new.json
 
-The 39 cases are 201x201 and 49x49 tables, a ``workers=2`` 31x31 table and
-the entries (10^6, 0), (120, 41), (5, 3), (2, 0), (0, 0) at s = 0.5, 1, 2
-and 4; radial builds to n = 10^4 at s = 0.5, 1, 2 and 4 (at s = 0.5 their
-rows stop at panels 25-27, where cos theta rounds to 1); and three builds
-that stop at ``max_panels``.  A full run takes 5 to 10 seconds on a two-core
-Xeon.
+The 48 cases are 201x201 and 49x49 tables, a ``workers=2`` 31x31 table and
+the entries (10^6, 0), (120, 41), (5, 3), (2, 0), (0, 0) at s = 0.2, 0.5, 1,
+2 and 4; radial builds to n = 10^4 at the same s (at s = 0.5 their rows stop
+at panels 25-27, where cos theta rounds to 1); and three builds that stop at
+``max_panels``.  s = 0.2 lies below the documented range; its cases show
+the deep panels, where the integrand's mass sits.  A full run takes 5 to 10
+seconds on a two-core Xeon.
 """
 
 import hashlib
@@ -28,7 +29,7 @@ from dyboltz.errors import QuadratureConvergenceError
 from dyboltz.kernel import (KernelParams, QuadratureSpec, eigenvalue,
                             eigenvalue_table, radial_eigenvalues)
 
-S_VALUES = (0.5, 1.0, 2.0, 4.0)
+S_VALUES = (0.2, 0.5, 1.0, 2.0, 4.0)
 ENTRIES = ((10**6, 0), (120, 41), (5, 3), (2, 0), (0, 0))
 TIGHT = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16, max_panels=2)
 

@@ -30,47 +30,70 @@ vanishes like theta * log(1/theta)^(2/s-1) at 0 for n + l >= 2, so the
 grading converges.  Modes (0,0), (1,0), (0,1) have identically zero
 integrand and come out exactly 0.
 
+The deep panels are summed from a power series.  In x = sin^2 theta the
+bracket is 1 - (1 - x)^(K/2) P_l(sqrt(1 - x)) - sin^K P_l(sin theta) =
+sum_k a_k x^k, with a_1 = K/2 + l(l+1)/4 for every non-null mode but (0,2), and a
+row switches to its first ``_SERIES_ORDER`` = 10 terms from the first
+panel where a_1 sin^2 theta_top <= ``_SERIES_SWITCH`` = 1e-2 (panel 4 for
+the smallest modes, 10 at a_1 = 10^4 as at (200, 200) or (10^4, 0), 13 at
+(10^6, 0)).  There a
+panel's value is sum_k a_k M_k and its error term |sum_k a_k (M_k - G_k)|,
+with M_k and G_k the panel's Kronrod and Gauss moments of x^k, computed
+once per rule; the terms left out are below 1e-19 of the bracket
+(``_eigen_rows`` gives the proof).  The direct form cannot be accurate
+there: P_l is evaluated at the rounded cos theta, whose absolute error of
+about 1.1e-16 moves the bracket by about l(l+1) 1e-16 against its size of
+about a_1 theta^2, and below theta = 1.05e-8 cos theta rounds to 1 and
+carries no digit of the bracket at all.  x = sin^2 theta keeps its relative
+accuracy at every theta, so the series does too.  That made the old rule
+miss rel_tol by 1e-8 to 8e-4 at s = 0.1 and 0.2, where the integrand's mass
+lies near theta = e^(-1/s), and by 3e-10 at (10^6, 0), s = 0.5.  The
+coefficients are one vectorized pass per l-block (``_series_coefficients``).
+On the panels that still take the bracket, log cos theta is
+log1p(-2 sin^2(theta/2)).
+
 One loop computes every eigenvalue, a whole l-row at a time: it walks the
 panels outward from pi/4, adds each panel to the running sums of the rows
 still live, fixes a row at its stopping panel, and evaluates no panel once
 every row has stopped.  It takes the panels in groups, one bracket call
-and two weighted sums per group: a group keeps its bracket block within
-``_BLOCK_DOUBLES`` (64k doubles, 512 KB) and ends where the first live row
-could stop, so almost no panel past a row's stop is evaluated.  A table
-build runs the Legendre recurrence once for all its l-rows (once per
-contiguous l-block when parallel).  The bracket folds its whole block
-through expm1 and recomputes only the columns where P_l(cos theta) <= 0,
-on the panels that have any.  A sin^K term with K log sin theta < -700 is
-exactly 0: most terms of a table build are, and numpy's exp would spend
-about 19 ns on each that underflows to 0 and over 100 ns on each
-subnormal, against 1.2 ns on a normal result (numpy 2.4 on AVX-512).  The
-dropped terms are below 1e-304, so they move a bracket only where
-cos theta rounds to 1, and there a panel sum only by a subnormal amount
-that vanishes in the running sum.
+and two weighted sums per group for the rows that take the bracket, and
+two sums over k for the rows on their series: a group keeps its bracket
+block within ``_BLOCK_DOUBLES`` (64k doubles, 512 KB), ends where the next
+bracket row switches to its series, and ends where the first live row
+could stop, so almost no panel past a row's stop is evaluated; a group of
+series rows only runs ``_SERIES_SLACK`` = 2 panels further.  A table build
+runs the Legendre recurrence once for all its l-rows (once per contiguous
+l-block when parallel), at the nodes of the panels before the last switch
+only (10 of 72 panels at 201x201).  The bracket folds its whole block through expm1
+and recomputes only the columns where P_l(cos theta) <= 0, on the panels
+that have any.  A sin^K term with K log sin theta < -700 is exactly 0:
+most terms of a table build are, and numpy's exp would spend about 19 ns
+on each that underflows to 0 and over 100 ns on each subnormal, against
+1.2 ns on a normal result (numpy 2.4 on AVX-512).  The dropped terms are
+below 1e-304, far under half an ulp of a bracket that is at least
+sin^2 theta > 1e-3 / a_1 on a panel its row takes directly.
 
 Most of the remaining sin^K terms cannot change a bit either.  For a
 non-null mode the cos part 1 - cos^K P_l(cos theta) is at least
 sin^2 theta, the floor, so a term below e^-1 2^-64 of sin^2 theta_min is
 under half an ulp of every bracket of its panel and is skipped.  The floor
 bound is applied only on panels with sin^2 theta_min > 1e-10 (panels 0-15
-by default), where the computed cos part provably keeps that floor; below
-theta = 1.05e-8 cos theta rounds to 1 and the computed bracket is 0 or
-negative, so the deep panels keep only the e^-700 rule.  At 201x201, s = 2,
-a build evaluates 30.9M bracket elements in 647 groups of its 4,671
-panels, and the sin^K term on 1.8M of them (6.2M under the e^-700 rule
-alone).  ``_bracket_rows`` gives the proof.  Parallel and serial builds
-produce bit-identical results because each (n, l) entry is an independent
-deterministic computation: its panel sums do not depend on the group or
-on the other rows.
+by default), where the computed cos part provably keeps that floor.  At
+201x201, s = 2, a build evaluates 11.9M bracket elements in 326 bracket
+calls, and the sin^K term on a small part of them.  ``_bracket_rows`` gives
+the proof.  Parallel and serial builds produce bit-identical results
+because each (n, l) entry is an independent deterministic computation: its
+panel sums, series coefficients and switch panel do not depend on the
+group or on the other rows.
 
 The loop's fixed cost per group is kept small: the bracket block is built
 in place, the per-panel constants (log P_l(cos theta), the sign-change
 columns, the cut points of the sin^K term) are computed for all panels of
 a row at once, each weighted sum is one ``np.einsum`` over the panels'
-columns, and the live rows are updated only in groups where some row
-stops.  A cache file and the CLI's ``eigs`` output share one formatting
-pass per table: each float is written by repr, once, which for a finite
-float is the text json.dumps writes.
+columns or the series' terms, and the live rows are updated only in
+groups where some row stops.  A cache file and the CLI's ``eigs`` output
+share one formatting pass per table: each float is written by repr, once,
+which for a finite float is the text json.dumps writes.
 """
 
 from __future__ import annotations
@@ -108,7 +131,7 @@ __all__ = [
 ]
 
 # bump when the quadrature scheme changes; stale caches are rejected, never migrated
-CODE_VERSION = "dyboltz-kernel-2"
+CODE_VERSION = "dyboltz-kernel-3"
 
 THETA_MAX = math.pi / 4
 
@@ -130,6 +153,16 @@ _LOG_FLOOR_GUARD = math.log(1e-10)
 # log of 1 / (e 2^64): a term below this fraction of a bracket is far under
 # half its ulp
 _LOG_BELOW_HALF_ULP = 64.0 * math.log(2.0) + 1.0
+
+# a row sums a panel from the bracket's power series in x = sin^2 theta once
+# a_1 sin^2 theta <= _SERIES_SWITCH on the whole panel, a_1 = K/2 + l(l+1)/4;
+# the terms past x^_SERIES_ORDER are then below 1e-19 of the bracket
+_SERIES_SWITCH = 1e-2
+_SERIES_ORDER = 10
+
+# a group in which every live row uses its series runs this many panels past
+# the first panel where a live row could stop: series panels are cheap
+_SERIES_SLACK = 2
 
 
 @dataclass(frozen=True)
@@ -253,8 +286,9 @@ def _bracket_rows(K: np.ndarray, l: int, p: _Panels) -> np.ndarray:
 
     * A term whose exponent K log sin theta lies below ``_LOG_NEGLIGIBLE``
       is exactly 0, never e^-700.  The dropped terms are below 1e-304, so
-      they move a bracket only where cos theta rounds to 1, and there a
-      panel sum only by a subnormal amount that vanishes in the running sum.
+      they move no bracket that keeps its floor sin^2 theta below; a row
+      takes its bracket only above its series switch, where
+      sin^2 theta > 1e-3 / a_1 (``_eigen_rows``).
     * The floor bound.  For a non-null row K >= 2, and |P_l| <= 1 with
       cos^K <= cos^2 gives 1 - cos^K P_l(cos theta) >= sin^2 theta, the
       floor.  A row with K max log sin < 2 min log sin - 64 ln 2 - 1
@@ -264,16 +298,17 @@ def _bracket_rows(K: np.ndarray, l: int, p: _Panels) -> np.ndarray:
       what subtracting the term would give.  The computed c must keep its
       floor, though, which ``p.live_k`` asks only of panels with
       sin^2 theta_min > e^``_LOG_FLOOR_GUARD`` = 1e-10 (panels 0-15 by
-      default).  There log cos theta carries an absolute rounding of about
-      1.1e-16 against |log cos theta| > 5e-11, a relative 2.2e-6.  P_l at
-      the rounded cos theta is off by l(l+1)/2 times that rounding, and
-      the recurrence adds about 10 l eps (measured against mpmath up to
-      l = 1200), both against 1 - P_l(cos theta) ~ l(l+1) theta^2 / 4 >
-      l(l+1) 2.5e-11.  So c stays within a factor 1 - 1e-4 of its true
-      value, far inside the margin of e 2^10 between the bound and half an
-      ulp.  Where cos theta rounds to 1 (theta < 1.05e-8) the computed c is
-      0 or negative and the floor is lost, so those panels keep only the
-      e^-700 rule.
+      default).  There log cos theta = log1p(-2 sin^2(theta/2)) is
+      accurate to a few ulp, but P_l is evaluated at the rounded
+      cos theta, whose absolute rounding of about 1.1e-16 moves it by
+      l(l+1)/2 times that, and the recurrence adds about 10 l eps (measured
+      against mpmath up to l = 1200), both against
+      1 - P_l(cos theta) ~ l(l+1) theta^2 / 4 > l(l+1) 2.5e-11.  So c stays
+      within a factor 1 - 1e-4 of its true value, far inside the margin of
+      e 2^10 between the bound and half an ulp.  Deeper, P_l(cos theta)
+      carries fewer digits (none where cos theta rounds to 1, below
+      theta = 1.05e-8), so those panels keep only the e^-700 rule; a row
+      reaches them on its bracket only if a_1 > 7e7.
 
     numpy's exp costs about 1.2 ns per normal result, 19 ns per result that
     underflows to 0 and over 100 ns per subnormal one.  The term is taken
@@ -283,8 +318,9 @@ def _bracket_rows(K: np.ndarray, l: int, p: _Panels) -> np.ndarray:
     exactly +0 after the multiply by P_l(sin theta).  Subtracting +0 leaves
     every double as it is, -0 included, while a mask multiply would leave
     -0 where P_l(sin theta) < 0, which differs from the reference formula
-    where cos theta rounds to 1.  An exponent above the clamp is left as it
-    is, so every kept term is exactly the reference's.  The block is built with in-place ufuncs that apply to each element the
+    where the cos part rounds to 0.  An exponent above the clamp is left as
+    it is, so every kept term is exactly the reference's.  The block is
+    built with in-place ufuncs that apply to each element the
     operations of the expression form, in the same order, so the bits are
     those of the reference formula, whatever the group, and fewer
     temporaries are allocated.  The caller sets ``np.errstate(under="ignore")``.
@@ -314,7 +350,106 @@ def _bracket_rows(K: np.ndarray, l: int, p: _Panels) -> np.ndarray:
     return brackets
 
 
-_PanelRule = namedtuple("_PanelRule", "logsin logcos sin cos wvalue wcheck")
+@lru_cache(maxsize=1)
+def _half_angle_powers() -> np.ndarray:
+    """T[j, k], the coefficient of x^k in t^j, t = sin^2(theta/2) = (1 - sqrt(1 - x)) / 2.
+
+    t = sum_k C_(k-1) x^k / 4^k with the Catalan numbers C, so 4^k T[j, k]
+    is an integer, and each entry is rounded once; j, k <= ``_SERIES_ORDER``.
+    Every coefficient of t, and so of each t^j, is positive.
+    """
+    order = _SERIES_ORDER
+    t = [0] + [math.comb(2 * k - 2, k - 1) // k for k in range(1, order + 1)]
+    rows = [[1] + [0] * order]
+    for _ in range(order):
+        rows.append([sum(rows[-1][i] * t[k - i] for i in range(k + 1)) for k in range(order + 1)])
+    out = np.array([[c / 4 ** k for k, c in enumerate(row)] for row in rows])
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=1)
+def _sin_series() -> np.ndarray:
+    """S[l, n, k - 1], the coefficient of x^k in sin^K P_l(sin theta), K = 2n + l.
+
+    With P_l(y) = sum_j p_{l,j} y^(l-2j), p_{l,j} = (-1)^j C(l, j)
+    C(2l - 2j, l) / 2^l, the term is a polynomial in x = sin^2 theta with
+    p_{l,j} at x^(n+l-j), so only rows with n + ceil(l/2) <=
+    ``_SERIES_ORDER`` have terms up to that order: l and n run to
+    2 ``_SERIES_ORDER`` and ``_SERIES_ORDER``.  Each entry is rounded once.
+    """
+    order = _SERIES_ORDER
+    out = np.zeros((2 * order + 1, order + 1, order))
+    for l in range(2 * order + 1):
+        for j in range(l // 2 + 1):
+            p = (-1) ** j * math.comb(l, j) * math.comb(2 * l - 2 * j, l) / 2 ** l
+            for n in range(order + 1):
+                if 1 <= n + l - j <= order:
+                    out[l, n, n + l - j - 1] = p
+    out.flags.writeable = False
+    return out
+
+
+def _powers(x: np.ndarray) -> np.ndarray:
+    """x^1..x^``_SERIES_ORDER`` along a new last axis, by repeated multiplication."""
+    return np.cumprod(np.repeat(x[..., None], _SERIES_ORDER, axis=-1), axis=-1)
+
+
+def _series_coefficients(ls, n_arr) -> np.ndarray:
+    """a_1..a_order of the bracket as a power series in x = sin^2 theta, for each l and n.
+
+    Returns shape (len(ls), len(n_arr), ``_SERIES_ORDER``).  With
+    K = 2n + l the bracket is 1 - exp(S(x)) - sin^K P_l(sin theta), where
+
+        S = (K/2) log(1 - x) + log F(t),  F(t) = sum_j h_j t^j = P_l(cos theta),
+
+    F the hypergeometric series 2F1(-l, l + 1; 1; t) in t = sin^2(theta/2)
+    (h_j = (-l)_j (l + 1)_j / j!^2).  log F is taken as a series in t by
+    the recurrence of a logarithm's coefficients and composed with t(x),
+    whose powers have positive coefficients (``_half_angle_powers``); exp by
+    the recurrence E_k = (1/k) sum_{i<=k} i S_i E_{k-i}, so a_k = -E_k less
+    the exact x^k term of sin^K P_l(sin theta) (``_sin_series``).  a_1 is
+    K/2 + l(l+1)/4 save where that term starts at x^1.  Null modes get 0.
+    Every step is elementwise in (l, n) with no reduction across entries,
+    so an entry's coefficients have the same bits in any call.
+    """
+    order = _SERIES_ORDER
+    ls = np.asarray(ls, dtype=np.int64)
+    n_arr = np.asarray(n_arr, dtype=np.int64)
+    l = ls.astype(float)[:, None]
+    power = _half_angle_powers()
+    h = [1.0]
+    for j in range(1, order + 1):
+        h.append(h[-1] * ((j - 1 - l) * (j + l)) / (j * j))
+    log_f = [None]  # log F as a series in t
+    for k in range(1, order + 1):
+        acc = 0.0
+        for i in range(1, k):
+            acc = acc + i * log_f[i] * h[k - i]
+        log_f.append(h[k] - acc / k)
+    half_k = n_arr + 0.5 * l  # K / 2
+    scaled = []  # k S_k = k (log F)_k - K/2
+    for k in range(1, order + 1):
+        acc = 0.0
+        for j in range(1, k + 1):
+            acc = acc + log_f[j] * power[j, k]
+        scaled.append(k * acc - half_k)
+    out = np.empty((len(ls), len(n_arr), order))
+    for k in range(1, order + 1):
+        acc = scaled[k - 1].copy()  # i = k, times E_0 = 1
+        for i in range(1, k):
+            acc += scaled[i - 1] * out[..., k - i - 1]
+        out[..., k - 1] = acc / k
+    np.negative(out, out=out)
+    small = np.nonzero((ls[:, None] <= 2 * order) & (n_arr <= order))
+    if small[0].size:
+        out[small] -= _sin_series()[ls[small[0]], n_arr[small[1]]]
+    out[(ls[:, None] + n_arr) <= 1] = 0.0
+    return out
+
+
+_PanelRule = namedtuple("_PanelRule",
+                        "logsin logcos sin cos wvalue wcheck series_from mvalue mdiff")
 
 # a group of consecutive panels is evaluated in one numpy call per step,
 # as many as keep its bracket block within this many doubles (512 KB,
@@ -421,7 +556,15 @@ def _panel_rules(params: KernelParams, quad: QuadratureSpec) -> _PanelRule:
     the other m + 1 the Kronrod nodes (33 columns by default).  ``wvalue``
     holds w * beta of the Kronrod rule, whose sum is the panel's value, and
     ``wcheck`` that of the Gauss rule on the first m columns, whose
-    difference from the value is the panel's error term.
+    difference from the value is the panel's error term.  log cos theta is
+    log1p(-2 sin^2(theta/2)), accurate where cos theta rounds to 1.
+
+    For the series rows: ``series_from[j]`` = ``_SERIES_SWITCH`` /
+    sin^2 theta_top, so a row with a_1 <= it sums panel j from its series;
+    ``mvalue[j, k - 1]`` is the panel's Kronrod moment sum_c w_c x_c^k
+    (x = sin^2 theta, k = 1..``_SERIES_ORDER``) and ``mdiff`` that moment
+    less the Gauss one, so a series panel's value and error term are each
+    one sum over k.
     """
     m = quad.nodes_per_panel
     hi = np.ldexp(THETA_MAX, -np.arange(quad.max_panels))[:, None]
@@ -429,19 +572,37 @@ def _panel_rules(params: KernelParams, quad: QuadratureSpec) -> _PanelRule:
     x, wk, wg = _gauss_kronrod(m)
     theta = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
     scale = 0.5 * (hi - lo) * beta(theta, params)
-    return _PanelRule(np.log(np.sin(theta)), np.log(np.cos(theta)),
-                      np.sin(theta), np.cos(theta), scale * wk, scale[:, :m] * wg)
+    sin, half = np.sin(theta), np.sin(0.5 * theta)
+    wvalue, wcheck = scale * wk, scale[:, :m] * wg
+    with np.errstate(under="ignore", divide="ignore"):  # deep panels of a large max_panels
+        powers = _powers(sin * sin)
+        mvalue = np.einsum("pc,pck->pk", wvalue, powers)
+        mdiff = mvalue - np.einsum("pc,pck->pk", wcheck, powers[:, :m])
+        series_from = _SERIES_SWITCH / np.sin(hi[:, 0]) ** 2
+    return _PanelRule(np.log(sin), np.log1p(-2.0 * half * half), sin, np.cos(theta),
+                      wvalue, wcheck, series_from, mvalue, mdiff)
 
 
-def _legendre_sweep(l_end: int, params: KernelParams, quad: QuadratureSpec) -> np.ndarray:
-    """P_0..P_l_end at the sin and cos nodes of the panel rule, by one recurrence.
+def _a1(K, l):
+    """a_1 = K/2 + l(l+1)/4, which sets a row's switch to its series (``_eigen_rows``)."""
+    return 0.5 * K + 0.25 * l * (l + 1)
 
-    Row l is the ``pl`` argument of ``_eigen_rows``; the three-term
-    recurrence gives P_l independently of the top degree, so a row read
-    from a long sweep equals that of a sweep ending at l.
+
+def _legendre_sweep(l_end: int, a1_max: float, params: KernelParams,
+                    quad: QuadratureSpec) -> np.ndarray:
+    """P_0..P_l_end at the sin and cos nodes of the panels that take the bracket, by one recurrence.
+
+    Those are the panels before the switch to the series of a row with
+    a_1 = ``a1_max`` (at least one), and so of every row with a smaller
+    a_1.  Row l is the ``pl`` argument of ``_eigen_rows``, which reads the
+    panel count from its length.  The three-term recurrence gives P_l at
+    each node independently of the top degree and of the other nodes, so a
+    row read from a long sweep equals that of a short one where both reach.
     """
     rule = _panel_rules(params, quad)
-    return legendre_all(l_end, np.concatenate([rule.sin.ravel(), rule.cos.ravel()]))
+    count = max(1, int(rule.series_from.searchsorted(a1_max)))
+    return legendre_all(l_end, np.concatenate([rule.sin[:count].ravel(),
+                                               rule.cos[:count].ravel()]))
 
 
 def _running_sums(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -456,56 +617,111 @@ def _running_sums(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 
 def _eigen_rows(l: int, n_arr: np.ndarray, pl: np.ndarray, params: KernelParams,
-                quad: QuadratureSpec):
+                quad: QuadratureSpec, series: np.ndarray | None = None):
     """lambda and err for all n in n_arr at fixed l (the one true code path).
 
-    ``pl`` is row l of ``_legendre_sweep`` and ``n_arr`` ascends.  Panels
-    are added outward from pi/4 to the running sums of the rows still live;
-    a row stops at the first panel whose value falls below ``_PANEL_CUTOFF``
-    times its tolerance, and the loop ends when no row is live.  The rule
-    is data (``_PanelRule``): a panel's value is the sum of its weighted
-    brackets, its error term the distance of the check rule's sum from it.
+    ``pl`` is row l of ``_legendre_sweep``, ``n_arr`` ascends and
+    ``series`` holds the rows' ``_series_coefficients`` (computed here if
+    not given).  Panels are added outward from pi/4 to the running sums of
+    the rows still live; a row stops at the first panel whose value falls
+    below ``_PANEL_CUTOFF`` times its tolerance, and the loop ends when no
+    row is live.  The rule is data (``_PanelRule``): a panel's value is the
+    sum of its weighted brackets, its error term the distance of the check
+    rule's sum from it.
 
-    Each step evaluates a group of consecutive panels in one bracket call.
-    The group keeps its block within ``_BLOCK_DOUBLES`` and ends at the
-    first panel where a live row could stop: below the knee a panel's
-    value falls about 4-fold per panel, as theta^2 does, so a row whose
-    last value is q times its stopping threshold stops no sooner than
-    floor(log_4 q) + 1 panels later (before the first panel, q is
+    A row takes its bracket up to its switch panel, the first with
+    a_1 sin^2 theta_top <= ``_SERIES_SWITCH``, a_1 = K/2 + l(l+1)/4, and
+    from there its series: the value sum_k a_k M_k and the error term
+    |sum_k a_k (M_k - G_k)| over the panel's moments (``_PanelRule``).
+    a_1 grows with n, so the rows on their series are a prefix of the live
+    rows.  The series leaves out terms below 1e-19 of the bracket.  Write
+    y = a_1 x <= 1e-2 (x = sin^2 theta <= sin^2 theta_top) and f << g when
+    each coefficient of f is at most that of g in absolute value.  The cos
+    part is g(x) = (1 - x)^(K/2) F(t(x)) (``_series_coefficients``), and
+
+    * (1 - x)^(K/2) << (1 - x)^(-K/2), as |binomial(K/2, k)| is at most
+      (K/2)(K/2 + 1)...(K/2 + k - 1) / k!;
+    * |h_j| <= (l(l+1))^j / j!^2, since (l - i)(l + 1 + i) <= l(l+1), so
+      F(t) << exp(l(l+1) t); and t << x / (4 (1 - x)), as every
+      coefficient of t lies in (0, 1/4].
+
+    So g << G(x) = (1 - x)^(-K/2) exp(c x / (1 - x)), c = l(l+1)/4, and for
+    x < rho < 1 the terms past x^10 sum to at most
+    G(rho) (x/rho)^11 / (1 - x/rho).  A non-null mode has a_1 >= 2, so
+    rho = 1/a_1 <= 1/2 gives G(rho) <= exp(a_1 rho / (1 - rho)) <= e^2 (by
+    -log(1 - rho) <= rho / (1 - rho)) and x/rho = y: the dropped cos terms
+    are at most e^2 y^11 / (1 - y) < 7.5e-20 y.  The same bound puts the
+    terms past x^1 below 0.075 y, and those of sin^K P_l(sin theta) are at
+    most 1.5 x^2 (K <= 3) or x^(K/2) <= x^2, below 0.005 y; the x^1 term of
+    (0,2)'s adds to its bracket.  So the bracket exceeds 0.9 y.  The sin^K part is
+    a polynomial whose coefficients sum to at most (1 + sqrt 2)^l in
+    absolute value, with every power at least K/2; its terms past x^10 are
+    below 4e-32 y for every (n, l) (a scan of n, l < 60 gives the largest,
+    and the bound falls off beyond).  Rounding in the coefficients is
+    smaller still: against exact rationals (``tests/oracles.py``) each
+    a_k x^k is within 1e-18 of a_1 x at the largest x a series panel sees.
+
+    Each step evaluates a group of consecutive panels in one bracket call
+    for the rows not yet on their series.  The group keeps that block
+    within ``_BLOCK_DOUBLES``, ends at the next bracket row's switch panel,
+    and ends at the first panel where a live row could stop: below the knee
+    a panel's value falls about 4-fold per panel, as theta^2 does, so a
+    row whose last value is q times its stopping threshold stops no sooner
+    than floor(log_4 q) + 1 panels later (before the first panel, q is
     1 / (``_PANEL_CUTOFF`` rel_tol), as if that panel held all of lambda).
-    This only sizes the groups; the running sums go through a group with
-    ``np.add.accumulate``, which adds in sequence as ``+=`` does, and a
-    row takes the sums at its own stopping panel.  Each weighted sum is an
-    ``np.einsum`` whose inner loop runs over one panel's contiguous columns
-    of one row (no BLAS), so every bit is independent of the group and of
-    the other rows: single entries, serial builds, parallel builds and any
-    group size agree bit-for-bit.  One ``np.errstate`` covers the whole
-    loop.
+    A group with every row on its series runs ``_SERIES_SLACK`` panels
+    further, within ``_BLOCK_DOUBLES`` values.  This only sizes the groups;
+    the running sums go through a group with ``np.add.accumulate``, which
+    adds in sequence as ``+=`` does, and a row takes the sums at its own
+    stopping panel.  Each weighted sum is an ``np.einsum`` whose inner loop
+    runs over one panel's contiguous columns of one row, or over one row's
+    contiguous coefficients (no BLAS), so every bit is independent of the
+    group and of the other rows: single entries, serial builds, parallel
+    builds and any group size agree bit-for-bit.  One ``np.errstate``
+    covers the whole loop.
     """
     n_arr = np.asarray(n_arr, dtype=np.int64)
     rule = _panel_rules(params, quad)
+    if series is None:
+        series = _series_coefficients([l], n_arr)[0]
     m = quad.nodes_per_panel
-    panels = _panels(rule.logsin, rule.logcos, *pl.reshape(2, *rule.sin.shape))
     n_panels, width = rule.sin.shape
+    count = len(pl) // (2 * width)  # the panels any of these rows takes directly
+    panels = _panels(rule.logsin[:count], rule.logcos[:count], *pl.reshape(2, count, width))
     lam = np.empty(len(n_arr))
     err = np.empty(len(n_arr))
     rows = np.arange(len(n_arr))
     K = (2 * n_arr + l).astype(float)
+    first = rule.series_from.searchsorted(_a1(K, l))
     cum = np.zeros((1, len(n_arr)))
     cum_err = np.zeros((1, len(n_arr)))
     j, reach = 0, -math.log(_PANEL_CUTOFF * quad.rel_tol)
     with np.errstate(under="ignore"):
         while j < n_panels:
-            steps = max(1, _BLOCK_DOUBLES // (len(rows) * width))
+            ns = first.searchsorted(j, side="right")  # rows on their series at panel j
+            direct = ns < len(rows)
+            if direct:
+                steps, slack = max(1, _BLOCK_DOUBLES // ((len(rows) - ns) * width)), 0
+            else:
+                steps, slack = max(1, _BLOCK_DOUBLES // len(rows)), _SERIES_SLACK
             if reach < steps * _LOG_DECAY:  # False for NaN, which keeps the budget
-                steps = int(reach / _LOG_DECAY) + 1
-            k = min(n_panels, j + steps)
-            terms = _bracket_rows(K, l, _group(panels, j, k))
-            value = np.einsum("grc,gc->gr", terms, rule.wvalue[j:k])
-            check = np.einsum("grc,gc->gr", terms[..., :m], rule.wcheck[j:k])
-            del terms  # free this group's block before the next
+                steps = min(steps, int(reach / _LOG_DECAY) + 1 + slack)
+            # a group ends where the next bracket row switches to its series
+            k = min(n_panels, j + steps, first[ns] if direct else n_panels)
+            values, errors = [], []
+            if ns:
+                values.append(np.einsum("rk,gk->gr", series[:ns], rule.mvalue[j:k]))
+                errors.append(np.abs(np.einsum("rk,gk->gr", series[:ns], rule.mdiff[j:k])))
+            if direct:
+                terms = _bracket_rows(K[ns:], l, _group(panels, j, k))
+                value = np.einsum("grc,gc->gr", terms, rule.wvalue[j:k])
+                check = np.einsum("grc,gc->gr", terms[..., :m], rule.wcheck[j:k])
+                del terms  # free this group's block before the next
+                values.append(value)
+                errors.append(np.abs(value - check))
+            value = np.concatenate(values, axis=1)
             run = _running_sums(cum, value)
-            run_err = _running_sums(cum_err, np.abs(value - check))
+            run_err = _running_sums(cum_err, np.concatenate(errors, axis=1))
             size = np.abs(value)
             limit = _PANEL_CUTOFF * np.maximum(quad.abs_tol, quad.rel_tol * np.abs(run[1:]))
             done = size < limit
@@ -517,17 +733,24 @@ def _eigen_rows(l: int, n_arr: np.ndarray, pl: np.ndarray, params: KernelParams,
                 g, i = done.argmax(0)[stop], np.flatnonzero(stop)
                 lam[rows[i]] = run[g + 1, i]
                 err[rows[i]] = run_err[g + 1, i] + size[g, i]
-                rows, K, cum, cum_err = rows[~stop], K[~stop], cum[:, ~stop], cum_err[:, ~stop]
+                keep = ~stop
+                rows, K, first, series = rows[keep], K[keep], first[keep], series[keep]
+                cum, cum_err = cum[:, keep], cum_err[:, keep]
                 if not len(rows):
                     return lam, err
-                last = last[~stop]
+                last = last[keep]
             reach = math.log(max(last.min(), 1.0))  # a live row's last ratio is >= 1 or NaN
     pairs = [(int(n), l) for n in n_arr[rows]]
     raise QuadratureConvergenceError(pairs, dict(zip(pairs, cum[0].tolist())))
 
 
 def eigen_integrand(n: int, l: int, theta, params: KernelParams):
-    """beta(theta) times the spectral bracket; identically 0 for null modes."""
+    """beta(theta) times the spectral bracket; identically 0 for null modes.
+
+    The bracket is the one the quadrature sums: the direct form, with
+    log cos theta = log1p(-2 sin^2(theta/2)), and its power series in
+    sin^2 theta wherever a_1 sin^2 theta <= ``_SERIES_SWITCH``.
+    """
     if n < 0 or l < 0:
         raise ValueError("n and l must be nonnegative integers")
     theta = np.asarray(theta, dtype=float)
@@ -537,11 +760,17 @@ def eigen_integrand(n: int, l: int, theta, params: KernelParams):
     if (n, l) in NULL_MODES:
         out = np.zeros_like(theta)
         return float(out[0]) if scalar else out
-    sin, cos = np.sin(theta), np.cos(theta)
-    pl = legendre_all(l, np.concatenate([sin, cos]))[l]
-    panel = _panels(np.log(sin)[None], np.log(cos)[None], *pl.reshape(2, 1, -1))
-    with np.errstate(under="ignore"):
-        br = _bracket_rows(np.array([2.0 * n + l]), l, panel)[0, 0]
+    sin, half = np.sin(theta), np.sin(0.5 * theta)
+    pl = legendre_all(l, np.concatenate([sin, np.cos(theta)]))[l]
+    panel = _panels(np.log(sin)[None], np.log1p(-2.0 * half * half)[None],
+                    *pl.reshape(2, 1, -1))
+    K = 2.0 * n + l
+    with np.errstate(under="ignore", over="ignore"):
+        br = _bracket_rows(np.array([K]), l, panel)[0, 0]
+        x = sin * sin
+        deep = _a1(K, l) <= _SERIES_SWITCH / x
+        if deep.any():
+            br[deep] = np.einsum("ck,k->c", _powers(x[deep]), _series_coefficients([l], [n])[0, 0])
     out = np.atleast_1d(b) * br
     return float(out[0]) if scalar else out
 
@@ -551,8 +780,8 @@ def eigenvalue(n: int, l: int, params: KernelParams,
     """One eigenvalue by graded-panel quadrature, exact 0 for the null modes."""
     if n < 0 or l < 0:
         raise ValueError("n and l must be nonnegative integers")
-    lam, err = _eigen_rows(l, np.array([n]), _legendre_sweep(l, params, quad)[l],
-                           params, quad)
+    lam, err = _eigen_rows(l, np.array([n]),
+                           _legendre_sweep(l, _a1(2.0 * n + l, l), params, quad)[l], params, quad)
     return EigenvalueEntry(n=n, l=l, lam=float(lam[0]), err=float(err[0]))
 
 
@@ -658,10 +887,21 @@ def table_version(params: KernelParams, quad: QuadratureSpec) -> str:
 
 
 def _block_task(args):
-    """lambda and err columns for the contiguous l-block ``ls``, one Legendre sweep."""
+    """lambda and err columns for the contiguous l-block ``ls``, one Legendre sweep.
+
+    The series coefficients of the block's entries are one vectorized pass
+    per chunk of l-rows, each chunk within ``_BLOCK_DOUBLES``.
+    """
     ls, nmax, params, quad = args
-    pl = _legendre_sweep(ls[-1], params, quad)
-    return ls, [_eigen_rows(l, np.arange(nmax + 1), pl[l], params, quad) for l in ls]
+    pl = _legendre_sweep(ls[-1], _a1(2.0 * nmax + ls[-1], ls[-1]), params, quad)
+    n = np.arange(nmax + 1)
+    chunk = max(1, _BLOCK_DOUBLES // ((nmax + 1) * _SERIES_ORDER))
+    rows = []
+    for start in range(0, len(ls), chunk):
+        part = ls[start:start + chunk]
+        rows += [_eigen_rows(l, n, pl[l], params, quad, series)
+                 for l, series in zip(part, _series_coefficients(part, n))]
+    return ls, rows
 
 
 def eigenvalue_table(nmax: int, lmax: int, params: KernelParams,
@@ -699,8 +939,8 @@ def eigenvalue_table(nmax: int, lmax: int, params: KernelParams,
 def radial_eigenvalues(nmax: int, params: KernelParams,
                        quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """lambda_{n,0} for n = 0..nmax as a flat array (cheap P_0 = 1 path)."""
-    lam, _ = _eigen_rows(0, np.arange(nmax + 1), _legendre_sweep(0, params, quad)[0],
-                         params, quad)
+    lam, _ = _eigen_rows(0, np.arange(nmax + 1),
+                         _legendre_sweep(0, _a1(2.0 * nmax, 0), params, quad)[0], params, quad)
     return lam
 
 

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's evaluation paths:
 explicit derivative/sum formulas via sympy, a truncated Bessel series,
 tensorized Gauss-Hermite quadrature of the defining Fourier integral, the
-Gauss-Kronrod rule from its Stieltjes polynomial in rationals, and the
-exact s = 2 eigenvalues of the l = 0 column in mpmath.
+Gauss-Kronrod rule from its Stieltjes polynomial in rationals, the
+exact s = 2 eigenvalues of the l = 0 column in mpmath, and the bracket's
+power series in sin^2 theta in rationals.
 """
 
 import math
@@ -166,3 +167,25 @@ def lambda_s2_l0_digamma(n: int, dps: int = 40):
     with mp.workdps(dps):
         return (mp.digamma(2 * n + 1) - mp.digamma(n + 1) / 2 + mp.euler / 2
                 - mp.log(1 + mp.sqrt(2)))
+
+
+def bracket_series(K: int, l: int, order: int = 10):
+    """a_1..a_order of the bracket 1 - cos^K P_l(cos) - sin^K P_l(sin) in x = sin^2 theta.
+
+    Exact sympy rationals, for K = 2n + l.  With P_l(y) = sum_m c_m y^m,
+    cos theta = sqrt(1 - x) and sin theta = sqrt(x), the bracket is
+    1 - sum_m c_m (1 - x)^((K+m)/2) - sum_m c_m x^((K+m)/2), so a_k is
+    -sum_m c_m binomial((K+m)/2, k) (-1)^k less c_m where (K+m)/2 = k.
+    This is its Taylor series term by term, with no logarithm, exponential
+    or hypergeometric form and no rounding.
+    """
+    y = sp.Symbol("y")
+    terms = sp.Poly(sp.legendre(l, y), y).terms()
+    out = []
+    for k in range(1, order + 1):
+        a = sp.Integer(0)
+        for (m,), c in terms:
+            half = sp.Rational(K + m, 2)
+            a -= c * sp.binomial(half, k) * (-1) ** k + (c if half == k else 0)
+        out.append(a)
+    return out
