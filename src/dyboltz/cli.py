@@ -224,9 +224,9 @@ def cmd_verify(args) -> int:
 
 def _verdict_rows(spec, ts, norms, table, extra=()):
     for t in ts:
-        for label, norm in norms:
+        for norm in norms:
             v = series_tail_classify(spec, t, norm, table)
-            yield (*extra, t, label, v.classification, v.p_hat,
+            yield (*extra, t, str(norm), v.classification, v.p_hat,
                    v.window_growth_log10, v.log10_tail_estimate)
 
 
@@ -240,13 +240,12 @@ def cmd_scenario(args) -> int:
     ts = _parse_times(args.times) if args.times else None
     try:
         spec = specs[name]()
-        if name == "example41":
-            ks = [float(x) for x in args.k_grid.split(",")]
-            norms = [(f"shubin:k={k:g}", NormSpec.shubin(k)) for k in ks]
-        elif name == "example42":
-            norms = [(f"shubin:k={k:g}", NormSpec.shubin(k)) for k in (args.tau, args.tau_prime)]
+        if name == "remark14":
+            norms = [NormSpec.l2()]
         else:
-            norms = [("l2", NormSpec.l2())]
+            ks = ([float(x) for x in args.k_grid.split(",")] if name == "example41"
+                  else [args.tau, args.tau_prime])
+            norms = [NormSpec.shubin(k) for k in ks]
         if ts and min(ts) < 0.0:
             raise ValueError("times must be nonnegative")
     except ValueError as exc:

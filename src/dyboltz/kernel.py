@@ -749,13 +749,15 @@ def eigen_integrand(n: int, l: int, theta, params: KernelParams):
 
     The bracket is the one the quadrature sums: the direct form, with
     log cos theta = log1p(-2 sin^2(theta/2)), and its power series in
-    sin^2 theta wherever a_1 sin^2 theta <= ``_SERIES_SWITCH``.
+    x = sin^2 theta wherever a_1 x <= ``_SERIES_SWITCH``.  There the
+    product is formed as (beta sin theta) sin theta sum_k a_k x^(k-1), so
+    it keeps its digits where x is subnormal (theta below about 1.5e-154).
     """
     if n < 0 or l < 0:
         raise ValueError("n and l must be nonnegative integers")
     theta = np.asarray(theta, dtype=float)
     scalar = theta.ndim == 0
-    b = beta(theta, params)
+    b = np.atleast_1d(beta(theta, params))
     theta = np.atleast_1d(theta)
     if (n, l) in NULL_MODES:
         out = np.zeros_like(theta)
@@ -765,13 +767,15 @@ def eigen_integrand(n: int, l: int, theta, params: KernelParams):
     panel = _panels(np.log(sin)[None], np.log1p(-2.0 * half * half)[None],
                     *pl.reshape(2, 1, -1))
     K = 2.0 * n + l
-    with np.errstate(under="ignore", over="ignore"):
-        br = _bracket_rows(np.array([K]), l, panel)[0, 0]
+    with np.errstate(under="ignore", over="ignore", divide="ignore"):  # x may underflow to 0
+        out = b * _bracket_rows(np.array([K]), l, panel)[0, 0]
         x = sin * sin
         deep = _a1(K, l) <= _SERIES_SWITCH / x
         if deep.any():
-            br[deep] = np.einsum("ck,k->c", _powers(x[deep]), _series_coefficients([l], [n])[0, 0])
-    out = np.atleast_1d(b) * br
+            a = _series_coefficients([l], [n])[0, 0]
+            sd = sin[deep]
+            poly = a[0] + np.einsum("ck,k->c", _powers(x[deep])[:, :-1], a[1:])
+            out[deep] = b[deep] * sd * sd * poly
     return float(out[0]) if scalar else out
 
 

@@ -123,8 +123,10 @@ def rate1_certificate(table: EigenvalueTable, s: float,
                       rel_slack: float = 1e-12) -> CertificateReport:
     """Mode-wise check lambda - c0 log W >= lambda_{2,0}/2 over the whole table.
 
-    Equality occurs at the ratio-minimizing mode for s = 2, hence the
-    relative slack for roundoff.
+    Equality occurs at the ratio-minimizing mode for s = 2, hence a slack for
+    roundoff: the stricter of rel_slack * lambda_{2,0}/2 on the margin and a
+    factor 1 + rel_slack on W^(c0 t) e^(-lambda t) <= e^(-lambda_{2,0} t/2)
+    at every t <= 5, i.e. log1p(rel_slack)/5 on the margin.
     """
     c0 = choose_c0(table, s)
     half_gap = 0.5 * table.lam(2, 0)
@@ -134,7 +136,7 @@ def rate1_certificate(table: EigenvalueTable, s: float,
     margin = table.lams[keep] - c0 * np.log(2 * n + l + W_SHIFT) - half_gap
     i = int(np.argmin(margin))
     worst, worst_mode = float(margin[i]), (int(n[i]), int(l[i]))
-    ok = worst >= -rel_slack * half_gap
+    ok = worst >= -min(rel_slack * half_gap, math.log1p(rel_slack) / 5.0)
     return CertificateReport(ok=ok, c0=c0, worst_margin=worst, worst_mode=worst_mode)
 
 

@@ -102,13 +102,20 @@ class NormSpec:
         return self.kind.startswith("domain")
 
     def __str__(self):
+        """The canonical form; ``parse_norm_spec`` reads it back to an equal spec."""
         if self.kind == "l2":
             return "l2"
         if self.kind == "shubin":
-            return f"shubin:k={self.k:g}"
+            return f"shubin:k={_num(self.k)}"
         if self.kind == "logsob":
-            return f"logsob:tau={self.tau:g},nu={self.nu:g}"
-        return f"{self.kind}:tau={self.tau:g}"
+            return f"logsob:tau={_num(self.tau)},nu={_num(self.nu)}"
+        return f"{self.kind}:tau={_num(self.tau)}"
+
+
+def _num(x: float) -> str:
+    """x as ``:g`` text where that parses back to x, else as its repr."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
 
 
 def parse_norm_spec(text: str) -> NormSpec:

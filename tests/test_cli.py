@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import os
@@ -351,6 +352,19 @@ def test_verify_kernel_suite_passes(tmp_path, monkeypatch, suite, check, builds)
 def test_verify_spaces_suite_passes(tmp_path):
     assert run(tmp_path, "verify", "--suite", "spaces", "--s", "2",
                "--out", str(tmp_path)) == 0
+
+
+def test_verify_checks_keep_the_dispatch_arity():
+    # run_suite and perfbench's Tracer._suite_check call a check as fn(rng)
+    # or fn(rng, table) by its co_argcount; sizes are keyword-only defaults
+    from dyboltz import verify
+
+    for fn in (fn for fns in verify.SUITES.values() for fn in fns):
+        argc = fn.__code__.co_argcount
+        assert argc in (1, 2), fn.__name__
+        rest = list(inspect.signature(fn).parameters.values())[argc:]
+        assert all(p.kind is p.KEYWORD_ONLY and p.default is not p.empty
+                   for p in rest), fn.__name__
 
 
 def test_verify_unknown_suite_usage_error(tmp_path):

@@ -96,6 +96,15 @@ def test_integrand_matches_mpmath_where_cos_rounds_to_1(n, l):
         assert abs(got - want) < 1e-12 * want, (theta, got, want)
 
 
+def test_integrand_keeps_its_digits_where_sin2_is_subnormal():
+    # at s = 2, (2, 0) the integrand is exactly 2 sin theta cos^2 theta;
+    # below theta = 1.5e-154, x = sin^2 theta is subnormal
+    for theta in (1e-160, 1e-250, 1e-300):
+        want = 2.0 * math.sin(theta) * math.cos(theta) ** 2
+        got = eigen_integrand(2, 0, theta, P2)
+        assert abs(got - want) <= 1e-14 * want, (theta, got, want)
+
+
 def test_panel_rule_log_cos_is_accurate():
     # the bracket rows read log cos theta = log1p(-2 sin^2(theta/2)), within
     # a few ulp on every panel; log(cos theta) is 0 from panel 26 on

@@ -161,6 +161,18 @@ def test_rate1_certificate_on_small_tables(table_factory):
         assert rep.ok, rep
 
 
+def test_rate1_certificate_keeps_the_stricter_slack(table_factory):
+    # at s=2, log1p(1e-12)/5 = 2.0e-13 is stricter than 1e-12 * lambda_{2,0}/2 = 2.15e-13.
+    # Lowering (5, 3) to lambda_{2,0} - 2d makes it the ratio minimizer with margin -d.
+    tab = table_factory(2.0, 8, 8)
+    for d, ok in ((1.9e-13, True), (2.1e-13, False)):
+        lams = tab.lams.copy()
+        lams[5, 3] = lams[2, 0] - 2 * d
+        rep = rate1_certificate(type(tab)(tab.params, tab.quad, lams, tab.errs, tab.version), 2.0)
+        assert rep.worst_mode == (5, 3) and abs(rep.worst_margin + d) < 1e-16
+        assert rep.ok is ok, rep
+
+
 def test_rate1_single_mode_closed_form(table_factory):
     tab = table_factory(2.0, 30, 30)
     lam = tab.lam(2, 0)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dyboltz.basis import SpectralField
 from dyboltz.errors import EigenvalueLookupError
@@ -43,6 +45,22 @@ def test_norm_spec_validation_and_strings():
         parse_norm_spec("shubin")
     with pytest.raises(ValueError):
         parse_norm_spec("logsob:tau=1")
+
+
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(st.one_of(
+    st.just(NormSpec.l2()),
+    st.builds(NormSpec.shubin, st.floats(min_value=0.0, allow_infinity=False)),
+    st.builds(NormSpec.logsob, _NUMBERS, _POSITIVE),
+    st.builds(NormSpec, st.sampled_from(["domain", "domaindual", "domainplus",
+                                         "domainplusdual"]), tau=_POSITIVE)))
+@example(NormSpec.shubin(1.2345678))
+def test_norm_spec_string_round_trip(spec):
+    # the label names the norm that was computed: :g text only where it parses back
+    assert parse_norm_spec(str(spec)) == spec
 
 
 def test_single_mode_weight_examples(table_factory):
