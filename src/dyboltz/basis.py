@@ -218,11 +218,10 @@ def project_null(field: SpectralField, keep: str) -> SpectralField:
     return SpectralField(out, label=field.label)
 
 
-def is_real_field(field: SpectralField, tol: float = 0.0) -> bool:
-    """Whether the synthesized function is real-valued: c_{n,l,-m} = conj(c_{n,l,m})."""
+def is_real_field(field: SpectralField) -> bool:
+    """Whether the synthesized function is real-valued: c_{n,l,-m} = conj(c_{n,l,m}) exactly."""
     for mode, amp in field.coeffs.items():
-        partner = field.amplitude((mode.n, mode.l, -mode.m))
-        if abs(partner - amp.conjugate()) > tol:
+        if field.amplitude((mode.n, mode.l, -mode.m)) != amp.conjugate():
             return False
     return True
 
@@ -371,29 +370,30 @@ def orthonormality_max_deviation(nmax: int, lmax: int, n_radial: int = 64,
     return float(np.max(np.abs(gram - np.eye(len(modes)))))
 
 
-# 6th-order central second-difference stencil
+# 6th-order central second-difference stencil and its step
 _D2_OFFSETS = np.array([-3, -2, -1, 0, 1, 2, 3])
 _D2_COEFFS = np.array([1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90])
+_D2_STEP = 1e-2
 
 
-def oscillator_residual(mode, points, h: float = 1e-2) -> float:
+def oscillator_residual(mode, points) -> float:
     """max_p |(-Lap + |v|^2/4) phi - (2n+l+3/2) phi| / max(1, |phi|).
 
-    The Laplacian uses 6th-order central differences with step ``h``;
-    points must stay away from |v| = 0 when l > 0 (the |v|^l cusp breaks
-    the stencil's smoothness assumption).
+    The Laplacian uses 6th-order central differences with step
+    ``_D2_STEP``; points must stay away from |v| = 0 when l > 0 (the |v|^l
+    cusp breaks the stencil's smoothness assumption).
     """
     mode = ModeIndex(*mode).validate()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if mode.l > 0 and np.any(np.linalg.norm(pts, axis=1) < 10 * h):
+    if mode.l > 0 and np.any(np.linalg.norm(pts, axis=1) < 10 * _D2_STEP):
         raise ValueError("sample points too close to the origin for l > 0")
     center = eval_phi(mode, pts)
     lap = np.zeros_like(center)
     for axis in range(3):
         shifted = np.repeat(pts[None, :, :], len(_D2_OFFSETS), axis=0)
-        shifted[:, :, axis] += h * _D2_OFFSETS[:, None]
+        shifted[:, :, axis] += _D2_STEP * _D2_OFFSETS[:, None]
         vals = eval_phi(mode, shifted.reshape(-1, 3)).reshape(len(_D2_OFFSETS), -1)
-        lap += np.tensordot(_D2_COEFFS, vals, axes=1) / (h * h)
+        lap += np.tensordot(_D2_COEFFS, vals, axes=1) / (_D2_STEP * _D2_STEP)
     r2 = np.einsum("ij,ij->i", pts, pts)
     eig = 2 * mode.n + mode.l + 1.5
     resid = np.abs(-lap + 0.25 * r2 * center - eig * center)

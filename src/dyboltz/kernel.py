@@ -167,16 +167,13 @@ _SERIES_SLACK = 2
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Debye-Yukawa exponent s > 0; the angular cutoff is pinned at pi/4."""
+    """Debye-Yukawa exponent s > 0; the angular cutoff is the constant ``THETA_MAX`` = pi/4."""
 
     s: float
-    theta_max: float = THETA_MAX
 
     def __post_init__(self):
         if not self.s > 0.0:
             raise ValueError(f"kernel exponent s must be positive, got {self.s}")
-        if self.theta_max != THETA_MAX:
-            raise ValueError("theta_max is fixed at pi/4 for the canonical kernel")
 
 
 @dataclass(frozen=True)
@@ -236,7 +233,7 @@ class EigenvalueEntry:
 def beta(theta, params: KernelParams):
     """Canonical angular kernel on (0, pi/4]; positive and finite there."""
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0.0) or np.any(theta > params.theta_max + 1e-15):
+    if np.any(theta <= 0.0) or np.any(theta > THETA_MAX + 1e-15):
         raise ValueError("theta must lie in (0, pi/4]")
     scalar = theta.ndim == 0
     theta = np.atleast_1d(theta)
@@ -617,17 +614,16 @@ def _running_sums(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 
 def _eigen_rows(l: int, n_arr: np.ndarray, pl: np.ndarray, params: KernelParams,
-                quad: QuadratureSpec, series: np.ndarray | None = None):
+                quad: QuadratureSpec, series: np.ndarray):
     """lambda and err for all n in n_arr at fixed l (the one true code path).
 
-    ``pl`` is row l of ``_legendre_sweep``, ``n_arr`` ascends and
-    ``series`` holds the rows' ``_series_coefficients`` (computed here if
-    not given).  Panels are added outward from pi/4 to the running sums of
-    the rows still live; a row stops at the first panel whose value falls
-    below ``_PANEL_CUTOFF`` times its tolerance, and the loop ends when no
-    row is live.  The rule is data (``_PanelRule``): a panel's value is the
-    sum of its weighted brackets, its error term the distance of the check
-    rule's sum from it.
+    ``pl`` is row l of ``_legendre_sweep``, ``n_arr`` ascends and ``series``
+    holds the rows' ``_series_coefficients``.  Panels are added outward from
+    pi/4 to the running sums of the rows still live; a row stops at the
+    first panel whose value falls below ``_PANEL_CUTOFF`` times its
+    tolerance, and the loop ends when no row is live.  The rule is data
+    (``_PanelRule``): a panel's value is the sum of its weighted brackets,
+    its error term the distance of the check rule's sum from it.
 
     A row takes its bracket up to its switch panel, the first with
     a_1 sin^2 theta_top <= ``_SERIES_SWITCH``, a_1 = K/2 + l(l+1)/4, and
@@ -682,8 +678,6 @@ def _eigen_rows(l: int, n_arr: np.ndarray, pl: np.ndarray, params: KernelParams,
     """
     n_arr = np.asarray(n_arr, dtype=np.int64)
     rule = _panel_rules(params, quad)
-    if series is None:
-        series = _series_coefficients([l], n_arr)[0]
     m = quad.nodes_per_panel
     n_panels, width = rule.sin.shape
     count = len(pl) // (2 * width)  # the panels any of these rows takes directly
@@ -784,8 +778,7 @@ def eigenvalue(n: int, l: int, params: KernelParams,
     """One eigenvalue by graded-panel quadrature, exact 0 for the null modes."""
     if n < 0 or l < 0:
         raise ValueError("n and l must be nonnegative integers")
-    lam, err = _eigen_rows(l, np.array([n]),
-                           _legendre_sweep(l, _a1(2.0 * n + l, l), params, quad)[l], params, quad)
+    _, [(lam, err)] = _block_task(([l], np.array([n]), params, quad))
     return EigenvalueEntry(n=n, l=l, lam=float(lam[0]), err=float(err[0]))
 
 
@@ -808,7 +801,6 @@ class EigenvalueTable:
     quad: QuadratureSpec
     lams: np.ndarray
     errs: np.ndarray
-    version: str
 
     def __post_init__(self):
         lams = np.array(self.lams, dtype=float)
@@ -821,6 +813,11 @@ class EigenvalueTable:
         for name, arr in (("lams", lams), ("errs", errs)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @cached_property
+    def version(self) -> str:
+        """The ``table_version`` hash of the table's params and quad."""
+        return table_version(self.params, self.quad)
 
     @property
     def nmax(self) -> int:
@@ -855,7 +852,7 @@ class EigenvalueTable:
 
     def subset(self, nmax: int, lmax: int) -> "EigenvalueTable":
         return EigenvalueTable(self.params, self.quad, self.lams[:nmax + 1, :lmax + 1],
-                               self.errs[:nmax + 1, :lmax + 1], self.version)
+                               self.errs[:nmax + 1, :lmax + 1])
 
     def rows(self):
         """(n, l, lambda, err) as Python numbers, in (n, l) order."""
@@ -877,11 +874,11 @@ class EigenvalueTable:
 
 
 def table_version(params: KernelParams, quad: QuadratureSpec) -> str:
-    """Content hash of (kernel params, quadrature spec, code version)."""
+    """Content hash of (kernel params, the fixed THETA_MAX, quadrature spec, code version)."""
     key = "|".join([
         CODE_VERSION,
         f"s={params.s!r}",
-        f"theta_max={params.theta_max!r}",
+        f"theta_max={THETA_MAX!r}",
         f"rel_tol={quad.rel_tol!r}",
         f"abs_tol={quad.abs_tol!r}",
         f"max_panels={quad.max_panels}",
@@ -891,15 +888,14 @@ def table_version(params: KernelParams, quad: QuadratureSpec) -> str:
 
 
 def _block_task(args):
-    """lambda and err columns for the contiguous l-block ``ls``, one Legendre sweep.
+    """lambda and err at the ascending n array ``n`` for each l of the block ``ls``.
 
-    The series coefficients of the block's entries are one vectorized pass
-    per chunk of l-rows, each chunk within ``_BLOCK_DOUBLES``.
+    One Legendre sweep serves the block; the series coefficients are one
+    vectorized pass per chunk of l-rows, each chunk within ``_BLOCK_DOUBLES``.
     """
-    ls, nmax, params, quad = args
-    pl = _legendre_sweep(ls[-1], _a1(2.0 * nmax + ls[-1], ls[-1]), params, quad)
-    n = np.arange(nmax + 1)
-    chunk = max(1, _BLOCK_DOUBLES // ((nmax + 1) * _SERIES_ORDER))
+    ls, n, params, quad = args
+    pl = _legendre_sweep(ls[-1], _a1(2.0 * n[-1] + ls[-1], ls[-1]), params, quad)
+    chunk = max(1, _BLOCK_DOUBLES // (len(n) * _SERIES_ORDER))
     rows = []
     for start in range(0, len(ls), chunk):
         part = ls[start:start + chunk]
@@ -921,31 +917,29 @@ def eigenvalue_table(nmax: int, lmax: int, params: KernelParams,
     """
     if nmax < 0 or lmax < 0:
         raise ValueError("nmax and lmax must be nonnegative")
+    n = np.arange(nmax + 1)
     if workers > 1 and lmax > 0:
         size = -(-(lmax + 1) // (4 * workers))  # about four blocks per worker
-        tasks = [(range(l, min(l + size, lmax + 1)), nmax, params, quad)
+        tasks = [(range(l, min(l + size, lmax + 1)), n, params, quad)
                  for l in range(0, lmax + 1, size)]
         from concurrent.futures import ProcessPoolExecutor  # only parallel builds pay for it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_block_task, tasks))
     else:
-        blocks = [_block_task((range(lmax + 1), nmax, params, quad))]
+        blocks = [_block_task((range(lmax + 1), n, params, quad))]
     lams = np.empty((nmax + 1, lmax + 1))
     errs = np.empty((nmax + 1, lmax + 1))
     for ls, rows in blocks:
         for l, (lam, err) in zip(ls, rows):
             lams[:, l], errs[:, l] = lam, err
-    return EigenvalueTable(params=params, quad=quad, lams=lams, errs=errs,
-                           version=table_version(params, quad))
+    return EigenvalueTable(params=params, quad=quad, lams=lams, errs=errs)
 
 
 def radial_eigenvalues(nmax: int, params: KernelParams,
                        quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    """lambda_{n,0} for n = 0..nmax as a flat array (cheap P_0 = 1 path)."""
-    lam, _ = _eigen_rows(0, np.arange(nmax + 1),
-                         _legendre_sweep(0, _a1(2.0 * nmax, 0), params, quad)[0], params, quad)
-    return lam
+    """lambda_{n,0} for n = 0..nmax: a writable copy of column 0 of ``eigenvalue_table``."""
+    return eigenvalue_table(nmax, 0, params, quad).lams[:, 0].copy()
 
 
 def asymptotic_leading(n: int, l: int, params: KernelParams) -> float:
@@ -1024,7 +1018,7 @@ def save_table(table: EigenvalueTable, path: str):
     """
     header = {
         "s": table.params.s,
-        "theta_max": table.params.theta_max,
+        "theta_max": THETA_MAX,
         "rel_tol": table.quad.rel_tol,
         "abs_tol": table.quad.abs_tol,
         "max_panels": table.quad.max_panels,
@@ -1046,7 +1040,9 @@ def load_table(path: str, params: KernelParams | None = None,
         with open(path) as fh:
             doc = json.load(fh)
         header = doc["header"]
-        file_params = KernelParams(s=header["s"], theta_max=header["theta_max"])
+        if header["theta_max"] != THETA_MAX:  # the version hash does not read it
+            raise CacheError(f"cache theta_max {header['theta_max']!r} is not the cutoff pi/4")
+        file_params = KernelParams(s=header["s"])
         file_quad = QuadratureSpec(
             rel_tol=header["rel_tol"], abs_tol=header["abs_tol"],
             max_panels=header["max_panels"], nodes_per_panel=header["nodes_per_panel"],
@@ -1062,8 +1058,7 @@ def load_table(path: str, params: KernelParams | None = None,
         if quad is not None and quad != file_quad:
             raise CacheError("cache was built with a different quadrature spec")
         lams, errs = _grid_from_rows(doc["rows"])
-        return EigenvalueTable(params=file_params, quad=file_quad, lams=lams, errs=errs,
-                               version=header["version"])
+        return EigenvalueTable(params=file_params, quad=file_quad, lams=lams, errs=errs)
     except CacheError:
         raise
     except Exception as exc:

@@ -68,6 +68,11 @@ __all__ = [
     "EvolutionReport",
 ]
 
+_RATE1_REL_SLACK = 1e-12  # roundoff slack of rate1_certificate
+_TAIL_WINDOW = 1000  # trailing terms that series_tail_classify reads for growth
+_FRONTIER_T_LO, _FRONTIER_TOL = 1e-3, 0.01  # classify_frontier's lower end, width
+_WEAK_FORM_NODES = 64  # Gauss-Legendre order of weak_form_residual
+
 
 def _decay(lam: np.ndarray, t: float) -> np.ndarray:
     """exp(-lambda t) for each mode, by the C library's exp.
@@ -119,14 +124,13 @@ class CertificateReport:
     worst_mode: tuple
 
 
-def rate1_certificate(table: EigenvalueTable, s: float,
-                      rel_slack: float = 1e-12) -> CertificateReport:
+def rate1_certificate(table: EigenvalueTable, s: float) -> CertificateReport:
     """Mode-wise check lambda - c0 log W >= lambda_{2,0}/2 over the whole table.
 
     Equality occurs at the ratio-minimizing mode for s = 2, hence a slack for
-    roundoff: the stricter of rel_slack * lambda_{2,0}/2 on the margin and a
-    factor 1 + rel_slack on W^(c0 t) e^(-lambda t) <= e^(-lambda_{2,0} t/2)
-    at every t <= 5, i.e. log1p(rel_slack)/5 on the margin.
+    roundoff, r = ``_RATE1_REL_SLACK``: the stricter of r * lambda_{2,0}/2 on
+    the margin and a factor 1 + r on W^(c0 t) e^(-lambda t) <=
+    e^(-lambda_{2,0} t/2) at every t <= 5, i.e. log1p(r)/5 on the margin.
     """
     c0 = choose_c0(table, s)
     half_gap = 0.5 * table.lam(2, 0)
@@ -136,7 +140,7 @@ def rate1_certificate(table: EigenvalueTable, s: float,
     margin = table.lams[keep] - c0 * np.log(2 * n + l + W_SHIFT) - half_gap
     i = int(np.argmin(margin))
     worst, worst_mode = float(margin[i]), (int(n[i]), int(l[i]))
-    ok = worst >= -min(rel_slack * half_gap, math.log1p(rel_slack) / 5.0)
+    ok = worst >= -min(_RATE1_REL_SLACK * half_gap, math.log1p(_RATE1_REL_SLACK) / 5.0)
     return CertificateReport(ok=ok, c0=c0, worst_margin=worst, worst_mode=worst_mode)
 
 
@@ -162,8 +166,8 @@ def decay_check_thm12(g0: SpectralField, t0: float, t: float,
     """
     if t0 <= 0.0:
         raise ValueError("t0 must be positive")
-    if c0 is None:
-        c0 = choose_c0(table, s)
+    _check_s(table, s)
+    c0 = choose_c0(table, s) if c0 is None else c0
     if t < t0 / c0:
         raise ValueError(f"need t >= t0/c0 = {t0 / c0:.6g}, got {t}")
     gp = project_null(g0, "orthogonal")
@@ -190,10 +194,8 @@ def rate1_check(g0: SpectralField, t: float, table: EigenvalueTable,
         raise ValueError("rate1 check applies for s in (0, 2]")
     if t < 0.0:
         raise ValueError("time must be nonnegative")
-    if c0 is None:
-        c0 = choose_c0(table, s)
-    else:
-        _check_s(table, s)
+    _check_s(table, s)
+    c0 = choose_c0(table, s) if c0 is None else c0
     gp = project_null(g0, "orthogonal")
     lhs = spectral_norm(evolve(gp, t, table), NormSpec.shubin(2.0 * c0 * t))
     base = gp.l2_norm()
@@ -230,6 +232,7 @@ def rate2_check(g0: SpectralField, t: float, k: float, table: EigenvalueTable,
     """
     if not 0.0 < s < 2.0:
         raise ValueError("rate2 check applies for s in (0, 2)")
+    _check_s(table, s)
     if t <= 0.0:
         raise ValueError("time must be positive")
     if k < 0.0:
@@ -390,8 +393,8 @@ def _median(x: np.ndarray) -> float:
     return float(s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2)
 
 
-def series_tail_classify(spec, t: float, norm: NormSpec, table: EigenvalueTable,
-                         window: int = 1000) -> TailVerdict:
+def series_tail_classify(spec, t: float, norm: NormSpec,
+                         table: EigenvalueTable) -> TailVerdict:
     """Convergent/divergent/inconclusive verdict for a radial series norm at time t.
 
     Two lines of evidence feed the verdict:
@@ -424,7 +427,7 @@ def series_tail_classify(spec, t: float, norm: NormSpec, table: EigenvalueTable,
     logn = np.log(n)
     log_b = (log_weight(norm, np.log(2 * n + W_SHIFT), lam[n])
              + 2.0 * (log_coeff(spec, logn, lam[n]) - lam[n] * t))
-    window = min(window, len(n) // 2)
+    window = min(_TAIL_WINDOW, len(n) // 2)
     tail_b = log_b[-window:]
     tail_n = n[-window:].astype(float)
 
@@ -481,23 +484,20 @@ def _log10_sum_at(log_b: np.ndarray, upto: int) -> float:
     return (m + math.log(float(np.sum(np.exp(chunk - m))))) / math.log(10.0)
 
 
-def classify_frontier(spec_for_t, k: float, table: EigenvalueTable,
-                      t_lo: float = 1e-3, t_hi: float | None = None,
-                      tol: float = 0.01) -> float:
+def classify_frontier(spec_for_t, k: float, table: EigenvalueTable) -> float:
     """Smallest t with a convergent verdict for Shubin(k), by bisection.
 
     ``spec_for_t`` is the series spec (the same data evolves; only t moves).
     Inconclusive verdicts count as not-yet-convergent, so the frontier is an
-    upper bisection bracket on the divergence threshold.  ``table`` must
-    cover (n <= N, l = 0), as for ``series_tail_classify``.
+    upper bisection bracket on the divergence threshold, searched for in
+    [``_FRONTIER_T_LO``, max(4, 4k)].  ``table`` must cover (n <= N, l = 0),
+    as for ``series_tail_classify``.
     """
     norm = NormSpec.shubin(k)
-    if t_hi is None:
-        t_hi = max(4.0, 4.0 * k)
-    lo, hi = t_lo, t_hi
+    lo, hi = _FRONTIER_T_LO, max(4.0, 4.0 * k)
     if series_tail_classify(spec_for_t, hi, norm, table).classification != "convergent":
-        raise ValueError(f"no convergent verdict up to t = {hi}; enlarge t_hi")
-    while hi - lo > tol * max(1.0, hi):
+        raise ValueError(f"no convergent verdict up to t = max(4, 4k) = {hi}")
+    while hi - lo > _FRONTIER_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         v = series_tail_classify(spec_for_t, mid, norm, table)
         if v.classification == "convergent":
@@ -508,12 +508,12 @@ def classify_frontier(spec_for_t, k: float, table: EigenvalueTable,
 
 
 def weak_form_residual(g0: SpectralField, test_modes, t: float,
-                       table: EigenvalueTable, n_quad: int = 64) -> float:
+                       table: EigenvalueTable) -> float:
     """|LHS - RHS| of the weak formulation for phi(tau) = (1+tau) sum_j phi_{mode_j}.
 
     LHS = <g(t), phi(t)> - <g0, phi(0)>; RHS integrates <g, d_tau phi> -
-    <g, L phi> over [0, t] with Gauss-Legendre of order n_quad.  The
-    evolution is exact, so the residual is pure quadrature error.
+    <g, L phi> over [0, t] with Gauss-Legendre of order ``_WEAK_FORM_NODES``.
+    The evolution is exact, so the residual is pure quadrature error.
     """
     if t < 0.0:
         raise ValueError("time must be nonnegative")
@@ -525,10 +525,10 @@ def weak_form_residual(g0: SpectralField, test_modes, t: float,
     lhs = (1.0 + t) * np.sum(amps * np.exp(-lams * t)) - np.sum(amps)
     if t == 0.0:
         return float(abs(lhs))
-    x, w = np.polynomial.legendre.leggauss(n_quad)
+    x, w = np.polynomial.legendre.leggauss(_WEAK_FORM_NODES)
     tau = 0.5 * t * (x + 1.0)
     wt = 0.5 * t * w
-    decay = np.exp(-np.outer(tau, lams))  # (n_quad, modes)
+    decay = np.exp(-np.outer(tau, lams))  # (nodes, modes)
     integrand = decay @ amps - ((1.0 + tau)[:, None] * decay) @ (lams * amps)
     rhs = np.dot(wt, integrand)
     return float(abs(lhs - rhs))

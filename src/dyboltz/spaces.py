@@ -14,9 +14,10 @@ shifted oscillator eigenvalue and lambda~ the modified collision eigenvalue
     domainplusdual:tau=T    weight exp(-T lambda~) / lambda~
 
 The strings on the left are the canonical CLI forms accepted by
-``parse_norm_spec``.  ``log_weight`` is the one map from a norm to its
-weight: ``spectral_norm`` sums it over a finite field, and the solver's
-radial series sums and tail surrogate call it too.
+``parse_norm_spec``; every parameter must be finite.  ``log_weight`` is
+the one map from a norm to its weight: ``spectral_norm`` sums it over a
+finite field, and the solver's radial series sums and tail surrogate call
+it too.
 
 Note the two distinct logarithm shifts in this package: norm weights use
 log(2n + l + 3/2 + e) (as here), while the spectral-bound ratio in
@@ -61,6 +62,8 @@ class NormSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown norm kind {self.kind!r}; choose from {_KINDS}")
+        if not all(map(math.isfinite, (self.k, self.tau, self.nu))):
+            raise ValueError(f"norm parameters must be finite, got {self!r}")
         if self.kind == "shubin" and self.k < 0.0:
             raise ValueError("shubin order k must be nonnegative")
         if self.kind == "logsob" and self.nu <= 0.0:

@@ -25,6 +25,7 @@ from . import basis, kernel, solver, spaces, specfun
 __all__ = ["CheckResult", "run_suite", "SUITES"]
 
 GAP_CLOSED_FORM_S2 = (2.0 / 3.0) * (1.0 - 2.0 ** -1.5)
+_SEED = 20240801  # seed of the rng that run_suite hands to its checks in turn
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def check_scaled_gap_bound(rng, *, lmin: int = 1, lmax: int = 50,
 
 
 def check_hermite_eigenrelation(rng) -> CheckResult:
-    h = 1e-2
+    h = basis._D2_STEP
     x = rng.uniform(-3.0, 3.0, size=60)
     worst = 0.0
     for n in range(9):
@@ -366,7 +367,7 @@ SUITES = {
 }
 
 
-def run_suite(suite: str, s: float = 2.0, seed: int = 20240801):
+def run_suite(suite: str, s: float = 2.0):
     """Run one suite (or 'all'); returns a list of CheckResult.
 
     Each check is called by its ``co_argcount``: as fn(rng), or as
@@ -384,5 +385,5 @@ def run_suite(suite: str, s: float = 2.0, seed: int = 20240801):
     table = None
     if any(fn.__code__.co_argcount == 2 for fn in checks):
         table = kernel.eigenvalue_table(60, 60, kernel.KernelParams(s=s))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     return [fn(rng, table) if fn.__code__.co_argcount == 2 else fn(rng) for fn in checks]

@@ -115,7 +115,7 @@ def _reference_eigs(table, fmt):
 
 
 def _reference_cache(table):
-    header = {"s": table.params.s, "theta_max": table.params.theta_max,
+    header = {"s": table.params.s, "theta_max": kernel.THETA_MAX,
               "rel_tol": table.quad.rel_tol, "abs_tol": table.quad.abs_tol,
               "max_panels": table.quad.max_panels,
               "nodes_per_panel": table.quad.nodes_per_panel, "version": table.version}
@@ -317,6 +317,17 @@ def test_evolve_rejects_unknown_norm(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "canonical forms" in err
+
+
+def test_evolve_rejects_non_finite_norm_before_building(tmp_path, capsys, monkeypatch):
+    # a NaN weight order is a usage error, not a row of NaN norms
+    monkeypatch.setattr(cli, "eigenvalue_table", None)  # a build would raise TypeError
+    rc = run(tmp_path, "evolve", "--init", "modes:2,0,0,1,0", "--times", "1",
+             "--norms", "shubin:k=nan", "--cache-dir", str(tmp_path / "cache"),
+             "--out", str(tmp_path))
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "cache").exists() and not (tmp_path / "evolve_s2.csv").exists()
 
 
 def test_evolve_rejects_bad_init(tmp_path):

@@ -35,7 +35,7 @@ def golden_rows():
 def test_kernel_params_validation():
     with pytest.raises(ValueError):
         KernelParams(s=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the cutoff is the constant THETA_MAX, not a field
         KernelParams(s=2.0, theta_max=1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(nodes_per_panel=4)
@@ -240,7 +240,7 @@ def test_table_invariants_enforced():
     lams = np.full((3, 3), 0.5)
     lams[0, 0] = lams[1, 0] = lams[0, 1] = 0.0
     errs = np.zeros((3, 3))
-    EigenvalueTable(P2, QUAD, lams, errs, "v")
+    EigenvalueTable(P2, QUAD, lams, errs)
     for (n, l), value, arr, what in [((1, 0), 0.1, "lams", "null mode"),
                                      ((2, 1), 0.0, "lams", "positive"),
                                      ((1, 2), -1.0, "errs", "nonnegative"),
@@ -249,7 +249,7 @@ def test_table_invariants_enforced():
         bad = {"lams": lams.copy(), "errs": errs.copy()}
         bad[arr][n, l] = value
         with pytest.raises(ValueError, match=rf"{what}.*\({n},{l}\)"):
-            EigenvalueTable(P2, QUAD, bad["lams"], bad["errs"], "v")
+            EigenvalueTable(P2, QUAD, bad["lams"], bad["errs"])
 
 
 def test_table_coverage_and_lookup(table_factory):
@@ -473,7 +473,8 @@ def test_group_size_leaves_every_bit(monkeypatch):
         yield eigenvalue(120, 41, P2, QUAD)
         # l-rows whose groups hold series rows beside bracket rows; one
         # coefficient pass for the four rows
-        for lam_err in kernel._block_task(((0, 1, 57, 200), 80, KernelParams(s=0.5), QUAD))[1]:
+        for lam_err in kernel._block_task(((0, 1, 57, 200), np.arange(81), KernelParams(s=0.5),
+                                           QUAD))[1]:
             yield np.concatenate(lam_err)
         with pytest.raises(QuadratureConvergenceError) as exc:
             eigenvalue_table(4, 1, P1, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16,
@@ -611,6 +612,16 @@ def test_cache_roundtrip_exact(tmp_path, table_factory):
     assert np.array_equal(back.errs, tab.errs)
 
 
+def test_table_version_is_the_hash_of_params_and_quad(tmp_path, table_factory):
+    # a built, a loaded and a subset table carry no version of their own
+    tab = table_factory(2.0, 8, 8)
+    path = str(tmp_path / "tab.json")
+    save_table(tab, path)
+    for t in (tab, load_table(path), tab.subset(4, 3)):
+        assert t.version == table_version(t.params, t.quad)
+    assert json.load(open(path))["header"]["theta_max"] == kernel.THETA_MAX == math.pi / 4
+
+
 def test_cache_rejects_corrupt_and_stale(tmp_path, table_factory):
     tab = table_factory(2.0, 8, 8)
     path = str(tmp_path / "tab.json")
@@ -620,6 +631,14 @@ def test_cache_rejects_corrupt_and_stale(tmp_path, table_factory):
     doc["header"]["version"] = "0" * 16
     json.dump(doc, open(path, "w"))
     with pytest.raises(CacheError):
+        load_table(path)
+
+    # the version hash names the fixed cutoff, so it cannot see this field
+    # change; load_table checks the field itself
+    doc = json.load(open(path))
+    doc["header"].update(version=tab.version, theta_max=1.0)
+    json.dump(doc, open(path, "w"))
+    with pytest.raises(CacheError, match="theta_max"):
         load_table(path)
 
     save_table(tab, path)

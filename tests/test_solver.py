@@ -168,7 +168,7 @@ def test_rate1_certificate_keeps_the_stricter_slack(table_factory):
     for d, ok in ((1.9e-13, True), (2.1e-13, False)):
         lams = tab.lams.copy()
         lams[5, 3] = lams[2, 0] - 2 * d
-        rep = rate1_certificate(type(tab)(tab.params, tab.quad, lams, tab.errs, tab.version), 2.0)
+        rep = rate1_certificate(type(tab)(tab.params, tab.quad, lams, tab.errs), 2.0)
         assert rep.worst_mode == (5, 3) and abs(rep.worst_margin + d) < 1e-16
         assert rep.ok is ok, rep
 
@@ -228,6 +228,19 @@ def test_decay_check_null_data(table_factory):
     g = SpectralField({(0, 0, 0): 1.0, (0, 1, 1): 2.0})
     r = decay_check_thm12(g, 0.01, 5.0, tab, 2.0)
     assert r.lhs == 0.0 and r.holds and r.holds_paper
+
+
+def test_decay_check_thm12_rejects_other_s(table_factory):
+    # a given c0 skips choose_c0, which checks s; the check still must
+    tab = table_factory(2.0, 30, 30)
+    with pytest.raises(ValueError, match="disagrees with the table kernel"):
+        decay_check_thm12(SpectralField({(2, 0, 0): 1.0}), 0.5, 5.0, tab, 1.0, c0=0.2)
+
+
+def test_rate2_check_rejects_other_s(table_factory):
+    tab = table_factory(2.0, 8, 8)
+    with pytest.raises(ValueError, match=r"s = 1.0 disagrees with the table kernel \(s = 2.0\)"):
+        rate2_check(SpectralField({(2, 0, 0): 1.0}), 1.0, 1.0, tab, 1.0)
 
 
 def test_rate2_k_zero_reduces_to_l2(rng, table_factory):

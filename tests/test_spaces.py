@@ -47,6 +47,13 @@ def test_norm_spec_validation_and_strings():
         parse_norm_spec("logsob:tau=1")
 
 
+@pytest.mark.parametrize("text", ["shubin:k=nan", "shubin:k=inf", "logsob:tau=inf,nu=2",
+                                  "logsob:tau=1,nu=nan", "domain:tau=nan"])
+def test_norm_spec_rejects_non_finite_parameters(text):
+    with pytest.raises(ValueError, match="must be finite"):
+        parse_norm_spec(text)
+
+
 _NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
