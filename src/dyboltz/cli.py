@@ -59,8 +59,7 @@ def _params(args) -> KernelParams:
 def _quad(args) -> QuadratureSpec:
     try:
         return QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-                              max_panels=args.max_panels,
-                              nodes_per_panel=args.nodes_per_panel)
+                              max_panels=args.max_panels)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -202,11 +201,12 @@ def cmd_evolve(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify  # only this command pays for importing the checks
 
+    s = _params(args).s  # also for the suites that build no table
     try:
-        results = verify.run_suite(args.suite, s=args.s)
+        results = verify.run_suite(args.suite, s=s)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    doc = {"suite": args.suite, "s": args.s,
+    doc = {"suite": args.suite, "s": s,
            "checks": [r.to_json_dict() for r in results],
            "passed": bool(all(r.passed for r in results))}
     path = os.path.join(args.out, f"verify_{args.suite}.json")
@@ -286,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--s", type=float, default=2.0,
-                       help="Debye-Yukawa exponent s > 0 (default 2)")
+                       help="Debye-Yukawa exponent, finite and > 0 (default 2)")
         p.add_argument("--out", default=".", help="output directory")
 
     def table_options(p):  # for the subcommands that get tables through _get_table
@@ -294,7 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rel-tol", type=float, default=1e-10)
         p.add_argument("--abs-tol", type=float, default=1e-13)
         p.add_argument("--max-panels", type=int, default=72)
-        p.add_argument("--nodes-per-panel", type=int, default=16)
         p.add_argument("--cache-dir", default=None,
                        help="eigenvalue cache directory (keyed by hash and shape)")
         p.add_argument("--workers", type=int, default=1,

@@ -19,16 +19,17 @@ Eigenvalues are
                    - cos(theta)^K P_l(cos theta)) dtheta,      K = 2n + l,
 
 computed over geometrically graded dyadic panels [pi/4 * 2^-(j+1), pi/4 * 2^-j]
-with a fixed Gauss-Kronrod pair per panel: the m-node Gauss rule (m =
-``nodes_per_panel``, 16 by default) embedded in its (2m+1)-node Kronrod
-extension, 33 columns by default.  A panel's value is the Kronrod sum and
-its error term |K_2m+1 - G_m|, summed over panels; that measures the error
-of the Gauss rule, so it overstates the error of the reported value.  The
-Kronrod nodes come from Laurie's algorithm (Math. Comp. 66, 1997) and the
-eigenvalues of the Jacobi-Kronrod matrix, once per m.  The integrand
-vanishes like theta * log(1/theta)^(2/s-1) at 0 for n + l >= 2, so the
-grading converges.  Modes (0,0), (1,0), (0,1) have identically zero
-integrand and come out exactly 0.
+with one fixed Gauss-Kronrod pair per panel: the 16-node Gauss rule
+embedded in its 33-node Kronrod extension (m = 16 is the constant
+``QuadratureSpec.nodes_per_panel``, part of every table version).  A
+panel's value is the Kronrod sum and its error term |K_33 - G_16|, summed
+over panels; that measures the error of the Gauss rule, so it overstates
+the error of the reported value.  The Kronrod nodes come from Laurie's
+algorithm (Math. Comp. 66, 1997) and the eigenvalues of the Jacobi-Kronrod
+matrix, solved once.  The integrand vanishes like
+theta * log(1/theta)^(2/s-1) at 0 for n + l >= 2, so the grading
+converges.  Modes (0,0), (1,0), (0,1) have identically zero integrand and
+come out exactly 0.
 
 The deep panels are summed from a power series.  In x = sin^2 theta the
 bracket is 1 - (1 - x)^(K/2) P_l(sqrt(1 - x)) - sin^K P_l(sin theta) =
@@ -172,8 +173,14 @@ class KernelParams:
     s: float
 
     def __post_init__(self):
-        if not self.s > 0.0:
-            raise ValueError(f"kernel exponent s must be positive, got {self.s}")
+        if not 0.0 < self.s < math.inf:
+            raise ValueError(f"kernel exponent s must be positive and finite, got {self.s}")
+
+
+def _check_s(table: EigenvalueTable, s: float):
+    """Raise ValueError unless s is the exponent of the kernel ``table`` was built for."""
+    if s != table.params.s:
+        raise ValueError(f"s = {s} disagrees with the table kernel (s = {table.params.s})")
 
 
 @dataclass(frozen=True)
@@ -181,19 +188,17 @@ class QuadratureSpec:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
     max_panels: int = 72
-    nodes_per_panel: int = 16
+    # the Gauss order m of the panel rule G_m in K_2m+1: a constant, not a
+    # field, kept in every table version and cache header
+    nodes_per_panel = 16
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
             raise ValueError("quadrature tolerances must be positive and finite")
         # the innermost panel starts at pi/4 * 2^-max_panels, which is a
-        # positive normal double only up to max_panels = 1021; _panel_rules
-        # solves leggauss(nodes_per_panel) and the Jacobi-Kronrod matrix of
-        # order 2 nodes_per_panel + 1, dense eigenproblems, up front
-        for name, lo, hi in (("max_panels", 1, 1021), ("nodes_per_panel", 8, 256)):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and lo <= value <= hi):
-                raise ValueError(f"{name} must be an integer from {lo} to {hi}")
+        # positive normal double only up to max_panels = 1021
+        if not (isinstance(self.max_panels, (int, np.integer)) and 1 <= self.max_panels <= 1021):
+            raise ValueError("max_panels must be an integer from 1 to 1021")
 
 
 def _check_eigenvalues(n, l, lam, err):
@@ -546,14 +551,14 @@ def _gauss_kronrod(m: int):
 
 @lru_cache(maxsize=32)
 def _panel_rules(params: KernelParams, quad: QuadratureSpec) -> _PanelRule:
-    """The Gauss-Kronrod pair G_m in K_2m+1 on the dyadic panels.
+    """The Gauss-Kronrod pair G_m in K_2m+1 on the dyadic panels, m = 16.
 
     Each node field has shape (max_panels, 2m + 1): row j is panel
     [pi/4 * 2^-(j+1), pi/4 * 2^-j], its first m columns the Gauss nodes and
-    the other m + 1 the Kronrod nodes (33 columns by default).  ``wvalue``
-    holds w * beta of the Kronrod rule, whose sum is the panel's value, and
-    ``wcheck`` that of the Gauss rule on the first m columns, whose
-    difference from the value is the panel's error term.  log cos theta is
+    the other m + 1 the Kronrod nodes.  ``wvalue`` holds w * beta of the
+    Kronrod rule, whose sum is the panel's value, and ``wcheck`` that of the
+    Gauss rule on the first m columns, whose difference from the value is
+    the panel's error term.  log cos theta is
     log1p(-2 sin^2(theta/2)), accurate where cos theta rounds to 1.
 
     For the series rows: ``series_from[j]`` = ``_SERIES_SWITCH`` /
@@ -563,7 +568,7 @@ def _panel_rules(params: KernelParams, quad: QuadratureSpec) -> _PanelRule:
     less the Gauss one, so a series panel's value and error term are each
     one sum over k.
     """
-    m = quad.nodes_per_panel
+    m = QuadratureSpec.nodes_per_panel
     hi = np.ldexp(THETA_MAX, -np.arange(quad.max_panels))[:, None]
     lo = 0.5 * hi
     x, wk, wg = _gauss_kronrod(m)
@@ -678,7 +683,7 @@ def _eigen_rows(l: int, n_arr: np.ndarray, pl: np.ndarray, params: KernelParams,
     """
     n_arr = np.asarray(n_arr, dtype=np.int64)
     rule = _panel_rules(params, quad)
-    m = quad.nodes_per_panel
+    m = QuadratureSpec.nodes_per_panel
     n_panels, width = rule.sin.shape
     count = len(pl) // (2 * width)  # the panels any of these rows takes directly
     panels = _panels(rule.logsin[:count], rule.logcos[:count], *pl.reshape(2, count, width))
@@ -882,7 +887,7 @@ def table_version(params: KernelParams, quad: QuadratureSpec) -> str:
         f"rel_tol={quad.rel_tol!r}",
         f"abs_tol={quad.abs_tol!r}",
         f"max_panels={quad.max_panels}",
-        f"nodes_per_panel={quad.nodes_per_panel}",
+        f"nodes_per_panel={QuadratureSpec.nodes_per_panel}",
     ])
     return hashlib.sha256(key.encode()).hexdigest()[:16]
 
@@ -1022,7 +1027,7 @@ def save_table(table: EigenvalueTable, path: str):
         "rel_tol": table.quad.rel_tol,
         "abs_tol": table.quad.abs_tol,
         "max_panels": table.quad.max_panels,
-        "nodes_per_panel": table.quad.nodes_per_panel,
+        "nodes_per_panel": QuadratureSpec.nodes_per_panel,
         "version": table.version,
     }
     _atomic_write(path, _dumps_with_rows({"header": header}, table._row_texts))
@@ -1040,13 +1045,13 @@ def load_table(path: str, params: KernelParams | None = None,
         with open(path) as fh:
             doc = json.load(fh)
         header = doc["header"]
-        if header["theta_max"] != THETA_MAX:  # the version hash does not read it
-            raise CacheError(f"cache theta_max {header['theta_max']!r} is not the cutoff pi/4")
+        for key, fixed in (("theta_max", THETA_MAX),
+                           ("nodes_per_panel", QuadratureSpec.nodes_per_panel)):
+            if header[key] != fixed:  # a constant: the version hash does not read the file's
+                raise CacheError(f"cache {key} {header[key]!r} is not the fixed {fixed!r}")
         file_params = KernelParams(s=header["s"])
-        file_quad = QuadratureSpec(
-            rel_tol=header["rel_tol"], abs_tol=header["abs_tol"],
-            max_panels=header["max_panels"], nodes_per_panel=header["nodes_per_panel"],
-        )
+        file_quad = QuadratureSpec(rel_tol=header["rel_tol"], abs_tol=header["abs_tol"],
+                                   max_panels=header["max_panels"])
         expected = table_version(file_params, file_quad)
         if header["version"] != expected:
             raise CacheError(

@@ -8,7 +8,7 @@ formulation can be checked against high-order time quadrature.
 Decay certificates
 ------------------
 The decay statements involve an unspecified positive constant c0.  This
-package fixes
+package fixes it once per table, as ``choose_c0`` computes it:
 
     c0 = (1/2) * c_min * log(2 + 3/2 + e)^(2/s - 1),
     c_min = min over table modes (n + l >= 2) of
@@ -29,7 +29,8 @@ n + l >= 2); combined with the verified spectral gap it certifies
 for every t > 0, with equality at the ratio-minimizing mode when s = 2.
 The e-shifted minimum from plain ratio_bounds does NOT certify this (it
 fails at mode (2,0)); the half-unit difference between the two log shifts
-matters at small modes.
+matters at small modes.  The checks take no other c0: a constant given
+by hand could be zero, negative or uncertified.
 
 Rate conventions: certificates use the decay factor exp(-lambda_{2,0} t/2)
 (half of each eigenvalue is spent on weight growth); check records also
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import ModeIndex, SpectralField, project_null
-from .kernel import EigenvalueTable, ratio_bounds
+from .kernel import EigenvalueTable, _check_s, ratio_bounds
 from .kernel import radial_eigenvalues  # not called; the benchmark tracer wraps this name
 from .spaces import W_SHIFT, NormSpec, _weighted_norm, log_weight, spectral_norm
 
@@ -110,12 +111,6 @@ def choose_c0(table: EigenvalueTable, s: float) -> float:
     return 0.5 * c_min * math.log(2.0 + W_SHIFT) ** (2.0 / s - 1.0)
 
 
-def _check_s(table: EigenvalueTable, s: float):
-    if s != table.params.s:
-        raise ValueError(
-            f"s = {s} disagrees with the table kernel (s = {table.params.s})")
-
-
 @dataclass(frozen=True)
 class CertificateReport:
     ok: bool
@@ -155,19 +150,18 @@ class DecayCheck:
 
 
 def decay_check_thm12(g0: SpectralField, t0: float, t: float,
-                      table: EigenvalueTable, s: float,
-                      c0: float | None = None) -> DecayCheck:
+                      table: EigenvalueTable, s: float) -> DecayCheck:
     """Log-Sobolev-weighted decay check with dual-weighted initial data.
 
-    lhs is the logsob(t*c0, s) norm of (I-P)g(t); the right-hand side is the
-    logsob(-t0, s) norm of (I-P)g0 times a decay factor: exp(-lambda_{2,0}t/2)
-    for ``rhs`` and exp(-lambda_{2,0}t/4) for ``rhs_paper``.  Requires
-    t >= t0/c0 (below that the weight gain is not paid for).
+    With c0 = ``choose_c0(table, s)``, lhs is the logsob(t*c0, s) norm of
+    (I-P)g(t); the right-hand side is the logsob(-t0, s) norm of (I-P)g0
+    times a decay factor: exp(-lambda_{2,0}t/2) for ``rhs`` and
+    exp(-lambda_{2,0}t/4) for ``rhs_paper``.  Requires t >= t0/c0 (below
+    that the weight gain is not paid for).
     """
     if t0 <= 0.0:
         raise ValueError("t0 must be positive")
-    _check_s(table, s)
-    c0 = choose_c0(table, s) if c0 is None else c0
+    c0 = choose_c0(table, s)
     if t < t0 / c0:
         raise ValueError(f"need t >= t0/c0 = {t0 / c0:.6g}, got {t}")
     gp = project_null(g0, "orthogonal")
@@ -182,7 +176,7 @@ def decay_check_thm12(g0: SpectralField, t0: float, t: float,
 
 
 def rate1_check(g0: SpectralField, t: float, table: EigenvalueTable,
-                s: float, c0: float | None = None) -> DecayCheck:
+                s: float) -> DecayCheck:
     """Shubin-weighted decay check || (e+H)^(c0 t) (I-P)g(t) || vs L2 of (I-P)g0.
 
     ``rhs``/``holds`` use the certified factor exp(-lambda_{2,0}t/2);
@@ -194,8 +188,7 @@ def rate1_check(g0: SpectralField, t: float, table: EigenvalueTable,
         raise ValueError("rate1 check applies for s in (0, 2]")
     if t < 0.0:
         raise ValueError("time must be nonnegative")
-    _check_s(table, s)
-    c0 = choose_c0(table, s) if c0 is None else c0
+    c0 = choose_c0(table, s)
     gp = project_null(g0, "orthogonal")
     lhs = spectral_norm(evolve(gp, t, table), NormSpec.shubin(2.0 * c0 * t))
     base = gp.l2_norm()

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SpectralField
-from .kernel import EigenvalueTable
+from .kernel import EigenvalueTable, _check_s
 
 __all__ = [
     "NormSpec",
@@ -280,8 +280,9 @@ def embedding_estimate(table: EigenvalueTable, s: float) -> EmbeddingEstimate:
     lambda~_{n,l} / (2 (log W)^(2/s)); any tau1 <= tau1_hat makes the domain
     norm dominate the logsob(tau*tau1, s) norm mode-wise on this table, and
     any tau2 >= tau2_hat the reverse.  Witnesses are truncation-dependent;
-    no asymptotic claim is made.
+    no asymptotic claim is made.  s must be the table's kernel exponent.
     """
+    _check_s(table, s)
     if table.nmax < 50 or table.lmax < 50:
         raise ValueError("embedding estimate needs table coverage n, l up to at least 50")
     n, l = np.indices(table.lams.shape)

@@ -153,7 +153,7 @@ def test_c10_rate1_certificate(s, rng, table_factory):
     for _ in range(100):
         g = verify._random_field(rng, 50, nmax=200, lmax=200)
         for t in (0.5, 1.0, 2.0, 5.0):
-            fields_ok = fields_ok and rate1_check(g, t, tab, s, c0=c0).holds
+            fields_ok = fields_ok and rate1_check(g, t, tab, s).holds
     assert report(f"C10 rate1 certificate s={s}", modewise.passed and fields_ok, t0,
                   f"c0={c0:.5f}; worst mode-wise margin {modewise.measured:.2e} "
                   f"({modewise.detail}); 100 random fields hold: {fields_ok}")

@@ -58,6 +58,11 @@ BAD_VALUES = {
     "s=0": ["eigs", "--s", "0"],
     "s=-1": ["eigs", "--s", "-1"],
     "s=nan": ["eigs", "--s", "nan"],
+    "s=inf": ["eigs", "--s", "inf", "--nmax", "3", "--lmax", "3", "--format", "json"],
+    "evolve-s=inf": ["evolve", "--s", "inf", "--init", "modes:2,0,0,1,0", "--times", "1"],
+    "scenario-s=inf": ["scenario", "--scenario", "remark14", "--s", "inf",
+                       "--series-n", "200"],
+    "verify-s=inf": ["verify", "--suite", "specfun", "--s", "inf"],
     "nmax=-1": ["eigs", "--nmax", "-1"],
     "series-n=1": ["scenario", "--scenario", "remark14", "--series-n", "1"],
     "tau0=-1": ["scenario", "--scenario", "remark14", "--tau0", "-1"],
@@ -74,8 +79,6 @@ BAD_VALUES = {
     "abs-tol=inf": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2", "--abs-tol", "inf"],
     "max-panels=1100": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2",
                         "--max-panels", "1100"],
-    "nodes-per-panel=300": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2",
-                            "--nodes-per-panel", "300"],
     "s=0.002 overflow": ["eigs", "--s", "0.002", "--nmax", "100", "--lmax", "0"],
 }
 
@@ -168,7 +171,9 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
 
 
 def test_subcommands_reject_flags_they_do_not_read(tmp_path):
+    # the panel rule is fixed (G16 in K33), so no command takes --nodes-per-panel
     for argv in (["verify", "--suite", "kernel", "--workers", "2"],
+                 ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2", "--nodes-per-panel", "16"],
                  ["scenario", "--scenario", "remark14", "--format", "json"]):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path)])
@@ -231,10 +236,6 @@ def test_convergence_failure_exit_code(tmp_path, capsys):
              "--max-panels", "2", "--out", str(tmp_path))
     assert rc == 3
     assert "(2,0)" in capsys.readouterr().err
-    # tiny nodes_per_panel is a usage error, not a convergence failure
-    rc = run(tmp_path, "eigs", "--s", "1", "--nodes-per-panel", "4",
-             "--out", str(tmp_path))
-    assert rc == 2
 
 
 def test_evolve_single_mode(tmp_path):

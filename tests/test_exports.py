@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -26,3 +27,27 @@ def test_package_imports_are_declared_exports():
     for module, name in imported:
         assert hasattr(dyboltz, name), name
         assert name in importlib.import_module(f"dyboltz.{module}").__all__, (module, name)
+
+
+# public settable parameters: every parameter but self of each callable a
+# module exports in __all__; a new knob has to raise this ceiling on purpose
+MAX_PUBLIC_PARAMETERS = 182
+
+
+def _public_parameters():
+    count = 0
+    for name in MODULES:
+        mod = importlib.import_module(f"dyboltz.{name}")
+        for obj in map(mod.__dict__.get, getattr(mod, "__all__", ())):
+            if not callable(obj):
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except ValueError:  # exception classes built on a C type have none
+                continue
+            count += sum(p != "self" for p in params)
+    return count
+
+
+def test_public_parameter_count_does_not_grow():
+    assert _public_parameters() <= MAX_PUBLIC_PARAMETERS

@@ -33,20 +33,21 @@ def golden_rows():
 
 
 def test_kernel_params_validation():
-    with pytest.raises(ValueError):
-        KernelParams(s=0.0)
+    for s in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            KernelParams(s=s)
     with pytest.raises(TypeError):  # the cutoff is the constant THETA_MAX, not a field
         KernelParams(s=2.0, theta_max=1.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(nodes_per_panel=4)
+    with pytest.raises(TypeError):  # the panel rule G16 in K33 is a constant too
+        QuadratureSpec(nodes_per_panel=16)
+    assert QuadratureSpec.nodes_per_panel == QUAD.nodes_per_panel == 16
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
     for bad in ({"rel_tol": math.nan}, {"abs_tol": math.inf}, {"max_panels": 1022},
-                {"max_panels": 2.5}, {"nodes_per_panel": 16.5}, {"nodes_per_panel": 257}):
+                {"max_panels": 2.5}):
         with pytest.raises(ValueError):
             QuadratureSpec(**bad)
     assert QuadratureSpec(max_panels=1021).max_panels == 1021
-    assert QuadratureSpec(nodes_per_panel=256).nodes_per_panel == 256
 
 
 def test_beta_values():
@@ -422,7 +423,8 @@ def test_bracket_group_equals_its_panels(n, l, j, size, s):
 
 def test_gauss_legendre_solved_once_per_order(monkeypatch):
     # the Gauss rule (leggauss) and the Kronrod extension (one eigvalsh of
-    # the 2m + 1 Jacobi-Kronrod matrix) are each solved once per order m
+    # the 2m + 1 Jacobi-Kronrod matrix) are each solved once per order m:
+    # m = 16 for the panel rules of every kernel, m = 12 called directly
     orders, kronrod = [], []
     solve, eig = np.polynomial.legendre.leggauss, np.linalg.eigvalsh
     monkeypatch.setattr(np.polynomial.legendre, "leggauss",
@@ -431,8 +433,10 @@ def test_gauss_legendre_solved_once_per_order(monkeypatch):
     for cached in (kernel._gauss_legendre, kernel._gauss_kronrod, kernel._panel_rules):
         cached.cache_clear()
     for s in (0.7, 1.3, 2.9):
-        kernel._panel_rules(KernelParams(s=s), QuadratureSpec(nodes_per_panel=12))
-    assert orders == [12] and kronrod.count(2 * 12 + 1) == 1  # leggauss also calls eigvalsh
+        kernel._panel_rules(KernelParams(s=s), QUAD)
+        kernel._gauss_kronrod(12)
+    assert orders == [16, 12]  # leggauss also calls eigvalsh
+    assert kronrod.count(2 * 16 + 1) == kronrod.count(2 * 12 + 1) == 1
     for a in (*kernel._gauss_legendre(12), *kernel._gauss_kronrod(12)):
         assert not a.flags.writeable
 
@@ -622,7 +626,7 @@ def test_table_version_is_the_hash_of_params_and_quad(tmp_path, table_factory):
     assert json.load(open(path))["header"]["theta_max"] == kernel.THETA_MAX == math.pi / 4
 
 
-def test_cache_rejects_corrupt_and_stale(tmp_path, table_factory):
+def test_cache_rejects_corrupt_and_stale(tmp_path, monkeypatch, table_factory):
     tab = table_factory(2.0, 8, 8)
     path = str(tmp_path / "tab.json")
     save_table(tab, path)
@@ -639,6 +643,17 @@ def test_cache_rejects_corrupt_and_stale(tmp_path, table_factory):
     doc["header"].update(version=tab.version, theta_max=1.0)
     json.dump(doc, open(path, "w"))
     with pytest.raises(CacheError, match="theta_max"):
+        load_table(path)
+
+    # a header written for G12 in K25, with the version that rule would hash
+    # to: the panel rule is fixed at G16 in K33
+    with monkeypatch.context() as patch:
+        patch.setattr(QuadratureSpec, "nodes_per_panel", 12)
+        version = table_version(tab.params, tab.quad)
+    assert version != tab.version
+    doc["header"].update(version=version, theta_max=kernel.THETA_MAX, nodes_per_panel=12)
+    json.dump(doc, open(path, "w"))
+    with pytest.raises(CacheError, match="nodes_per_panel 12 is not the fixed 16"):
         load_table(path)
 
     save_table(tab, path)

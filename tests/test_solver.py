@@ -231,10 +231,21 @@ def test_decay_check_null_data(table_factory):
 
 
 def test_decay_check_thm12_rejects_other_s(table_factory):
-    # a given c0 skips choose_c0, which checks s; the check still must
     tab = table_factory(2.0, 30, 30)
     with pytest.raises(ValueError, match="disagrees with the table kernel"):
-        decay_check_thm12(SpectralField({(2, 0, 0): 1.0}), 0.5, 5.0, tab, 1.0, c0=0.2)
+        decay_check_thm12(SpectralField({(2, 0, 0): 1.0}), 0.5, 5.0, tab, 1.0)
+
+
+def test_decay_checks_take_no_other_c0(table_factory):
+    # c0 is always choose_c0(table, s): a hand-given one could be 0 or negative
+    tab = table_factory(2.0, 30, 30)
+    g = SpectralField({(2, 0, 0): 1.0})
+    for c0 in (0.0, -1.0):
+        with pytest.raises(TypeError):
+            decay_check_thm12(g, 0.5, 50.0, tab, 2.0, c0=c0)
+        with pytest.raises(TypeError):
+            rate1_check(g, 1.0, tab, 2.0, c0=c0)
+    assert decay_check_thm12(g, 0.5, 50.0, tab, 2.0).c0 == choose_c0(tab, 2.0)
 
 
 def test_rate2_check_rejects_other_s(table_factory):

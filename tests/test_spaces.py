@@ -237,6 +237,9 @@ def test_embedding_estimate(table_factory):
     assert est.tau1_hat <= null_ratio <= est.tau2_hat
     with pytest.raises(ValueError):
         embedding_estimate(table_factory(2.0, 8, 8), 2.0)
+    # the witnesses belong to the table's kernel, not to another s
+    with pytest.raises(ValueError, match=r"s = 0.5 disagrees with the table kernel \(s = 2.0\)"):
+        embedding_estimate(tab, 0.5)
 
 
 def test_embedding_regression_snapshot(table_factory):
