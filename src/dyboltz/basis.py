@@ -226,11 +226,21 @@ def is_real_field(field: SpectralField) -> bool:
     return True
 
 
-def _sphere_rule(n_theta: int, n_phi: int):
+_MIN_NODES = 64  # the least size of each rule of the inner products below
+
+
+def _sphere_gram(sph_modes, n_theta: int, n_phi: int) -> np.ndarray:
+    """<Y_a, Y_b> over the (l, m) pairs ``sph_modes``: n_theta-point Gauss-Legendre
+    in cos(theta) times the uniform n_phi-point rule in phi, exact for the pairs
+    with l_a + l_b < 2 n_theta and |m_a - m_b| < n_phi."""
     x, w = np.polynomial.legendre.leggauss(n_theta)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * math.pi / n_phi
-    return x, w, phi, wphi
+    Y = np.empty((len(sph_modes), n_theta, n_phi), dtype=complex)
+    for i, (l, m) in enumerate(sph_modes):
+        Y[i] = np.outer(assoc_legendre_norm(l, abs(m), x), np.exp(1j * m * phi))
+    flat = Y.reshape(len(sph_modes), -1)
+    wflat = np.repeat(w, n_phi) * (2.0 * math.pi / n_phi)
+    return (flat * wflat) @ flat.conj().T
 
 
 @lru_cache(maxsize=128)
@@ -296,57 +306,48 @@ def _radial_pair_integral(na, la, nb, lb, n_radial: int, factor=_radial_factor) 
 
     ``factor`` gives the Laguerre values at the nodes; a Gram scan passes a
     memoised ``_radial_factor``, since each one recurs across many pairs.
+    Raises ResolutionError when the value is not finite (at l = 0 the
+    Laguerre products overflow from n between 180 and 190).
     """
     _, w = _laguerre_rule(n_radial, 0.5 * (la + lb + 1))
     vals = factor(na, la, la + lb, n_radial) * factor(nb, lb, la + lb, n_radial)
-    return (_radial_norm_const(na, la) * _radial_norm_const(nb, lb)
-            * math.sqrt(2.0) * float(np.dot(w, vals)))
+    value = (_radial_norm_const(na, la) * _radial_norm_const(nb, lb)
+             * math.sqrt(2.0) * float(np.dot(w, vals)))
+    if not math.isfinite(value):
+        raise ResolutionError(f"radial integral of ({na}, {la}) and ({nb}, {lb}) on "
+                              f"n_radial={n_radial} leaves the double range")
+    return value
 
 
-def inner_product_numeric(mode_a, mode_b, n_radial: int = 64,
-                          n_theta: int = 64, n_phi: int = 64) -> complex:
+def inner_product_numeric(mode_a, mode_b) -> complex:
     """<phi_a, phi_b> by tensorized radial x spherical quadrature.
 
-    The radial factor uses generalized Gauss-Laguerre in u = r^2/2 (exact
-    for the Laguerre product), the spherical factor Gauss-Legendre in
-    cos(theta) times a uniform azimuthal rule.  Raises ResolutionError when
-    the rule cannot certify exactness for the requested mode degrees.
+    Generalized Gauss-Laguerre in u = r^2/2 times Gauss-Legendre in
+    cos(theta) times a uniform azimuthal rule, each sized from the modes to
+    be exact, with at least ``_MIN_NODES`` nodes.  Raises ResolutionError
+    when the radial rule or integral leaves the double range.
     """
     a = ModeIndex(*mode_a).validate()
     b = ModeIndex(*mode_b).validate()
-    if n_radial < (a.n + b.n) // 2 + 1:
-        raise ResolutionError(
-            f"n_radial={n_radial} cannot integrate Laguerre degrees {a.n}+{b.n}")
-    if 2 * n_theta - 1 < a.l + b.l:
-        raise ResolutionError(
-            f"n_theta={n_theta} cannot integrate Legendre degrees {a.l}+{b.l}")
-    if n_phi <= abs(a.m) + abs(b.m):
-        raise ResolutionError(
-            f"n_phi={n_phi} aliases azimuthal orders {a.m},{b.m}")
-
-    x, w, phi, wphi = _sphere_rule(n_theta, n_phi)
-    ya = np.outer(assoc_legendre_norm(a.l, abs(a.m), x), np.exp(1j * a.m * phi))
-    yb = np.outer(assoc_legendre_norm(b.l, abs(b.m), x), np.exp(1j * b.m * phi))
-    sphere = complex(np.einsum("tp,tp,t->", ya, yb.conj(), w) * wphi)
-    return _radial_pair_integral(a.n, a.l, b.n, b.l, n_radial) * sphere
+    radial = _radial_pair_integral(a.n, a.l, b.n, b.l,
+                                   max(_MIN_NODES, (a.n + b.n) // 2 + 1))
+    sphere = _sphere_gram([(a.l, a.m), (b.l, b.m)], max(_MIN_NODES, (a.l + b.l) // 2 + 1),
+                          max(_MIN_NODES, abs(a.m) + abs(b.m) + 1))[0, 1]
+    return radial * complex(sphere)
 
 
-def orthonormality_max_deviation(nmax: int, lmax: int, n_radial: int = 64,
-                                 n_theta: int = 64, n_phi: int = 64) -> float:
+def orthonormality_max_deviation(nmax: int, lmax: int) -> float:
     """max |<phi_a, phi_b> - delta_ab| over all modes with n <= nmax, l <= lmax.
 
     Separable form: the Gram matrix factors into a radial-pair matrix over
     (n, l) and a spherical Gram over (l, m), so the full scan over
-    ((nmax+1) * sum(2l+1))^2 pairs costs two small matrices.
+    ((nmax+1) * sum(2l+1))^2 pairs costs two small matrices, on rules
+    sized as ``inner_product_numeric`` sizes them for the largest pair.
     """
-    x, w, phi, wphi = _sphere_rule(n_theta, n_phi)
+    n_radial = max(_MIN_NODES, nmax + 1)
     sph_modes = [(l, m) for l in range(lmax + 1) for m in range(-l, l + 1)]
-    Y = np.empty((len(sph_modes), n_theta, n_phi), dtype=complex)
-    for i, (l, m) in enumerate(sph_modes):
-        Y[i] = np.outer(assoc_legendre_norm(l, abs(m), x), np.exp(1j * m * phi))
-    flat = Y.reshape(len(sph_modes), -1)
-    wflat = np.repeat(w, n_phi) * wphi
-    sphere_gram = (flat * wflat) @ flat.conj().T
+    sphere_gram = _sphere_gram(sph_modes, max(_MIN_NODES, lmax + 1),
+                               max(_MIN_NODES, 2 * lmax + 1))
 
     rad_modes = [(n, l) for n in range(nmax + 1) for l in range(lmax + 1)]
     R = np.empty((len(rad_modes), len(rad_modes)))

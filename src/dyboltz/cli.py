@@ -31,7 +31,7 @@ from .kernel import (KernelParams, QuadratureSpec, _dumps_with_rows, asymptotic_
                      eigenvalue_table, load_table, save_table, table_version)
 from .kernel import radial_eigenvalues  # not called; the benchmark tracer wraps this name
 from .solver import (DelaySeries, EvolutionReport, S2DelaySeries, SobolevSeries,
-                     _sorted_times, classify_frontier, series_tail_classify)
+                     _check_time, _sorted_times, classify_frontier, series_tail_classify)
 from .spaces import NormSpec, parse_norm_spec
 
 USAGE_ERROR = 2
@@ -246,8 +246,8 @@ def cmd_scenario(args) -> int:
             ks = ([float(x) for x in args.k_grid.split(",")] if name == "example41"
                   else [args.tau, args.tau_prime])
             norms = [NormSpec.shubin(k) for k in ks]
-        if ts and min(ts) < 0.0:
-            raise ValueError("times must be nonnegative")
+        for t in ts or ():
+            _check_time(t)
     except ValueError as exc:
         raise UsageError(f"scenario {name}: {exc}") from None
     table, _ = _get_table(args, N, 0)

@@ -43,4 +43,4 @@ class CacheError(RuntimeError):
 
 
 class ResolutionError(ValueError):
-    """Quadrature resolution too low to certify the requested tolerance."""
+    """A quadrature rule or the integral it gives leaves the double range."""

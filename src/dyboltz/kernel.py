@@ -856,6 +856,10 @@ class EigenvalueTable:
         return self.lams[np.where(null, 0, n), np.where(null, 0, l)]
 
     def subset(self, nmax: int, lmax: int) -> "EigenvalueTable":
+        """The corner n <= nmax, l <= lmax; ValueError unless the table covers it."""
+        if not (0 <= nmax <= self.nmax and 0 <= lmax <= self.lmax):
+            raise ValueError(f"subset({nmax}, {lmax}) is not a corner of a "
+                             f"table({self.nmax}, {self.lmax})")
         return EigenvalueTable(self.params, self.quad, self.lams[:nmax + 1, :lmax + 1],
                                self.errs[:nmax + 1, :lmax + 1])
 

@@ -87,10 +87,15 @@ def _decay(lam: np.ndarray, t: float) -> np.ndarray:
     return np.fromiter(map(math.exp, (-lam * t).tolist()), float, len(lam))
 
 
+def _check_time(t: float) -> None:
+    """ValueError unless t is finite and nonnegative (``t < 0`` alone lets NaN through)."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
+
+
 def evolve(g: SpectralField, t: float, table: EigenvalueTable) -> SpectralField:
     """Multiply each amplitude by exp(-lambda_{n,l} t); null modes are unchanged."""
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    _check_time(t)
     n, l, amps = g.mode_arrays()
     decayed = amps * _decay(table.lams_at(n, l), t)
     return SpectralField(dict(zip(g.coeffs, decayed.tolist())), label=g.label)
@@ -186,8 +191,7 @@ def rate1_check(g0: SpectralField, t: float, table: EigenvalueTable,
     """
     if not 0.0 < s <= 2.0:
         raise ValueError("rate1 check applies for s in (0, 2]")
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    _check_time(t)
     c0 = choose_c0(table, s)
     gp = project_null(g0, "orthogonal")
     lhs = spectral_norm(evolve(gp, t, table), NormSpec.shubin(2.0 * c0 * t))
@@ -279,8 +283,8 @@ class DelaySeries(_RadialSeries):
     n_min = 1
 
     def __post_init__(self):
-        if self.tau0 <= 0.0:
-            raise ValueError("tau0 must be positive")
+        if not 0.0 < self.tau0 < math.inf:
+            raise ValueError(f"tau0 must be positive and finite, got {self.tau0!r}")
         super().__post_init__()
 
 
@@ -299,8 +303,8 @@ class SobolevSeries(_RadialSeries):
     N: int = 10_000
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
         super().__post_init__()
 
 
@@ -410,8 +414,7 @@ def series_tail_classify(spec, t: float, norm: NormSpec,
     ``table`` supplies lambda_{n,0} for n <= spec.N and the exponent s; a
     table that does not cover those modes raises EigenvalueLookupError.
     """
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    _check_time(t)
     if not isinstance(spec, _RadialSeries):
         raise TypeError("tail classification applies to the radial series families")
     N = spec.N
@@ -508,8 +511,7 @@ def weak_form_residual(g0: SpectralField, test_modes, t: float,
     <g, L phi> over [0, t] with Gauss-Legendre of order ``_WEAK_FORM_NODES``.
     The evolution is exact, so the residual is pure quadrature error.
     """
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    _check_time(t)
     modes = [ModeIndex(*m).validate() for m in test_modes]
     idx = np.array(modes, dtype=np.int64).reshape(-1, 3)
     lams = table.lams_at(idx[:, 0], idx[:, 1])
@@ -528,10 +530,11 @@ def weak_form_residual(g0: SpectralField, test_modes, t: float,
 
 
 def _sorted_times(times) -> tuple:
-    """``times`` as an ascending tuple of floats; ValueError if any is negative or repeated."""
+    """``times`` as an ascending tuple of floats; ValueError unless each is finite,
+    nonnegative and distinct."""
     times = tuple(sorted(float(t) for t in times))
-    if any(t < 0 for t in times):
-        raise ValueError("times must be nonnegative")
+    for t in times:
+        _check_time(t)
     if len(set(times)) != len(times):
         raise ValueError("times must be distinct")
     return times

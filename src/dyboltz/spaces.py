@@ -203,13 +203,12 @@ class YoungMin:
     argmin: float
 
 
-def young_min(tau: float, nu: float, k: float, x_max: float | None = None) -> YoungMin:
-    """Numeric minimum of h(x) = exp(2 tau (log x)^(2/nu)) / x^k over [1, x_max].
+def young_min(tau: float, nu: float, k: float) -> YoungMin:
+    """Numeric minimum of h(x) = exp(2 tau (log x)^(2/nu)) / x^k over x >= 1.
 
     h is unimodal in log x with interior stationary point
-    u* = (k nu / (4 tau))^(nu/(2-nu)); the search brackets u* and refines by
-    golden section.  Raises when the stationary point falls outside the
-    search interval (pass a larger x_max).
+    u* = (k nu / (4 tau))^(nu/(2-nu)); golden section searches
+    log x in [0, 3 (u* + 1)], which brackets u*.
     """
     if tau <= 0.0 or not 0.0 < nu < 2.0:
         raise ValueError("need tau > 0 and 0 < nu < 2")
@@ -220,14 +219,7 @@ def young_min(tau: float, nu: float, k: float, x_max: float | None = None) -> Yo
     log_u_star = nu / (2.0 - nu) * math.log(k * nu / (4.0 * tau))
     if log_u_star > 690.0:  # u* itself not representable (nu close to 2)
         raise ValueError("stationary point too large to represent; parameters too extreme")
-    u_star = math.exp(log_u_star)
-    if x_max is None:
-        u_hi = 3.0 * (u_star + 1.0)
-    else:
-        u_hi = math.log(x_max)
-        if u_star > u_hi:
-            raise ValueError(
-                f"stationary point x* = exp({u_star:.6g}) exceeds x_max; enlarge the domain")
+    u_hi = 3.0 * (math.exp(log_u_star) + 1.0)
 
     def g(u):  # log h
         return 2.0 * tau * u ** (2.0 / nu) - k * u

@@ -82,14 +82,8 @@ def check_legendre_orthogonality(rng) -> CheckResult:
 
 
 def check_sphere_orthonormality(rng) -> CheckResult:
-    x, w = np.polynomial.legendre.leggauss(32)
-    nphi = 32
-    phi = 2 * math.pi * np.arange(nphi) / nphi
     modes = [(l, m) for l in range(11) for m in range(-l, l + 1)]
-    Y = np.array([np.outer(specfun.assoc_legendre_norm(l, abs(m), x),
-                           np.exp(1j * m * phi)).ravel() for l, m in modes])
-    wflat = np.repeat(w, nphi) * (2 * math.pi / nphi)
-    gram = (Y * wflat) @ Y.conj().T
+    gram = basis._sphere_gram(modes, 32, 32)  # exact: l + l' <= 63, |m - m'| < 32
     worst = float(np.max(np.abs(gram - np.eye(len(modes)))))
     return CheckResult("sphere_orthonormality", worst <= 1e-10, worst, 1e-10)
 

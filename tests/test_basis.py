@@ -136,12 +136,15 @@ def test_inner_product_examples():
 
 
 def test_inner_product_resolution_certification():
-    with pytest.raises(ResolutionError):
-        inner_product_numeric((9, 0, 0), (9, 0, 0), n_radial=5)
-    with pytest.raises(ResolutionError):
-        inner_product_numeric((0, 9, 0), (0, 9, 0), n_theta=4)
-    with pytest.raises(ResolutionError):
-        inner_product_numeric((0, 5, 5), (0, 5, 5), n_phi=8)
+    # exact rules need 65 azimuthal nodes for m = +-32, 65 radial for n = 64
+    # and 81 azimuthal for m - m' = 80: more than the floor of 64
+    assert orthonormality_max_deviation(0, 32) <= 1e-12
+    assert orthonormality_max_deviation(64, 0) <= 1e-12
+    assert abs(inner_product_numeric((0, 40, 40), (0, 40, -40))) <= 1e-12
+    with pytest.raises(TypeError):
+        inner_product_numeric((0, 0, 0), (0, 0, 0), n_radial=64)
+    with pytest.raises(TypeError):
+        orthonormality_max_deviation(2, 2, n_phi=64)
 
 
 def test_orthonormality_matrix_small():
@@ -182,13 +185,15 @@ def test_laguerre_rule_matches_scipy(n):
 
 
 def test_large_laguerre_rules_raise_instead_of_nan():
-    assert abs(inner_product_numeric((0, 0, 0), (0, 0, 0), n_radial=300) - 1.0) <= 1e-12
+    from dyboltz import basis
+    assert abs(basis._radial_pair_integral(0, 0, 0, 0, 300) - 1.0) <= 1e-12
     with pytest.raises(ResolutionError, match="n_radial=400, alpha=0.5"):
-        inner_product_numeric((0, 0, 0), (0, 0, 0), n_radial=400)
-    with pytest.raises(ResolutionError, match="n_radial=500"):
-        orthonormality_max_deviation(2, 2, n_radial=500)
+        inner_product_numeric((399, 0, 0), (399, 0, 0))
     with pytest.raises(ResolutionError, match="alpha=200.5"):
-        inner_product_numeric((0, 200, 0), (0, 200, 0), n_theta=256, n_phi=8)
+        inner_product_numeric((0, 200, 0), (0, 200, 0))
+    # the 201-node rule is finite, but the L_200 products overflow
+    with pytest.raises(ResolutionError, match=r"\(200, 0\) and \(200, 0\) on n_radial=201"):
+        inner_product_numeric((200, 0, 0), (200, 0, 0))
 
 
 def test_laguerre_rule_built_once_per_alpha(monkeypatch):

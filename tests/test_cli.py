@@ -69,8 +69,18 @@ BAD_VALUES = {
     "k-grid=a": ["scenario", "--scenario", "example41", "--k-grid", "a"],
     "times=-1": ["evolve", "--init", "modes:2,0,0,1,0", "--times", "-1"],
     "times=1,1": ["evolve", "--init", "modes:2,0,0,1,0", "--times", "1,1"],
+    "times=inf": ["evolve", "--init", "modes:0,0,0,1,0;2,0,0,1,0", "--times", "inf"],
+    "times=nan": ["evolve", "--init", "modes:0,0,0,1,0;2,0,0,1,0", "--times", "nan"],
+    "init-tau0=nan": ["evolve", "--init", "delay:tau0=nan,N=50", "--times", "1"],
+    "init-tau=inf": ["evolve", "--init", "sobolev:tau=inf,N=50", "--times", "1"],
     "scenario-times=-1": ["scenario", "--scenario", "remark14", "--s", "1",
                           "--series-n", "200", "--times", "-1"],
+    "scenario-times=nan": ["scenario", "--scenario", "remark14", "--s", "1",
+                           "--series-n", "200", "--times", "nan"],
+    "tau0=nan": ["scenario", "--scenario", "remark14", "--s", "1", "--series-n", "200",
+                 "--tau0", "nan"],
+    "tau=inf": ["scenario", "--scenario", "example42", "--s", "4", "--series-n", "200",
+                "--tau", "inf"],
     "k-grid=-1": ["scenario", "--scenario", "example41", "--series-n", "200",
                   "--k-grid", "-1"],
     "tau-prime=-1": ["scenario", "--scenario", "example42", "--s", "4",

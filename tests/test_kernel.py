@@ -522,6 +522,18 @@ def test_subset_equals_direct_build(table_factory):
     assert np.array_equal(small.errs, sub.errs)
 
 
+def test_subset_rejects_corners_the_table_does_not_cover(rng, table_factory):
+    # a clipped corner would let a check report a size it did not cover
+    tab = table_factory(2.0, 10, 10)
+    for nmax, lmax in [(50, 50), (-2, -2), (11, 10), (10, -1)]:
+        with pytest.raises(ValueError, match="is not a corner of a table"):
+            tab.subset(nmax, lmax)
+    assert tab.subset(10, 0).lams.shape == (11, 1)
+    from dyboltz import verify
+    with pytest.raises(ValueError, match=r"subset\(200, 200\)"):
+        verify.check_spectral_gap(rng, tab, corner=200)
+
+
 def test_single_entry_equals_table_entry(table_factory):
     tab = table_factory(2.0, 8, 8)
     for n, l in [(5, 3), (0, 7), (8, 8)]:

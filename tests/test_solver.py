@@ -56,8 +56,9 @@ def test_evolve_requires_coverage(table_factory):
     tab = table_factory(2.0, 8, 8)
     with pytest.raises(EigenvalueLookupError):
         evolve(SpectralField({(9, 0, 0): 1.0}), 1.0, tab)
-    with pytest.raises(ValueError):
-        evolve(SpectralField({(2, 0, 0): 1.0}), -0.5, tab)
+    for t in (-0.5, math.nan, math.inf):  # t < 0 alone lets NaN through
+        with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+            evolve(SpectralField({(0, 0, 0): 1.0, (2, 0, 0): 1.0}), t, tab)
 
 
 def test_semigroup_property(rng, table_factory):
@@ -316,6 +317,11 @@ def test_series_spec_validation(table_factory):
         S2DelaySeries(N=1)
     with pytest.raises(ValueError):
         SobolevSeries(tau=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau0 must be positive and finite"):
+            DelaySeries(tau0=bad)
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            SobolevSeries(tau=bad)
     with pytest.raises(TypeError):
         series_tail_classify(SpectralField({}), 1.0, NormSpec.l2(),
                              table_factory(1.0, 2000, 0))

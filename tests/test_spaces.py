@@ -219,8 +219,8 @@ def test_young_min_matches_rhs_sweep(rng):
 
 
 def test_young_min_domain_errors():
-    with pytest.raises(ValueError):
-        young_min(1.0, 1.0, 4.0, x_max=2.0)  # optimizer at x = e > 2
+    with pytest.raises(TypeError):
+        young_min(1.0, 1.0, 4.0, x_max=2.0)  # the search end is derived from u*
     with pytest.raises(ValueError):
         young_min(-1.0, 1.0, 4.0)
     with pytest.raises(ValueError):
