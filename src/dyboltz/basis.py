@@ -20,8 +20,7 @@ Conventions
 * A SpectralField stores finitely many complex amplitudes; a missing key
   means amplitude zero.  It synthesizes a real-valued function iff
   c_{n,l,-m} = conj(c_{n,l,m}) (no extra phase under the bare Y_l^m
-  convention); ``is_real_field`` provides that predicate without
-  enforcing it.
+  convention).
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "eval_phi",
     "fourier_sqrtmu_phi",
     "project_null",
-    "is_real_field",
     "inner_product_numeric",
     "orthonormality_max_deviation",
     "oscillator_residual",
@@ -57,6 +55,10 @@ class ModeIndex(NamedTuple):
     m: int
 
     def validate(self) -> "ModeIndex":
+        integer = (int, np.integer)
+        if not (isinstance(self.n, integer) and isinstance(self.l, integer)
+                and isinstance(self.m, integer)):
+            raise ValueError(f"n, l and m must be integers, got {self}")
         if self.n < 0 or self.l < 0:
             raise ValueError(f"n and l must be nonnegative, got {self}")
         if abs(self.m) > self.l:
@@ -88,7 +90,10 @@ class SpectralField:
         clean = {}
         for mode, amp in self.coeffs.items():
             mode = ModeIndex(*mode).validate()
-            clean[mode] = complex(amp)
+            amp = complex(amp)
+            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+                raise ValueError(f"amplitude of mode {tuple(mode)} is not finite: {amp}")
+            clean[mode] = amp
         object.__setattr__(self, "coeffs", clean)
 
     def amplitude(self, mode) -> complex:
@@ -137,7 +142,7 @@ class SpectralField:
     @classmethod
     def from_json(cls, text: str) -> "SpectralField":
         doc = json.loads(text)
-        coeffs = {ModeIndex(int(n), int(l), int(m)): complex(re, im)
+        coeffs = {(n, l, m): complex(re, im)
                   for n, l, m, re, im in doc["rows"]}
         return cls(coeffs, label=doc.get("label", ""))
 
@@ -148,13 +153,24 @@ def _radial_norm_const(n: int, l: int) -> float:
                     - 0.25 * math.log(2.0))
 
 
+def _points(v):
+    """(whether v is one point, the points as rows, their norms); raises on a non-finite point."""
+    v = np.asarray(v, dtype=float)
+    pts = np.atleast_2d(v)
+    if not np.isfinite(pts).all():
+        raise ValueError("every point component must be finite")
+    return v.ndim == 1, pts, np.linalg.norm(pts, axis=-1)
+
+
+def _ylm_at(l: int, m: int, pts, nz, r):
+    """Y_l^m at the directions of the points ``pts[nz]``, of norms ``r`` > 0 (first axis polar)."""
+    return _ylm(l, m, np.clip(pts[nz, 0] / r, -1.0, 1.0), np.arctan2(pts[nz, 2], pts[nz, 1]))
+
+
 def eval_phi(mode, v):
     """phi_{n,l,m} at one or many points of R^3 (last axis = components)."""
     n, l, m = ModeIndex(*mode).validate()
-    v = np.asarray(v, dtype=float)
-    single = v.ndim == 1
-    pts = np.atleast_2d(v)
-    r = np.linalg.norm(pts, axis=-1)
+    single, pts, r = _points(v)
     out = np.zeros(len(pts), dtype=complex)
 
     const = _radial_norm_const(n, l)
@@ -163,9 +179,7 @@ def eval_phi(mode, v):
         rr = r[nz]
         radial = const * (rr / math.sqrt(2.0)) ** l * np.exp(-0.25 * rr * rr) \
             * laguerre(n, l + 0.5, 0.5 * rr * rr)
-        costheta = pts[nz, 0] / rr
-        phi_az = np.arctan2(pts[nz, 2], pts[nz, 1])
-        out[nz] = radial * _ylm(l, m, np.clip(costheta, -1.0, 1.0), phi_az)
+        out[nz] = radial * _ylm_at(l, m, pts, nz, rr)
     if np.any(~nz):
         # only l = 0 modes are nonzero at the origin (|v|^l factor)
         if l == 0:
@@ -181,10 +195,7 @@ def fourier_sqrtmu_phi(mode, xi):
     this is exp(-|xi|^2/2), the transform of the Maxwellian itself.
     """
     n, l, m = ModeIndex(*mode).validate()
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    pts = np.atleast_2d(xi)
-    r = np.linalg.norm(pts, axis=-1)
+    single, pts, r = _points(xi)
     out = np.zeros(len(pts), dtype=complex)
 
     K = 2 * n + l
@@ -195,10 +206,8 @@ def fourier_sqrtmu_phi(mode, xi):
     nz = r > 0.0
     if np.any(nz):
         rr = r[nz]
-        costheta = pts[nz, 0] / rr
-        phi_az = np.arctan2(pts[nz, 2], pts[nz, 1])
         out[nz] = const * (rr / math.sqrt(2.0)) ** K * np.exp(-0.5 * rr * rr) \
-            * _ylm(l, m, np.clip(costheta, -1.0, 1.0), phi_az)
+            * _ylm_at(l, m, pts, nz, rr)
     if np.any(~nz) and K == 0:
         out[~nz] = const / math.sqrt(4.0 * math.pi)
     return out[0] if single else out
@@ -216,14 +225,6 @@ def project_null(field: SpectralField, keep: str) -> SpectralField:
     want_null = keep == "null"
     out = {m: a for m, a in field.coeffs.items() if (m.n + m.l <= 1) == want_null}
     return SpectralField(out, label=field.label)
-
-
-def is_real_field(field: SpectralField) -> bool:
-    """Whether the synthesized function is real-valued: c_{n,l,-m} = conj(c_{n,l,m}) exactly."""
-    for mode, amp in field.coeffs.items():
-        if field.amplitude((mode.n, mode.l, -mode.m)) != amp.conjugate():
-            return False
-    return True
 
 
 _MIN_NODES = 64  # the least size of each rule of the inner products below

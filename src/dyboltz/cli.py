@@ -186,7 +186,10 @@ def cmd_evolve(args) -> int:
         table, _ = _get_table(args, nmax, lmax)
     else:
         table, _ = _get_table(args, init.N, 0)
-        field = init.field(table.lams[:, 0])
+        try:  # the amplitudes read lambda, so only the table can show they overflow
+            field = init.field(table.lams[:, 0])
+        except ValueError as exc:
+            raise UsageError(f"bad --init {args.init!r}: {exc}") from None
     report = EvolutionReport.compute(field, times, norms, table)
     path = os.path.join(args.out, f"evolve_s{table.params.s:g}.{args.format}")
     _write_atomic(path, report.to_csv() if args.format == "csv" else report.to_json())

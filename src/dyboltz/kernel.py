@@ -110,8 +110,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .basis import ModeIndex
 from .errors import CacheError, EigenvalueLookupError, QuadratureConvergenceError
-from .specfun import legendre_all
+from .specfun import legendre, legendre_all
 
 __all__ = [
     "KernelParams",
@@ -122,7 +123,6 @@ __all__ = [
     "beta",
     "eigen_integrand",
     "eigenvalue",
-    "lambda_gap",
     "eigenvalue_table",
     "radial_eigenvalues",
     "asymptotic_leading",
@@ -752,8 +752,7 @@ def eigen_integrand(n: int, l: int, theta, params: KernelParams):
     product is formed as (beta sin theta) sin theta sum_k a_k x^(k-1), so
     it keeps its digits where x is subnormal (theta below about 1.5e-154).
     """
-    if n < 0 or l < 0:
-        raise ValueError("n and l must be nonnegative integers")
+    ModeIndex(n, l, 0).validate()
     theta = np.asarray(theta, dtype=float)
     scalar = theta.ndim == 0
     b = np.atleast_1d(beta(theta, params))
@@ -762,7 +761,7 @@ def eigen_integrand(n: int, l: int, theta, params: KernelParams):
         out = np.zeros_like(theta)
         return float(out[0]) if scalar else out
     sin, half = np.sin(theta), np.sin(0.5 * theta)
-    pl = legendre_all(l, np.concatenate([sin, np.cos(theta)]))[l]
+    pl = legendre(l, np.concatenate([sin, np.cos(theta)]))
     panel = _panels(np.log(sin)[None], np.log1p(-2.0 * half * half)[None],
                     *pl.reshape(2, 1, -1))
     K = 2.0 * n + l
@@ -781,16 +780,9 @@ def eigen_integrand(n: int, l: int, theta, params: KernelParams):
 def eigenvalue(n: int, l: int, params: KernelParams,
                quad: QuadratureSpec = QuadratureSpec()) -> EigenvalueEntry:
     """One eigenvalue by graded-panel quadrature, exact 0 for the null modes."""
-    if n < 0 or l < 0:
-        raise ValueError("n and l must be nonnegative integers")
+    ModeIndex(n, l, 0).validate()
     _, [(lam, err)] = _block_task(([l], np.array([n]), params, quad))
     return EigenvalueEntry(n=n, l=l, lam=float(lam[0]), err=float(err[0]))
-
-
-def lambda_gap(params: KernelParams,
-               quad: QuadratureSpec = QuadratureSpec()) -> EigenvalueEntry:
-    """The spectral gap lambda_{2,0}; alias of eigenvalue(2, 0), bit-for-bit."""
-    return eigenvalue(2, 0, params, quad)
 
 
 @dataclass(frozen=True, eq=False)

@@ -52,7 +52,6 @@ from .spaces import W_SHIFT, NormSpec, _weighted_norm, log_weight, spectral_norm
 
 __all__ = [
     "evolve",
-    "galerkin_truncate",
     "choose_c0",
     "rate1_certificate",
     "decay_check_thm12",
@@ -99,14 +98,6 @@ def evolve(g: SpectralField, t: float, table: EigenvalueTable) -> SpectralField:
     n, l, amps = g.mode_arrays()
     decayed = amps * _decay(table.lams_at(n, l), t)
     return SpectralField(dict(zip(g.coeffs, decayed.tolist())), label=g.label)
-
-
-def galerkin_truncate(g: SpectralField, N: int) -> SpectralField:
-    """Keep exactly the modes with 2n + l <= N (a projection)."""
-    if N < 0:
-        raise ValueError("truncation order must be nonnegative")
-    return SpectralField(
-        {m: a for m, a in g.coeffs.items() if 2 * m.n + m.l <= N}, label=g.label)
 
 
 def choose_c0(table: EigenvalueTable, s: float) -> float:
@@ -269,7 +260,8 @@ class _RadialSeries:
     def field(self, lam: np.ndarray) -> SpectralField:
         """The truncated data as a SpectralField, given lambda_{n,0} for n <= N."""
         n = np.arange(self.n_min, self.N + 1)
-        amps = np.exp(log_coeff(self, np.log(n), lam[n]))
+        with np.errstate(over="ignore"):  # SpectralField names an overflowed mode
+            amps = np.exp(log_coeff(self, np.log(n), lam[n]))
         return SpectralField({(k, 0, 0): a for k, a in zip(n.tolist(), amps.tolist())},
                              label=str(self))
 

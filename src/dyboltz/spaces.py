@@ -203,6 +203,14 @@ class YoungMin:
     argmin: float
 
 
+def _check_young(tau: float, nu: float, k: float):
+    # written so that NaN and the infinities fail each comparison
+    if not (0.0 < tau < math.inf and 0.0 < nu < 2.0):
+        raise ValueError("need tau > 0 and 0 < nu < 2")
+    if not 0.0 <= k < math.inf:
+        raise ValueError("k must be nonnegative")
+
+
 def young_min(tau: float, nu: float, k: float) -> YoungMin:
     """Numeric minimum of h(x) = exp(2 tau (log x)^(2/nu)) / x^k over x >= 1.
 
@@ -210,10 +218,7 @@ def young_min(tau: float, nu: float, k: float) -> YoungMin:
     u* = (k nu / (4 tau))^(nu/(2-nu)); golden section searches
     log x in [0, 3 (u* + 1)], which brackets u*.
     """
-    if tau <= 0.0 or not 0.0 < nu < 2.0:
-        raise ValueError("need tau > 0 and 0 < nu < 2")
-    if k < 0.0:
-        raise ValueError("k must be nonnegative")
+    _check_young(tau, nu, k)
     if k == 0.0:
         return YoungMin(min_value=1.0, argmin=1.0)  # h nondecreasing from h(1) = 1
     log_u_star = nu / (2.0 - nu) * math.log(k * nu / (4.0 * tau))
@@ -251,10 +256,7 @@ def young_rhs(tau: float, nu: float, k: float) -> float:
     This is the exact minimum of h over x >= 1 (Young's inequality is tight
     at the stationary point), so ``young_min`` reproduces it to roundoff.
     """
-    if tau <= 0.0 or not 0.0 < nu < 2.0:
-        raise ValueError("need tau > 0 and 0 < nu < 2")
-    if k < 0.0:
-        raise ValueError("k must be nonnegative")
+    _check_young(tau, nu, k)
     expo = (2.0 - nu) / 2.0 * (nu / (4.0 * tau)) ** (nu / (2.0 - nu)) * k ** (2.0 / (2.0 - nu))
     return math.exp(-expo)
 

@@ -3,7 +3,10 @@
 Legendre and associated Legendre polynomials, generalized Laguerre
 polynomials, spherical harmonics and the 1-D oscillator Hermite functions,
 all by three-term recurrences (explicit derivative formulas are used as
-test oracles only, never for evaluation).
+test oracles only, never for evaluation).  The private row generators
+``_legendre_rows`` and ``_laguerre_rows`` hold the one text of the
+Legendre and Laguerre recurrences: ``legendre`` and ``laguerre`` walk them
+keeping two rows, ``legendre_all`` and ``laguerre_all`` keep every row.
 
 Conventions
 -----------
@@ -23,53 +26,18 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SphericalDirection",
     "legendre",
     "legendre_all",
-    "assoc_legendre",
     "assoc_legendre_norm",
-    "spherical_harmonic",
     "laguerre",
     "laguerre_all",
     "hermite_osc",
     "legendre_scaled_gap",
 ]
-
-# unnormalized P_l^m overflows around l ~ 155 (P_l^l(0) = (2l-1)!!); cap below
-_UNNORM_LMAX = 150
-
-
-@dataclass(frozen=True)
-class SphericalDirection:
-    """Point on the unit sphere: colatitude theta in [0, pi], azimuth phi in [0, 2*pi).
-
-    The polar axis is the first Cartesian axis, i.e. the unit vector is
-    (cos theta, sin theta cos phi, sin theta sin phi).
-    """
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
-
-    @classmethod
-    def from_vector(cls, v) -> "SphericalDirection":
-        v = np.asarray(v, dtype=float)
-        r = float(np.linalg.norm(v))
-        if r == 0.0:
-            raise ValueError("direction of the zero vector is undefined")
-        theta = math.atan2(math.hypot(v[1], v[2]), v[0])
-        phi = math.atan2(v[2], v[1]) % (2.0 * math.pi)
-        return cls(theta=theta, phi=phi)
 
 
 def _check_unit_interval(x):
@@ -77,71 +45,51 @@ def _check_unit_interval(x):
         raise ValueError("Legendre argument must satisfy |x| <= 1")
 
 
+def _legendre_rows(lmax: int, x):
+    """P_0(x), P_1(x), ..., P_lmax(x), one 1-D row at a time.
+
+    The one text of the Legendre three-term recurrence and of its domain
+    checks; the checks run when the first row is asked for.
+    """
+    if lmax < 0:
+        raise ValueError("degree l must be a nonnegative integer")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    _check_unit_interval(x)
+    p_prev = np.ones_like(x)
+    yield p_prev
+    if lmax == 0:
+        return
+    p = x.copy()
+    yield p
+    for k in range(1, lmax):
+        p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
+        yield p
+
+
 def legendre(l: int, x):
     """Legendre polynomial P_l(x) on [-1, 1] by the three-term recurrence.
 
     Accepts scalars or arrays; stable for l up to at least 10^4
-    (values stay in [-1, 1]).
+    (values stay in [-1, 1]).  Holds two rows at a time.
     """
-    if l < 0:
-        raise ValueError("degree l must be a nonnegative integer")
-    x = np.asarray(x, dtype=float)
-    _check_unit_interval(x)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    p_prev = np.ones_like(x)
-    if l == 0:
-        return float(p_prev[0]) if scalar else p_prev
-    p = x.copy()
-    for k in range(1, l):
-        p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
-    return float(p[0]) if scalar else p
+    for p in _legendre_rows(l, x):
+        pass
+    return float(p[0]) if np.ndim(x) == 0 else p
 
 
 def legendre_all(lmax: int, x) -> np.ndarray:
     """All P_0..P_lmax at x, shape (lmax+1,) + x.shape."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_unit_interval(x)
-    out = np.empty((lmax + 1,) + x.shape)
-    out[0] = 1.0
-    if lmax >= 1:
-        out[1] = x
-    for k in range(1, lmax):
-        out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
+    return _fill_rows(lmax, _legendre_rows(lmax, x))
+
+
+def _fill_rows(top: int, rows) -> np.ndarray:
+    """Rows 0..top of a row generator stacked in one array."""
+    first = next(rows)  # runs the generator's domain checks
+    out = np.empty((top + 1,) + first.shape)
+    out[0] = first
+    for k, row in enumerate(rows, 1):
+        out[k] = row
     return out
-
-
-def assoc_legendre(l: int, m: int, x):
-    """Unnormalized associated Legendre function P_l^m(x), 0 <= m <= l.
-
-    P_l^m(x) = (1-x^2)^{m/2} (d/dx)^m P_l(x), no Condon-Shortley factor.
-    Overflows in double precision near l ~ 155, so degrees above
-    150 are rejected; use :func:`assoc_legendre_norm` there.
-    """
-    if not 0 <= m <= l:
-        raise ValueError(f"need 0 <= m <= l, got l={l}, m={m}")
-    if l > _UNNORM_LMAX:
-        raise ValueError(
-            f"unnormalized P_l^m overflows for l > {_UNNORM_LMAX}; "
-            "use assoc_legendre_norm"
-        )
-    x = np.asarray(x, dtype=float)
-    _check_unit_interval(x)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    sx = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    # seed P_m^m = (2m-1)!! (1-x^2)^{m/2}
-    pmm = np.ones_like(x)
-    for k in range(1, m + 1):
-        pmm *= (2 * k - 1) * sx
-    if l == m:
-        return float(pmm[0]) if scalar else pmm
-    pm1 = (2 * m + 1) * x * pmm
-    if l == m + 1:
-        return float(pm1[0]) if scalar else pm1
-    for ll in range(m + 2, l + 1):
-        pm1, pmm = ((2 * ll - 1) * x * pm1 - (ll + m - 1) * pmm) / (ll - m), pm1
-    return float(pm1[0]) if scalar else pm1
 
 
 def assoc_legendre_norm(l: int, m: int, x):
@@ -205,55 +153,49 @@ def _descale_out(vals, scale, scalar):
     return float(out[0]) if scalar else out
 
 
-def spherical_harmonic(l: int, m: int, direction: SphericalDirection) -> complex:
-    """Y_l^m at a point of the unit sphere (orthonormal on S^2, no CS phase)."""
-    if abs(m) > l:
-        raise ValueError(f"need |m| <= l, got l={l}, m={m}")
-    return complex(
-        _ylm(l, m, np.float64(math.cos(direction.theta)), np.float64(direction.phi))
-    )
-
-
 def _ylm(l: int, m: int, costheta, phi):
     """Vectorized Y_l^m from cos(theta) and phi arrays."""
     real = assoc_legendre_norm(l, abs(m), costheta)
     return real * np.exp(1j * m * np.asarray(phi, dtype=float))
 
 
-def laguerre(n: int, alpha: float, x):
-    """Generalized Laguerre polynomial L_n^(alpha)(x), x >= 0, alpha > -1."""
-    if n < 0:
+def _laguerre_rows(nmax: int, alpha: float, x):
+    """L_0^(alpha)(x), ..., L_nmax^(alpha)(x), one 1-D row at a time, x >= 0, alpha > -1.
+
+    The one text of the Laguerre three-term recurrence and of its domain
+    checks; the checks run when the first row is asked for.
+    """
+    if nmax < 0:
         raise ValueError("degree n must be a nonnegative integer")
-    if alpha <= -1.0:
-        raise ValueError("alpha must exceed -1")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("Laguerre argument must be nonnegative")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return float(p_prev[0]) if scalar else p_prev
-    p = alpha + 1.0 - x
-    for k in range(1, n):
-        p, p_prev = ((2 * k + 1 + alpha - x) * p - (k + alpha) * p_prev) / (k + 1), p
-    return float(p[0]) if scalar else p
-
-
-def laguerre_all(nmax: int, alpha: float, x) -> np.ndarray:
-    """All L_0^(alpha)..L_nmax^(alpha) at x, shape (nmax+1,) + x.shape."""
     if alpha <= -1.0:
         raise ValueError("alpha must exceed -1")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0.0):
         raise ValueError("Laguerre argument must be nonnegative")
-    out = np.empty((nmax + 1,) + x.shape)
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = alpha + 1.0 - x
+    p_prev = np.ones_like(x)
+    yield p_prev
+    if nmax == 0:
+        return
+    p = alpha + 1.0 - x
+    yield p
     for k in range(1, nmax):
-        out[k + 1] = ((2 * k + 1 + alpha - x) * out[k] - (k + alpha) * out[k - 1]) / (k + 1)
-    return out
+        p, p_prev = ((2 * k + 1 + alpha - x) * p - (k + alpha) * p_prev) / (k + 1), p
+        yield p
+
+
+def laguerre(n: int, alpha: float, x):
+    """Generalized Laguerre polynomial L_n^(alpha)(x), x >= 0, alpha > -1.
+
+    Holds two rows at a time.
+    """
+    for p in _laguerre_rows(n, alpha, x):
+        pass
+    return float(p[0]) if np.ndim(x) == 0 else p
+
+
+def laguerre_all(nmax: int, alpha: float, x) -> np.ndarray:
+    """All L_0^(alpha)..L_nmax^(alpha) at x, shape (nmax+1,) + x.shape."""
+    return _fill_rows(nmax, _laguerre_rows(nmax, alpha, x))
 
 
 def hermite_osc(n: int, x):

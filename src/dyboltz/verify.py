@@ -145,7 +145,7 @@ def check_null_exactness(rng) -> CheckResult:
 
 
 def check_gap_closed_form(rng) -> CheckResult:
-    lam = kernel.lambda_gap(kernel.KernelParams(s=2.0)).lam
+    lam = kernel.eigenvalue(2, 0, kernel.KernelParams(s=2.0)).lam
     dev = abs(lam - GAP_CLOSED_FORM_S2)
     return CheckResult("gap_closed_form_s2", dev <= 1e-8, dev, 1e-8)
 

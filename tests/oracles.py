@@ -3,9 +3,10 @@
 Everything here deliberately avoids the package's evaluation paths:
 explicit derivative/sum formulas via sympy, a truncated Bessel series,
 tensorized Gauss-Hermite quadrature of the defining Fourier integral, the
-Gauss-Kronrod rule from its Stieltjes polynomial in rationals, the
-exact s = 2 eigenvalues of the l = 0 column in mpmath, and the bracket's
-power series in sin^2 theta in rationals.
+Gauss-Kronrod rule from its Stieltjes polynomial in rationals, closed
+forms and the unnormalized recurrence of the associated Legendre functions
+in mpmath, the exact s = 2 eigenvalues of the l = 0 column in mpmath, and
+the bracket's power series in sin^2 theta in rationals.
 """
 
 import math
@@ -27,10 +28,47 @@ def legendre_poly_explicit(l: int):
 
 @lru_cache(maxsize=None)
 def assoc_legendre_explicit(l: int, m: int):
-    """(1-x^2)^(m/2) d^m/dx^m P_l(x), no Condon-Shortley factor."""
+    """(1-x^2)^(m/2) d^m/dx^m P_l(x), no Condon-Shortley factor.
+
+    The expanded polynomial cancels catastrophically in floats from l ~ 20
+    on, so the returned function evaluates it in 40-digit mpmath and rounds
+    each value once.
+    """
     pl = sp.diff((_x**2 - 1) ** l, _x, l) / (2**l * sp.factorial(l))
     expr = (1 - _x**2) ** sp.Rational(m, 2) * sp.diff(pl, _x, m)
-    return sp.lambdify(_x, sp.expand(expr), "numpy")
+    f = sp.lambdify(_x, sp.expand(expr), "mpmath")
+
+    def evaluate(x):
+        with mp.workdps(40):
+            return np.array([float(f(mp.mpf(float(v)))) for v in np.atleast_1d(x)])
+
+    return evaluate
+
+
+def assoc_legendre_mp(l: int, m: int, x):
+    """N_lm (1-x^2)^(m/2) d^m/dx^m P_l(x) in 40-digit mpmath, rounded once.
+
+    No Condon-Shortley factor; N_lm is the orthonormal spherical-harmonic
+    normalization.  Closed forms give m = l, P_l^l = (2l-1)!! (1-x^2)^(l/2),
+    and m = 1, P_l^1 = sqrt(1-x^2) l (x P_l - P_{l-1}) / (x^2 - 1) with P_l
+    from ``mp.legendre``.  Any other m runs the unnormalized recurrence
+    (l-m) P_l^m = (2l-1) x P_{l-1}^m - (l+m-1) P_{l-2}^m up from P_m^m,
+    which mpmath's unbounded exponent carries with no rescaling.
+    """
+    out = []
+    with mp.workdps(40):
+        norm = mp.sqrt((2 * l + 1) / (4 * mp.pi) * mp.factorial(l - m) / mp.factorial(l + m))
+        for v in np.atleast_1d(x):
+            v = mp.mpf(float(v))
+            sx = mp.sqrt(1 - v * v)
+            if m == 1:
+                p = sx * l * (v * mp.legendre(l, v) - mp.legendre(l - 1, v)) / (v * v - 1)
+            else:
+                prev, p = 0, mp.fac2(2 * m - 1) * sx**m
+                for k in range(m + 1, l + 1):
+                    prev, p = p, ((2 * k - 1) * v * p - (k + m - 1) * prev) / (k - m)
+            out.append(float(norm * p))
+    return np.array(out)
 
 
 def laguerre_explicit(n: int, alpha, x):

@@ -5,20 +5,45 @@ import pytest
 
 from dyboltz.basis import (NULL_SPACE_MODES, ModeIndex, SpectralField,
                            eval_phi, fourier_sqrtmu_phi,
-                           inner_product_numeric, is_real_field,
+                           inner_product_numeric,
                            orthonormality_max_deviation, oscillator_residual,
                            project_null)
 from dyboltz.errors import ResolutionError
-from dyboltz.specfun import SphericalDirection, spherical_harmonic
 from oracles import fourier_by_gauss_hermite
 
 
 def test_mode_index_validation():
     ModeIndex(3, 2, -2).validate()
+    ModeIndex(np.int64(3), np.int32(2), -2).validate()
     with pytest.raises(ValueError):
         ModeIndex(0, 1, 2).validate()
     with pytest.raises(ValueError):
         SpectralField({(0, 1, 2): 1.0})
+    # a non-integer index names no mode, so no field may hold one
+    for mode in [(2.5, 0, 0), (2.0, 0, 0), (0, np.float64(1.0), 0), (0, 1, "0")]:
+        with pytest.raises(ValueError, match="must be integers"):
+            ModeIndex(*mode).validate()
+        with pytest.raises(ValueError, match="must be integers"):
+            SpectralField({mode: 1.0})
+    with pytest.raises(ValueError, match="must be integers"):
+        SpectralField.from_json('{"label":"","rows":[[2.5,0,0,1.0,0.0]]}')
+
+
+def test_amplitudes_must_be_finite():
+    for amp in (math.nan, math.inf, complex(0.0, -math.inf), complex(1.0, math.nan)):
+        with pytest.raises(ValueError, match=r"amplitude of mode \(2, 0, 0\) is not finite"):
+            SpectralField({(0, 0, 0): 1.0, (2, 0, 0): amp})
+    f = SpectralField({(2, 0, 0): 1.0})
+    with pytest.raises(ValueError, match="not finite"):
+        f.map_amplitudes(lambda _, a: a * math.inf)
+
+
+def test_points_must_be_finite():
+    for bad in ([math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [[1.0, 0.0, 0.0], [0.0, 0.0, -math.inf]]):
+        with pytest.raises(ValueError, match="finite"):
+            eval_phi((0, 0, 0), bad)
+        with pytest.raises(ValueError, match="finite"):
+            fourier_sqrtmu_phi((0, 0, 0), bad)
 
 
 def test_ground_mode_is_sqrt_maxwellian(rng):
@@ -50,6 +75,13 @@ def test_eval_phi_polar_axis_convention():
     b = eval_phi((0, 1, 0), -v)
     assert a.real > 0.0 and abs(a + b) < 1e-15
     assert abs(eval_phi((0, 1, 0), [0.0, 0.7, 0.0])) < 1e-15
+    # the azimuth runs from the second axis (phi = 0) towards the third, and
+    # no Condon-Shortley factor: phi_{0,1,1} is real positive at phi = 0
+    east = eval_phi((0, 1, 1), [0.0, 0.7, 0.0])
+    assert east.real > 0.0 and east.imag == 0.0
+    assert abs(eval_phi((0, 1, 1), [0.0, 0.0, 0.7]) - 1j * east) < 1e-15
+    assert abs(eval_phi((0, 1, 1), [0.0, 0.0, -2.0]) / eval_phi((0, 1, 1), [0.0, 2.0, 0.0])
+               + 1j) < 1e-14
 
 
 def test_fourier_trivials():
@@ -63,7 +95,7 @@ def test_fourier_trivials():
 def test_fourier_mode_010_along_polar_axis():
     t = 1.0
     got = fourier_sqrtmu_phi((0, 1, 0), [t, 0.0, 0.0])
-    y = spherical_harmonic(1, 0, SphericalDirection(0.0, 0.0))
+    y = math.sqrt(3.0 / (4.0 * math.pi))  # Y_1^0 on the polar (first) axis
     expect = (-1j * (2 * math.pi) ** 0.75
               / math.sqrt(math.sqrt(2.0) * math.gamma(2.5))
               * (t / math.sqrt(2.0)) * math.exp(-0.5 * t * t) * y)
@@ -106,6 +138,11 @@ def test_project_null_partition_and_idempotence(rng):
     assert abs(project_null(f, "null").inner(g) - f.inner(project_null(g, "null"))) < 1e-12
 
 
+def _conjugate_symmetric(field):
+    """The real-field condition of the basis module: c_{n,l,-m} = conj(c_{n,l,m})."""
+    return all(field.amplitude((m.n, m.l, -m.m)) == a.conjugate() for m, a in field.coeffs.items())
+
+
 def test_real_field_predicate_matches_pointwise_synthesis(rng):
     coeffs = {}
     for n, l in [(0, 1), (1, 2), (2, 0)]:
@@ -115,7 +152,7 @@ def test_real_field_predicate_matches_pointwise_synthesis(rng):
             if m:
                 coeffs[(n, l, -m)] = c.conjugate()
     f = SpectralField(coeffs)
-    assert is_real_field(f)
+    assert _conjugate_symmetric(f)
     pts = rng.normal(size=(10, 3))
     synth = sum(a * eval_phi(m, pts) for m, a in f.coeffs.items())
     assert np.max(np.abs(synth.imag)) < 1e-14
@@ -123,7 +160,7 @@ def test_real_field_predicate_matches_pointwise_synthesis(rng):
     broken = dict(coeffs)
     broken[(1, 2, -1)] = broken[(1, 2, -1)] + 0.3j
     g = SpectralField(broken)
-    assert not is_real_field(g)
+    assert not _conjugate_symmetric(g)
     synth = sum(a * eval_phi(m, pts) for m, a in g.coeffs.items())
     assert np.max(np.abs(synth.imag)) > 1e-3
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -71,6 +72,10 @@ BAD_VALUES = {
     "times=1,1": ["evolve", "--init", "modes:2,0,0,1,0", "--times", "1,1"],
     "times=inf": ["evolve", "--init", "modes:0,0,0,1,0;2,0,0,1,0", "--times", "inf"],
     "times=nan": ["evolve", "--init", "modes:0,0,0,1,0;2,0,0,1,0", "--times", "nan"],
+    "init-amp=nan": ["evolve", "--s", "2", "--init", "modes:2,0,0,nan,0", "--times", "1",
+                     "--norms", "l2"],
+    "init-amp=inf": ["evolve", "--s", "2", "--init", "modes:2,0,0,inf,0", "--times", "1",
+                     "--norms", "l2"],
     "init-tau0=nan": ["evolve", "--init", "delay:tau0=nan,N=50", "--times", "1"],
     "init-tau=inf": ["evolve", "--init", "sobolev:tau=inf,N=50", "--times", "1"],
     "scenario-times=-1": ["scenario", "--scenario", "remark14", "--s", "1",
@@ -308,6 +313,18 @@ def test_evolve_series_init_all_norms(tmp_path, init, n_min, coeff):
                 weight(n, 1.0 if n <= 1 else lam[n]) * coeff(n, lam[n]) ** 2
                 * math.exp(-2.0 * lam[n] * t) for n in range(n_min, 201)))
             assert abs(got - want) <= 1e-12 * want, (t, name, got, want)
+
+
+def test_evolve_overflowing_delay_data_is_usage_error(tmp_path, capsys):
+    # exp(tau0 lambda_{n,0}) / n overflows a float; that shows only once the
+    # table is built, and is then one line of error, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, "evolve", "--s", "2", "--init", "delay:tau0=1e6,N=50",
+                   "--times", "1", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad --init 'delay:tau0=1e6,N=50'") and err.count("\n") == 1
+    assert not (tmp_path / "evolve_s2.csv").exists()
 
 
 def test_evolve_csv_quotes_logsob_norm(tmp_path):

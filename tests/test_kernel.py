@@ -16,7 +16,7 @@ from dyboltz.errors import (CacheError, EigenvalueLookupError,
 from dyboltz.kernel import (NULL_MODES, EigenvalueEntry, EigenvalueTable,
                             KernelParams, QuadratureSpec, asymptotic_leading,
                             beta, eigen_integrand, eigenvalue,
-                            eigenvalue_table, lambda_gap, load_table,
+                            eigenvalue_table, load_table,
                             radial_eigenvalues, ratio_bounds, save_table,
                             table_version)
 
@@ -143,16 +143,10 @@ def test_series_coefficients_match_oracle(K, l):
 
 
 def test_gap_closed_form_s2():
-    e = lambda_gap(P2, QUAD)
+    e = eigenvalue(2, 0, P2, QUAD)  # the spectral gap lambda_{2,0}
     assert abs(e.lam - GAP_S2) < 1e-10
     assert e.err < 1e-10
     assert abs(e.lam - GAP_S2) <= max(e.err, 1e-12)
-
-
-def test_lambda_gap_is_bitwise_alias():
-    a = lambda_gap(P2, QUAD)
-    b = eigenvalue(2, 0, P2, QUAD)
-    assert a.lam == b.lam and a.err == b.err
 
 
 def test_eigenvalues_match_golden_oracle():
@@ -226,6 +220,23 @@ def test_bracket_identity_11_equals_20():
         a = eigenvalue(1, 1, p, QUAD).lam
         b = eigenvalue(2, 0, p, QUAD).lam
         assert abs(a - b) < 1e-13 * b
+
+
+def test_mode_indices_must_be_integers():
+    # a non-integer index names no mode, so there is no eigenvalue or integrand for it
+    for n, l in [(2.5, 0), (2.0, 0), (2, 0.5), (np.float64(3.0), 1), ("2", 0)]:
+        with pytest.raises(ValueError, match="must be integers"):
+            eigenvalue(n, l, P2, QUAD)
+        with pytest.raises(ValueError, match="must be integers"):
+            eigen_integrand(n, l, 0.3, P2)
+    for n, l in [(-1, 0), (0, -1)]:
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            eigenvalue(n, l, P2, QUAD)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            eigen_integrand(n, l, 0.3, P2)
+    e = eigenvalue(np.int64(2), np.int32(0), P2, QUAD)
+    assert e.lam == eigenvalue(2, 0, P2, QUAD).lam
+    assert eigen_integrand(np.int64(2), 0, 0.3, P2) == eigen_integrand(2, 0, 0.3, P2)
 
 
 def test_entry_invariants_enforced():

@@ -225,6 +225,14 @@ def test_young_min_domain_errors():
         young_min(-1.0, 1.0, 4.0)
     with pytest.raises(ValueError):
         young_min(1.0, 2.5, 4.0)
+    # every non-finite value is rejected by both functions with the same messages
+    nan, inf = math.nan, math.inf
+    for args, what in [((nan, 1.0, 1.0), "tau > 0"), ((inf, 1.0, 1.0), "tau > 0"),
+                       ((1.0, nan, 1.0), "0 < nu < 2"), ((1.0, 1.0, nan), "nonnegative"),
+                       ((1.0, 1.0, inf), "nonnegative"), ((1.0, 1.0, -inf), "nonnegative")]:
+        for fn in (young_min, young_rhs):
+            with pytest.raises(ValueError, match=what):
+                fn(*args)
 
 
 def test_embedding_estimate(table_factory):

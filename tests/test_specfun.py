@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dyboltz.specfun import (SphericalDirection, assoc_legendre,
-                             assoc_legendre_norm, hermite_osc, laguerre,
+from dyboltz.specfun import (_ylm, assoc_legendre_norm, hermite_osc, laguerre,
                              laguerre_all, legendre, legendre_all,
-                             legendre_scaled_gap, spherical_harmonic)
-from oracles import (assoc_legendre_explicit, bessel_j0, hermite_osc_explicit,
-                     laguerre_explicit, legendre_poly_explicit)
+                             legendre_scaled_gap)
+from oracles import (assoc_legendre_explicit, assoc_legendre_mp, bessel_j0,
+                     hermite_osc_explicit, laguerre_explicit, legendre_poly_explicit)
+
+
+def _norm(l, m):
+    """N_lm of the orthonormal spherical harmonics."""
+    return math.sqrt((2 * l + 1) / (4 * math.pi) * math.factorial(l - m) / math.factorial(l + m))
 
 
 def test_legendre_trivial_values():
@@ -45,37 +51,50 @@ def test_legendre_domain_error():
         legendre(3, 1.2)
     with pytest.raises(ValueError):
         legendre(-1, 0.5)
+    with pytest.raises(ValueError):
+        legendre_all(3, [0.5, 1.2])
+    with pytest.raises(ValueError):
+        legendre_all(-1, 0.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(l=st.integers(0, 2000),
+       x=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
+def test_legendre_single_row_is_the_table_row(l, x):
+    assert np.array_equal(legendre(l, x), legendre_all(l, x)[l])
 
 
 def test_assoc_legendre_trivial_values():
-    assert abs(assoc_legendre(1, 1, 0.0) - 1.0) < 1e-15
-    assert abs(assoc_legendre(2, 0, 0.3) - legendre(2, 0.3)) < 1e-15
-    assert abs(assoc_legendre(2, 2, 0.0) - 3.0) < 1e-15
+    # unnormalized P_1^1(0) = 1, P_2^0 = P_2, P_2^2(0) = 3, no Condon-Shortley factor
+    assert abs(assoc_legendre_norm(1, 1, 0.0) / _norm(1, 1) - 1.0) < 1e-15
+    assert abs(assoc_legendre_norm(2, 0, 0.3) / _norm(2, 0) - legendre(2, 0.3)) < 1e-15
+    assert abs(assoc_legendre_norm(2, 2, 0.0) / _norm(2, 2) - 3.0) < 1e-15
 
 
 def test_assoc_legendre_matches_derivative_formula(rng):
     x = rng.uniform(-0.99, 0.99, size=20)
     for l in range(7):
         for m in range(l + 1):
-            expect = np.asarray(assoc_legendre_explicit(l, m)(x), dtype=float)
-            got = assoc_legendre(l, m, x)
+            expect = assoc_legendre_explicit(l, m)(x)
+            got = assoc_legendre_norm(l, m, x) / _norm(l, m)
             assert np.max(np.abs(got - expect)) < 1e-10 * max(1.0, np.max(np.abs(expect)))
-
-
-def test_assoc_legendre_errors():
-    with pytest.raises(ValueError):
-        assoc_legendre(2, 3, 0.5)
-    with pytest.raises(ValueError):
-        assoc_legendre(151, 0, 0.5)  # unnormalized form overflows past l=150
 
 
 def test_assoc_legendre_norm_consistent_with_unnormalized(rng):
     x = rng.uniform(-1.0, 1.0, size=10)
-    for l, m in [(3, 2), (10, 7), (60, 60), (100, 1)]:
-        norm = math.sqrt((2 * l + 1) / (4 * math.pi)
-                         * math.factorial(l - m) / math.factorial(l + m))
+    for l, m in [(3, 2), (10, 7)]:
         assert np.allclose(assoc_legendre_norm(l, m, x),
-                           norm * assoc_legendre(l, m, x), rtol=1e-11, atol=1e-300)
+                           _norm(l, m) * assoc_legendre_explicit(l, m)(x),
+                           rtol=1e-11, atol=1e-300)
+    # past degree 64 the recurrences rescale by powers of 2: near x = +-1 the
+    # seed of (200, 200) falls below 2**-400, and (1000, 200) at 0.999 grows
+    # past 2**400 on the scale it carries
+    near_pole = np.array([0.999, -0.998, 0.99])
+    for l, m, pts in [(60, 60, x), (100, 1, x), (200, 200, near_pole), (1000, 200, near_pole)]:
+        assert np.allclose(assoc_legendre_norm(l, m, pts), assoc_legendre_mp(l, m, pts),
+                           rtol=1e-11, atol=1e-300)
+    with pytest.raises(ValueError):
+        assoc_legendre_norm(2, 3, 0.5)
 
 
 def test_assoc_legendre_norm_stable_at_degree_1e4():
@@ -86,12 +105,10 @@ def test_assoc_legendre_norm_stable_at_degree_1e4():
 
 
 def test_spherical_harmonic_values():
-    d = SphericalDirection(theta=1.1, phi=2.2)
-    assert abs(spherical_harmonic(0, 0, d) - 0.2820947917738781) < 1e-14
-    assert abs(spherical_harmonic(1, 0, SphericalDirection(0.0, 0.0))
-               - 0.4886025119029199) < 1e-13
+    assert abs(_ylm(0, 0, math.cos(1.1), 2.2) - 0.2820947917738781) < 1e-14
+    assert abs(_ylm(1, 0, 1.0, 0.0) - 0.4886025119029199) < 1e-13
     # sign convention: no Condon-Shortley factor, so Y_1^1 at the equator is +N11
-    got = spherical_harmonic(1, 1, SphericalDirection(math.pi / 2, 0.0))
+    got = _ylm(1, 1, math.cos(math.pi / 2), 0.0)
     assert abs(got - math.sqrt(3.0 / (8.0 * math.pi))) < 1e-14
 
 
@@ -99,10 +116,9 @@ def test_spherical_harmonic_conjugation_no_phase(rng):
     for _ in range(10):
         l = int(rng.integers(0, 8))
         m = int(rng.integers(-l, l + 1))
-        d = SphericalDirection(float(rng.uniform(0, math.pi)),
-                               float(rng.uniform(0, 2 * math.pi)))
-        assert abs(spherical_harmonic(l, m, d).conjugate()
-                   - spherical_harmonic(l, -m, d)) < 1e-13
+        costheta = math.cos(float(rng.uniform(0, math.pi)))
+        phi = float(rng.uniform(0, 2 * math.pi))
+        assert abs(_ylm(l, m, costheta, phi).conjugate() - _ylm(l, -m, costheta, phi)) < 1e-13
 
 
 def test_spherical_harmonic_orthonormality():
@@ -110,8 +126,7 @@ def test_spherical_harmonic_orthonormality():
     nphi = 48
     phi = 2 * math.pi * np.arange(nphi) / nphi
     modes = [(l, m) for l in range(21) for m in range(-l, l + 1)]
-    Y = np.array([np.outer(assoc_legendre_norm(l, abs(m), x),
-                           np.exp(1j * m * phi)).ravel() for l, m in modes])
+    Y = np.array([_ylm(l, m, x[:, None], phi[None, :]).ravel() for l, m in modes])
     wflat = np.repeat(w, nphi) * (2 * math.pi / nphi)
     gram = (Y * wflat) @ Y.conj().T
     assert np.max(np.abs(gram - np.eye(len(modes)))) < 1e-10
@@ -119,20 +134,9 @@ def test_spherical_harmonic_orthonormality():
 
 def test_spherical_harmonic_domain_error():
     with pytest.raises(ValueError):
-        spherical_harmonic(1, 2, SphericalDirection(0.3, 0.3))
+        _ylm(1, 2, 0.3, 0.3)
     with pytest.raises(ValueError):
-        SphericalDirection(theta=-0.1, phi=0.0)
-    with pytest.raises(ValueError):
-        SphericalDirection(theta=0.1, phi=7.0)
-
-
-def test_direction_from_vector_first_axis_polar():
-    d = SphericalDirection.from_vector([1.0, 0.0, 0.0])
-    assert d.theta == 0.0
-    d = SphericalDirection.from_vector([0.0, 1.0, 0.0])
-    assert abs(d.theta - math.pi / 2) < 1e-15 and d.phi == 0.0
-    d = SphericalDirection.from_vector([0.0, 0.0, -2.0])
-    assert abs(d.phi - 1.5 * math.pi) < 1e-15
+        _ylm(1, 0, 1.2, 0.3)
 
 
 def test_laguerre_trivial_values():
@@ -151,11 +155,11 @@ def test_laguerre_recurrence_matches_explicit_sum(rng):
                 (n, alpha)
 
 
-def test_laguerre_all_matches_single(rng):
-    x = rng.uniform(0.0, 5.0, size=7)
-    table = laguerre_all(6, 2.5, x)
-    for n in range(7):
-        assert np.array_equal(table[n], laguerre(n, 2.5, x))
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 200), alpha=st.sampled_from([0.5, 2.5, 200.5]),
+       x=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8))
+def test_laguerre_all_matches_single(n, alpha, x):
+    assert np.array_equal(laguerre_all(n, alpha, x)[n], laguerre(n, alpha, x))
 
 
 def test_laguerre_domain_errors():
@@ -163,6 +167,10 @@ def test_laguerre_domain_errors():
         laguerre(2, 0.5, -0.1)
     with pytest.raises(ValueError):
         laguerre(2, -1.0, 0.5)
+    with pytest.raises(ValueError):
+        laguerre_all(2, -1.0, 0.5)
+    with pytest.raises(ValueError):
+        laguerre_all(-1, 0.5, 0.5)
 
 
 def test_hermite_osc_values_and_rodrigues(rng):
