@@ -1,0 +1,50 @@
+"""Print the peak RSS of each CLI job that ``output_digest.py`` runs.
+
+Each job runs as ``python -m dyboltz.cli`` in a fresh child of this
+process, which imports only the standard library, and its ``ru_maxrss``
+is read from ``os.wait4``.  Linux carries a parent's high-water RSS into a
+child's ``ru_maxrss`` across fork and exec, so a child of a large parent
+(a benchmark harness that has parsed its CSVs, say) reads at least that
+parent's peak; a bare parent keeps each reading the job's own.  The output
+is one JSON list of ``{"job": ..., "peak_rss_mb": ...}`` in job order, each
+job's command line with its temporary directory written as ``TMP``:
+
+    PYTHONPATH=src python3 scripts/job_rss.py
+
+A full run takes about 4 seconds on a two-core Xeon.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from output_digest import jobs  # noqa: E402  (it imports only the standard library)
+
+
+def peak_rss_mb(argv) -> float:
+    """ru_maxrss in MB of ``python -m dyboltz.cli argv``; exits if the job fails."""
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-m", "dyboltz.cli", *argv],
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            err.seek(0)
+            sys.exit(f"{' '.join(argv)} exited {proc.returncode}:\n{err.read().decode()}")
+    return usage.ru_maxrss / 1024.0
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        print(json.dumps([{"job": " ".join(argv).replace(tmp, "TMP"),
+                           "peak_rss_mb": round(peak_rss_mb(argv), 1)}
+                          for argv in jobs(root)], indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -233,15 +233,18 @@ _MIN_NODES = 64  # the least size of each rule of the inner products below
 def _sphere_gram(sph_modes, n_theta: int, n_phi: int) -> np.ndarray:
     """<Y_a, Y_b> over the (l, m) pairs ``sph_modes``: n_theta-point Gauss-Legendre
     in cos(theta) times the uniform n_phi-point rule in phi, exact for the pairs
-    with l_a + l_b < 2 n_theta and |m_a - m_b| < n_phi."""
+    with l_a + l_b < 2 n_theta and |m_a - m_b| < n_phi.
+
+    The rule is a tensor product and Y_l^m = N P_l^|m|(cos theta) e^(i m phi),
+    so the Gram matrix is the elementwise product of a theta Gram over the
+    P rows and a phi Gram over the e^(i m phi) rows; no array holds every
+    mode at every node of the sphere.
+    """
     x, w = np.polynomial.legendre.leggauss(n_theta)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    Y = np.empty((len(sph_modes), n_theta, n_phi), dtype=complex)
-    for i, (l, m) in enumerate(sph_modes):
-        Y[i] = np.outer(assoc_legendre_norm(l, abs(m), x), np.exp(1j * m * phi))
-    flat = Y.reshape(len(sph_modes), -1)
-    wflat = np.repeat(w, n_phi) * (2.0 * math.pi / n_phi)
-    return (flat * wflat) @ flat.conj().T
+    P = np.array([assoc_legendre_norm(l, abs(m), x) for l, m in sph_modes])
+    E = np.array([np.exp(1j * m * phi) for _, m in sph_modes])
+    return ((P * w) @ P.T) * ((E * (2.0 * math.pi / n_phi)) @ E.conj().T)
 
 
 @lru_cache(maxsize=128)
@@ -265,9 +268,9 @@ def _gauss_laguerre(n: int, alpha: float):
     to Gamma(alpha + 1), not from eigenvectors: at n = 64 eigenvector tail
     weights (about 1e-100) were off by up to 1e41, and the Laguerre values
     they multiply there reach 1e57.  Tail weights below the double range
-    round to 0.  Raises ResolutionError when a weight is not finite: the
-    Laguerre values at the nodes overflow from n = 363 on (alpha = 0.5), and
-    Gamma(alpha + 1) does for alpha >= 170.
+    round to 0.  Raises ResolutionError when a node or weight is not
+    finite: the Laguerre values at the nodes overflow from n = 363 on
+    (alpha = 0.5), and Gamma(alpha + 1) does for alpha >= 170.
     """
     if n < 1:
         raise ValueError(f"n_radial must be positive, got {n}")
@@ -275,19 +278,21 @@ def _gauss_laguerre(n: int, alpha: float):
     # eigvalsh reads only the lower triangle of the symmetric Jacobi matrix
     u = np.linalg.eigvalsh(np.diag(2.0 * k + alpha + 1.0)
                            + np.diag(np.sqrt(k[1:] * (k[1:] + alpha)), -1))
+    leaves = (f"Gauss-Laguerre rule n_radial={n}, alpha={alpha} leaves the double range: "
+              "a node or weight is not finite, or a weight is negative")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lag = laguerre_all(n, alpha, u)
         dlag = (n * lag[n] - (n + alpha) * lag[n - 1]) / u  # L_n' at the nodes
         u = u - lag[n] / dlag  # one Newton step
+        if not np.isfinite(u).all():
+            raise ResolutionError(leaves)
         lag = laguerre_all(n, alpha, u)
         dlag = (n * lag[n] - (n + alpha) * lag[n - 1]) / u
         # both factors span many decades; centre each in log space first
         w = 1.0 / (_log_centred(lag[n - 1]) * _log_centred(dlag))
         w *= (math.gamma(alpha + 1.0) if alpha < 170.0 else math.inf) / w.sum()
     if not np.all(np.isfinite(w) & (w >= 0.0)):
-        raise ResolutionError(
-            f"Gauss-Laguerre rule n_radial={n}, alpha={alpha} leaves the double range: "
-            "a weight is not finite or is negative")
+        raise ResolutionError(leaves)
     return u, w
 
 
@@ -311,9 +316,10 @@ def _radial_pair_integral(na, la, nb, lb, n_radial: int, factor=_radial_factor) 
     Laguerre products overflow from n between 180 and 190).
     """
     _, w = _laguerre_rule(n_radial, 0.5 * (la + lb + 1))
-    vals = factor(na, la, la + lb, n_radial) * factor(nb, lb, la + lb, n_radial)
-    value = (_radial_norm_const(na, la) * _radial_norm_const(nb, lb)
-             * math.sqrt(2.0) * float(np.dot(w, vals)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+        vals = factor(na, la, la + lb, n_radial) * factor(nb, lb, la + lb, n_radial)
+        dot = float(np.dot(w, vals))
+    value = _radial_norm_const(na, la) * _radial_norm_const(nb, lb) * math.sqrt(2.0) * dot
     if not math.isfinite(value):
         raise ResolutionError(f"radial integral of ({na}, {la}) and ({nb}, {lb}) on "
                               f"n_radial={n_radial} leaves the double range")
@@ -344,6 +350,8 @@ def orthonormality_max_deviation(nmax: int, lmax: int) -> float:
     (n, l) and a spherical Gram over (l, m), so the full scan over
     ((nmax+1) * sum(2l+1))^2 pairs costs two small matrices, on rules
     sized as ``inner_product_numeric`` sizes them for the largest pair.
+    The full Gram matrix is never formed: each row is multiplied out from
+    the two factors and reduced to its largest deviation in turn.
     """
     n_radial = max(_MIN_NODES, nmax + 1)
     sph_modes = [(l, m) for l in range(lmax + 1) for m in range(-l, l + 1)]
@@ -368,8 +376,12 @@ def orthonormality_max_deviation(nmax: int, lmax: int) -> float:
     modes = [ModeIndex(n, l, m) for n in range(nmax + 1) for l, m in sph_modes]
     ri = np.array([rad_pos[(mo.n, mo.l)] for mo in modes])
     si = np.array([sph_pos[(mo.l, mo.m)] for mo in modes])
-    gram = R[np.ix_(ri, ri)] * sphere_gram[np.ix_(si, si)]
-    return float(np.max(np.abs(gram - np.eye(len(modes)))))
+    worst = 0.0
+    for i, (a, b) in enumerate(zip(ri, si)):  # one row of the Gram matrix at a time
+        row = R[a, ri] * sphere_gram[b, si]
+        row[i] -= 1.0
+        worst = max(worst, float(np.max(np.abs(row))))
+    return worst
 
 
 # 6th-order central second-difference stencil and its step

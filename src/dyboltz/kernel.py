@@ -59,7 +59,9 @@ still live, fixes a row at its stopping panel, and evaluates no panel once
 every row has stopped.  It takes the panels in groups, one bracket call
 and two weighted sums per group for the rows that take the bracket, and
 two sums over k for the rows on their series: a group keeps its bracket
-block within ``_BLOCK_DOUBLES`` (64k doubles, 512 KB), ends where the next
+block within ``_BLOCK_DOUBLES`` (64k doubles, 512 KB; the n-rows of an l
+are taken in spans of ``_SPAN_ROWS`` = 1985, so one panel of them fits, and
+the radial N = 10^4 row is six spans), ends where the next
 bracket row switches to its series, and ends where the first live row
 could stop, so almost no panel past a row's stop is evaluated; a group of
 series rows only runs ``_SERIES_SLACK`` = 2 panels further.  A table build
@@ -238,7 +240,7 @@ class EigenvalueEntry:
 def beta(theta, params: KernelParams):
     """Canonical angular kernel on (0, pi/4]; positive and finite there."""
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0.0) or np.any(theta > THETA_MAX + 1e-15):
+    if not np.all((theta > 0.0) & (theta <= THETA_MAX + 1e-15)):  # NaN fails too
         raise ValueError("theta must lie in (0, pi/4]")
     scalar = theta.ndim == 0
     theta = np.atleast_1d(theta)
@@ -454,9 +456,12 @@ _PanelRule = namedtuple("_PanelRule",
                         "logsin logcos sin cos wvalue wcheck series_from mvalue mdiff")
 
 # a group of consecutive panels is evaluated in one numpy call per step,
-# as many as keep its bracket block within this many doubles (512 KB,
-# inside a core's L2 cache)
+# as many as keep its bracket block of rows x panels x 33 nodes within this
+# many doubles (512 KB, inside a core's L2 cache); a build takes its n-rows
+# in spans of at most _SPAN_ROWS = 1985, so that even a group of one panel
+# keeps that bound
 _BLOCK_DOUBLES = 1 << 16
+_SPAN_ROWS = _BLOCK_DOUBLES // (2 * QuadratureSpec.nodes_per_panel + 1)
 
 # log of the factor by which a panel's value falls from one panel to the
 # next below the knee (theta^2 over dyadic panels); it only sizes groups
@@ -664,8 +669,11 @@ def _eigen_rows(l: int, n_arr: np.ndarray, pl: np.ndarray, params: KernelParams,
 
     Each step evaluates a group of consecutive panels in one bracket call
     for the rows not yet on their series.  The group keeps that block
-    within ``_BLOCK_DOUBLES``, ends at the next bracket row's switch panel,
-    and ends at the first panel where a live row could stop: below the knee
+    within ``_BLOCK_DOUBLES`` in rows as well as panels: ``_block_task``
+    passes at most ``_SPAN_ROWS`` rows, so one panel of them fits, and every
+    other per-group array holds at most that many values per panel.  The
+    group ends at the next bracket row's switch panel, and at the first
+    panel where a live row could stop: below the knee
     a panel's value falls about 4-fold per panel, as theta^2 does, so a
     row whose last value is q times its stopping threshold stops no sooner
     than floor(log_4 q) + 1 panels later (before the first panel, q is
@@ -678,7 +686,7 @@ def _eigen_rows(l: int, n_arr: np.ndarray, pl: np.ndarray, params: KernelParams,
     runs over one panel's contiguous columns of one row, or over one row's
     contiguous coefficients (no BLAS), so every bit is independent of the
     group and of the other rows: single entries, serial builds, parallel
-    builds and any group size agree bit-for-bit.  One ``np.errstate``
+    builds and any group or span size agree bit-for-bit.  One ``np.errstate``
     covers the whole loop.
     """
     n_arr = np.asarray(n_arr, dtype=np.int64)
@@ -891,17 +899,38 @@ def table_version(params: KernelParams, quad: QuadratureSpec) -> str:
 def _block_task(args):
     """lambda and err at the ascending n array ``n`` for each l of the block ``ls``.
 
-    One Legendre sweep serves the block; the series coefficients are one
-    vectorized pass per chunk of l-rows, each chunk within ``_BLOCK_DOUBLES``.
+    One Legendre sweep serves the block.  The n-rows of each l are taken in
+    spans of at most ``_SPAN_ROWS``, so that a group of one panel keeps its
+    bracket block within ``_BLOCK_DOUBLES``; the series coefficients are
+    one vectorized pass per chunk of l-rows and span, each chunk within
+    ``_BLOCK_DOUBLES``.  Every entry is an independent computation, so the
+    spans leave every bit as it is.  The spans of an l all run before any
+    of them fails it, so a ``QuadratureConvergenceError`` names each
+    failing (n, l) of the first failing l with its partial sum, as one
+    unsplit build would.
     """
     ls, n, params, quad = args
     pl = _legendre_sweep(ls[-1], _a1(2.0 * n[-1] + ls[-1], ls[-1]), params, quad)
-    chunk = max(1, _BLOCK_DOUBLES // (len(n) * _SERIES_ORDER))
+    chunk = max(1, _BLOCK_DOUBLES // (min(len(n), _SPAN_ROWS) * _SERIES_ORDER))
     rows = []
     for start in range(0, len(ls), chunk):
         part = ls[start:start + chunk]
-        rows += [_eigen_rows(l, n, pl[l], params, quad, series)
-                 for l, series in zip(part, _series_coefficients(part, n))]
+        found = [([], [], {}) for _ in part]  # each l's lambda and err by span, failed rows
+        for i in range(0, len(n), _SPAN_ROWS):
+            span = n[i:i + _SPAN_ROWS]
+            for (lams, errs, failed), l, series in zip(found, part,
+                                                       _series_coefficients(part, span)):
+                try:
+                    lam, err = _eigen_rows(l, span, pl[l], params, quad, series)
+                except QuadratureConvergenceError as exc:
+                    failed.update(exc.partial)
+                else:
+                    lams.append(lam)
+                    errs.append(err)
+        for lams, errs, failed in found:
+            if failed:
+                raise QuadratureConvergenceError(list(failed), failed)
+            rows.append((np.concatenate(lams), np.concatenate(errs)))
     return ls, rows
 
 
@@ -949,6 +978,7 @@ def asymptotic_leading(n: int, l: int, params: KernelParams) -> float:
     For l = 0 this is the whole leading behaviour of lambda_{n,0} (the
     Legendre correction term vanishes since P_0 = 1).
     """
+    ModeIndex(n, l, 0).validate()
     K = 2 * n + l
     if K < 3:
         raise ValueError("asymptotic leading term requires 2n + l >= 3")

@@ -41,7 +41,7 @@ __all__ = [
 
 
 def _check_unit_interval(x):
-    if np.any(np.abs(x) > 1.0 + 1e-14):
+    if not np.all(np.abs(x) <= 1.0 + 1e-14):  # NaN fails too
         raise ValueError("Legendre argument must satisfy |x| <= 1")
 
 
@@ -167,10 +167,10 @@ def _laguerre_rows(nmax: int, alpha: float, x):
     """
     if nmax < 0:
         raise ValueError("degree n must be a nonnegative integer")
-    if alpha <= -1.0:
+    if not alpha > -1.0:  # NaN fails too
         raise ValueError("alpha must exceed -1")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < 0.0):
+    if not np.all(x >= 0.0):
         raise ValueError("Laguerre argument must be nonnegative")
     p_prev = np.ones_like(x)
     yield p_prev
@@ -230,7 +230,7 @@ def legendre_scaled_gap(l: int, theta):
     if l < 1:
         raise ValueError("l must be a positive integer")
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0.0) or np.any(theta > math.pi / 2 + 1e-15):
+    if not np.all((theta > 0.0) & (theta <= math.pi / 2 + 1e-15)):  # NaN fails too
         raise ValueError("theta must lie in (0, pi/2]")
     scalar = theta.ndim == 0
     theta = np.atleast_1d(theta)

@@ -207,19 +207,29 @@ def check_fourier_ground(rng) -> CheckResult:
     return CheckResult("fourier_ground_mode", worst <= 1e-12, worst, 1e-12)
 
 
-def check_fourier_vs_quadrature(rng) -> CheckResult:
+def check_fourier_vs_quadrature(rng, *, modes=((0, 0, 0), (1, 0, 0), (0, 1, 1), (2, 1, 0),
+                                                (1, 2, -2))) -> CheckResult:
+    # the closed-form transform of sqrt(mu) phi at 10 uniform xi in
+    # (-2.5, 2.5)^3 per mode, drawn mode after mode, against a 40^3
+    # Gauss-Hermite rule of its defining integral; in v = sqrt(2) u the
+    # Gaussian cancels the rule's weight.  The rule is summed one first-axis
+    # slab of 40^2 nodes at a time, so no array spans the whole grid, and
+    # e^(-i v.xi) splits into e^(-i v_1 xi_1) times a factor every slab shares.
+    draws = 10
+    xis = rng.uniform(-2.5, 2.5, size=(len(modes), draws, 3))
     x, w = np.polynomial.hermite.hermgauss(40)
-    U = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
-    W = (w[:, None, None] * w[None, :, None] * w[None, None, :]).reshape(-1)
-    v = math.sqrt(2.0) * U
-    r2 = np.einsum("ij,ij->i", v, v)
+    rest = math.sqrt(2.0) * np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+    w_rest = np.outer(w, w).ravel()
     worst = 0.0
-    for mode in [(0, 0, 0), (1, 0, 0), (0, 1, 1), (2, 1, 0), (1, 2, -2)]:
-        poly = basis.eval_phi(mode, v) * np.exp(0.25 * r2) * (2 * math.pi) ** -0.75
-        for _ in range(3):
-            xi = rng.uniform(-2.0, 2.0, size=3)
-            direct = 2.0 ** 1.5 * np.dot(W, poly * np.exp(-1j * (v @ xi)))
-            worst = max(worst, abs(direct - basis.fourier_sqrtmu_phi(mode, xi)))
+    for mode, xi in zip(modes, xis):
+        shared = np.exp(-1j * (rest @ xi[:, 1:].T))
+        direct = np.zeros(draws, dtype=complex)
+        for va, wa in zip(math.sqrt(2.0) * x, w):
+            v = np.column_stack([np.full(len(rest), va), rest])
+            weight = wa * w_rest * np.exp(0.25 * np.einsum("ij,ij->i", v, v))
+            direct += np.exp(-1j * va * xi[:, 0]) * ((basis.eval_phi(mode, v) * weight) @ shared)
+        direct *= 2.0 ** 1.5 * (2 * math.pi) ** -0.75
+        worst = max(worst, float(np.max(np.abs(direct - basis.fourier_sqrtmu_phi(mode, xi)))))
     return CheckResult("fourier_vs_quadrature", worst <= 1e-6, worst, 1e-6)
 
 

@@ -1,8 +1,7 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately avoids the package's evaluation paths:
-explicit derivative/sum formulas via sympy, a truncated Bessel series,
-tensorized Gauss-Hermite quadrature of the defining Fourier integral, the
+explicit derivative/sum formulas via sympy, a truncated Bessel series, the
 Gauss-Kronrod rule from its Stieltjes polynomial in rationals, closed
 forms and the unnormalized recurrence of the associated Legendre functions
 in mpmath, the exact s = 2 eigenvalues of the l = 0 column in mpmath, and
@@ -112,23 +111,6 @@ def bessel_j0(x: float) -> float:
         if abs(term) < 1e-18:
             break
     return total
-
-
-def fourier_by_gauss_hermite(eval_phi, mode, xi, nodes: int = 40) -> complex:
-    """int exp(-i v.xi) sqrt(mu)(v) phi_mode(v) dv by tensor Gauss-Hermite.
-
-    Substituting v = sqrt(2) u turns the integral into a weight-exp(-|u|^2)
-    quadrature of the polynomial-times-phase part; the Gaussian of the
-    integrand cancels the quadrature weight exactly.
-    """
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    U = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
-    W = (w[:, None, None] * w[None, :, None] * w[None, None, :]).reshape(-1)
-    v = math.sqrt(2.0) * U
-    r2 = np.einsum("ij,ij->i", v, v)
-    poly = eval_phi(mode, v) * np.exp(0.25 * r2) * (2.0 * math.pi) ** -0.75
-    phase = np.exp(-1j * (v @ np.asarray(xi, dtype=float)))
-    return complex(2.0 ** 1.5 * np.dot(W, poly * phase))
 
 
 def gauss_kronrod_mp(m: int, dps: int = 40):

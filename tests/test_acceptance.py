@@ -1,11 +1,10 @@
 """Acceptance criteria at full scale, one test per criterion (C01..C15).
 
-C01-C04, C06, C07 and C09-C14 call the ``dyboltz.verify`` checks at the
-acceptance sizes, so each gate and tolerance is written once, in the check;
-a test keeps locally only what no check has (C04's 100 -> 200 stability
-shifts, C10's random fields, C12's attained-at and per-l parts, C13's s=4
-split and frontier).  C05, C08 (with its independent tests/oracles.py
-quadrature) and C15 keep their own code.
+C01-C04 and C06-C14 call the ``dyboltz.verify`` checks at the acceptance
+sizes, so each gate and tolerance is written once, in the check; a test
+keeps locally only what no check has (C04's 100 -> 200 stability shifts,
+C10's random fields, C12's attained-at and per-l parts, C13's s=4 split
+and frontier).  C05 and C15 keep their own code.
 
 Each test prints a `[C##] PASS|FAIL <name> (<elapsed>) <measurements>` line
 before asserting, so a full transcript survives failures; run with
@@ -32,14 +31,13 @@ import numpy as np
 import pytest
 
 from dyboltz import verify
-from dyboltz.basis import SpectralField, eval_phi, fourier_sqrtmu_phi
+from dyboltz.basis import SpectralField
 from dyboltz.kernel import (KernelParams, QuadratureSpec, asymptotic_leading,
                             eigenvalue, eigenvalue_table, ratio_bounds)
 from dyboltz.solver import (S2DelaySeries, SobolevSeries, choose_c0,
                             classify_frontier, rate1_check, series_tail_classify)
 from dyboltz.spaces import NormSpec
 from dyboltz.specfun import legendre_scaled_gap
-from oracles import fourier_by_gauss_hermite
 
 QUAD = QuadratureSpec()
 
@@ -118,19 +116,12 @@ def test_c07_oscillator_eigenrelation(rng):
 
 def test_c08_fourier_identity(rng):
     t0 = time.time()
-    at_zero = abs(fourier_sqrtmu_phi((0, 0, 0), [0.0, 0.0, 0.0]) - 1.0)
-    worst = 0.0
-    xis = rng.uniform(-2.5, 2.5, size=(10, 3))
-    for n in range(4):
-        for l in range(4):
-            for m in range(-l, l + 1):
-                for xi in xis:
-                    a = fourier_sqrtmu_phi((n, l, m), xi)
-                    b = fourier_by_gauss_hermite(eval_phi, (n, l, m), xi)
-                    worst = max(worst, abs(a - b))
-    ok = at_zero <= 1e-12 and worst <= 1e-6
+    ground = verify.check_fourier_ground(rng)
+    modes = [(n, l, m) for n in range(4) for l in range(4) for m in range(-l, l + 1)]
+    res = verify.check_fourier_vs_quadrature(rng, modes=modes)
+    ok = ground.passed and res.passed
     assert report("C08 fourier identity n,l<=3", ok, t0,
-                  f"ground at 0 dev {at_zero:.1e}; closed-vs-quadrature {worst:.3e}")
+                  f"ground dev {ground.measured:.1e}; closed-vs-quadrature {res.measured:.3e}")
 
 
 def test_c09_exact_decay_and_semigroup(rng, table_factory):

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import pathlib
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -58,6 +59,8 @@ def test_beta_values():
         beta(0.0, P2)
     with pytest.raises(ValueError):
         beta(1.0, P2)
+    with pytest.raises(ValueError, match=r"\(0, pi/4\]"):  # NaN fails the domain check too
+        beta(math.nan, P2)
 
 
 def test_integrand_null_modes_identically_zero(rng):
@@ -515,6 +518,54 @@ def test_group_size_leaves_every_bit(monkeypatch):
     assert digest(builds()) == default
 
 
+def test_spans_leave_every_bit(monkeypatch):
+    # the radial N = 10^4 row runs in six spans of at most _SPAN_ROWS = 1985
+    # rows; one span of all its rows and single entries at the span edges
+    # give the same bytes
+    assert kernel._SPAN_ROWS < 10_001
+    split = eigenvalue_table(10_000, 0, P1, QUAD)
+    for n in (1984, 1985, 1986, 3970, 10_000):
+        entry = eigenvalue(n, 0, P1, QUAD)
+        assert (entry.lam, entry.err) == (split.lams[n, 0], split.errs[n, 0])
+    monkeypatch.setattr(kernel, "_SPAN_ROWS", 10_001)
+    whole = eigenvalue_table(10_000, 0, P1, QUAD)
+    assert split.lams.tobytes() == whole.lams.tobytes()
+    assert split.errs.tobytes() == whole.errs.tobytes()
+
+
+def test_convergence_error_across_spans_names_every_failing_row(monkeypatch):
+    # spans of two rows: (0, 0) and (1, 0) converge in the first span, the
+    # others fail in later ones, and the error still names each failing row
+    # of the first failing l with its partial sum, as the unsplit build does
+    tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16, max_panels=3)
+
+    def failures():
+        for build in (lambda: eigenvalue_table(4, 1, P1, tight),
+                      lambda: radial_eigenvalues(40, P1, tight)):
+            with pytest.raises(QuadratureConvergenceError) as exc:
+                build()
+            yield exc.value.pairs, exc.value.partial
+
+    unsplit = list(failures())
+    assert unsplit[0][0] == [(2, 0), (3, 0), (4, 0)]
+    monkeypatch.setattr(kernel, "_SPAN_ROWS", 2)
+    assert list(failures()) == unsplit
+
+
+def test_radial_build_working_set_is_bounded():
+    # numpy reports its buffers to tracemalloc.  Unsplit, a one-panel group
+    # of the 10^4 rows held 10^4 x 33 doubles (2.6 MB) per bracket array, a
+    # peak near 16 blocks of _BLOCK_DOUBLES doubles; in spans it is about 5
+    eigenvalue_table(100, 0, P1, QUAD)  # the cached panel rule is not the build's
+    tracemalloc.start()
+    try:
+        eigenvalue_table(10_000, 0, P1, QUAD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * kernel._BLOCK_DOUBLES
+
+
 def test_serial_build_sweeps_legendre_once(monkeypatch):
     degrees = []
     sweep = kernel.legendre_all
@@ -596,6 +647,11 @@ def test_asymptotic_leading_values():
     assert abs(got - 0.5 * math.log(10.0) ** 2) < 1e-12  # 2.650949
     with pytest.raises(ValueError):
         asymptotic_leading(1, 0, P2)  # 2n + l = 2 < 3
+    # modes that do not exist: 2n + l >= 3 alone let these through
+    with pytest.raises(ValueError, match="must be integers"):
+        asymptotic_leading(2.5, 0, P2)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        asymptotic_leading(-1, 5, P2)
 
 
 def test_ratio_bounds_single_entry():

@@ -17,6 +17,21 @@ def _norm(l, m):
     return math.sqrt((2 * l + 1) / (4 * math.pi) * math.factorial(l - m) / math.factorial(l + m))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: legendre(3, math.nan),
+    lambda: legendre_all(3, [0.5, math.nan]),
+    lambda: assoc_legendre_norm(2, 1, math.nan),
+    lambda: laguerre(2, 0.5, math.nan),
+    lambda: laguerre(2, math.nan, 1.0),
+    lambda: legendre_scaled_gap(3, math.nan),
+], ids=["legendre", "legendre_all", "assoc_legendre_norm", "laguerre_x", "laguerre_alpha",
+        "legendre_scaled_gap"])
+def test_nan_arguments_fail_the_domain_checks(call):
+    # each check is written so that NaN fails it, as it fails |x| <= 1
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_legendre_trivial_values():
     assert legendre(0, 0.7) == 1.0
     assert legendre(1, 0.5) == 0.5
