@@ -17,10 +17,10 @@ Conventions
   (direction vector (cos theta, sin theta cos phi, sin theta sin phi)).
 * Fourier transform: g^(xi) = int exp(-i v.xi) g(v) dv, so the Gaussian
   sqrt(mu) phi_{0,0,0} = mu transforms to exp(-|xi|^2/2).
-* A SpectralField stores finitely many complex amplitudes; a missing key
-  means amplitude zero.  It synthesizes a real-valued function iff
-  c_{n,l,-m} = conj(c_{n,l,m}) (no extra phase under the bare Y_l^m
-  convention).
+* A SpectralField is two arrays: the distinct (n, l, m) of its modes and
+  their complex amplitudes; every other amplitude is zero.  It synthesizes
+  a real-valued function iff c_{n,l,-m} = conj(c_{n,l,m}) (no extra phase
+  under the bare Y_l^m convention).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -55,9 +55,7 @@ class ModeIndex(NamedTuple):
     m: int
 
     def validate(self) -> "ModeIndex":
-        integer = (int, np.integer)
-        if not (isinstance(self.n, integer) and isinstance(self.l, integer)
-                and isinstance(self.m, integer)):
+        if not all(isinstance(x, (int, np.integer)) for x in self):
             raise ValueError(f"n, l and m must be integers, got {self}")
         if self.n < 0 or self.l < 0:
             raise ValueError(f"n and l must be nonnegative, got {self}")
@@ -66,85 +64,87 @@ class ModeIndex(NamedTuple):
         return self
 
 
-NULL_SPACE_MODES = (
-    ModeIndex(0, 0, 0),
-    ModeIndex(1, 0, 0),
-    ModeIndex(0, 1, -1),
-    ModeIndex(0, 1, 0),
-    ModeIndex(0, 1, 1),
-)
-
-
-@dataclass(frozen=True)
 class SpectralField:
-    """Finite map ModeIndex -> complex amplitude, plus a provenance label.
+    """Complex amplitudes on finitely many distinct modes, plus a provenance label.
 
-    The basis is orthonormal, so the L2 norm of the synthesized function is
-    the Euclidean norm of the amplitudes.
+    ``coeffs`` is a mapping {(n, l, m): amplitude} or a pair (modes,
+    amplitudes).  They are stored as read-only arrays in the order given:
+    ``nlm``, of shape (count, 3) and dtype int64, and the complex ``amps``.
     """
 
-    coeffs: dict
-    label: str = ""
+    def __init__(self, coeffs, label: str = ""):
+        modes, amps = (list(coeffs), list(coeffs.values())) if hasattr(coeffs, "keys") else coeffs
+        self.nlm, self.amps = _checked(modes, amps)
+        self.label = label
 
-    def __post_init__(self):
-        clean = {}
-        for mode, amp in self.coeffs.items():
-            mode = ModeIndex(*mode).validate()
-            amp = complex(amp)
-            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-                raise ValueError(f"amplitude of mode {tuple(mode)} is not finite: {amp}")
-            clean[mode] = amp
-        object.__setattr__(self, "coeffs", clean)
+    @property
+    def coeffs(self):
+        """A read-only {ModeIndex: amplitude} view, built from the arrays."""
+        return MappingProxyType(dict(zip(map(ModeIndex._make, self.nlm.tolist()),
+                                         self.amps.tolist())))
 
     def amplitude(self, mode) -> complex:
-        return self.coeffs.get(ModeIndex(*mode), 0j)
+        hit = np.flatnonzero((self.nlm == mode).all(axis=1))
+        return complex(self.amps[hit[0]]) if hit.size else 0j
+
+    def _norm(self, weight=1.0) -> float:
+        """sqrt(sum weight |amplitude|^2); a sum past the double range is inf."""
+        with np.errstate(over="ignore"):
+            return math.sqrt(float(np.sum(weight * (self.amps.real ** 2 + self.amps.imag ** 2))))
 
     def l2_norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.coeffs.values()))
+        return self._norm()
 
     def modes(self):
-        return sorted(self.coeffs)
-
-    def mode_arrays(self):
-        """(n, l, amplitudes) as arrays, in the order of ``coeffs``."""
-        nlm = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, 3)
-        amps = np.fromiter(self.coeffs.values(), dtype=complex, count=len(self.coeffs))
-        return nlm[:, 0], nlm[:, 1], amps
-
-    def map_amplitudes(self, fn, label=None) -> "SpectralField":
-        return SpectralField(
-            {mode: fn(mode, amp) for mode, amp in self.coeffs.items()},
-            label=self.label if label is None else label,
-        )
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        out = dict(self.coeffs)
-        for mode, amp in other.coeffs.items():
-            out[mode] = out.get(mode, 0j) + amp
-        return SpectralField(out, label=self.label)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return self + other.map_amplitudes(lambda _, a: -a)
+        return list(map(ModeIndex._make, self.nlm[np.lexsort(self.nlm.T[::-1])].tolist()))
 
     def inner(self, other: "SpectralField") -> complex:
         """L2 pairing sum_m c_m conj(d_m) over shared modes."""
-        small, big = self.coeffs, other.coeffs
-        if len(big) < len(small):
-            small, big = big, small
-            return sum(big.get(m, 0j) * amp.conjugate() for m, amp in small.items())
-        return sum(amp * big.get(m, 0j).conjugate() for m, amp in small.items())
+        i, j = _repeats(np.concatenate((self.nlm, other.nlm)))
+        return complex(np.sum(self.amps[i] * other.amps[j - len(self.amps)].conj()))
 
     def to_json(self) -> str:
-        rows = [[m.n, m.l, m.m, a.real, a.imag] for m, a in sorted(self.coeffs.items())]
+        order = np.lexsort(self.nlm.T[::-1])  # rows in (n, l, m) order
+        amps = self.amps[order]
+        rows = list(zip(*self.nlm[order].T.tolist(), amps.real.tolist(), amps.imag.tolist()))
         return json.dumps({"label": self.label, "rows": rows},
                           separators=(",", ":"), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "SpectralField":
         doc = json.loads(text)
-        coeffs = {(n, l, m): complex(re, im)
-                  for n, l, m, re, im in doc["rows"]}
-        return cls(coeffs, label=doc.get("label", ""))
+        if set(map(len, doc["rows"])) - {5}:
+            raise ValueError("each row must be [n, l, m, re, im]")
+        n, l, m, re, im = tuple(zip(*doc["rows"])) or ((),) * 5
+        return cls((list(zip(n, l, m)), list(map(complex, re, im))), label=doc.get("label", ""))
+
+
+def _repeats(nlm):
+    """(i, j), i < j, for each two equal rows of ``nlm`` that neighbour in (n, l, m) order."""
+    order = np.lexsort(nlm.T[::-1])
+    same = (nlm[order[1:]] == nlm[order[:-1]]).all(axis=1)
+    return np.sort([order[:-1][same], order[1:][same]], axis=0)
+
+
+def _checked(modes, amps):
+    """Read-only int64 modes and complex amplitudes, or a ValueError naming the first
+    mode with a bad index (as ``ModeIndex.validate``), a non-finite amplitude or a repeat."""
+    nlm = np.array(modes).reshape(len(modes), 3)
+    if nlm.dtype.kind in "biu":  # integer indices: only the first out of range is validated
+        n, l, m = nlm.T
+        modes = nlm[(n < 0) | (l < 0) | (np.abs(m) > l)][:1].tolist()
+    for mode in modes:  # ModeIndex.validate holds the index rules and their messages
+        ModeIndex(*mode).validate()
+    nlm, amps = nlm.astype(np.int64, copy=False), np.array(amps, dtype=complex).reshape(len(nlm))
+    if not np.isfinite(amps).all():
+        i = int(np.argmin(np.isfinite(amps)))
+        raise ValueError(f"amplitude of mode {tuple(nlm[i].tolist())} is not finite: "
+                         f"{complex(amps[i])}")
+    later = _repeats(nlm)[1]
+    if later.size:
+        raise ValueError(f"mode {tuple(nlm[later.min()].tolist())} is repeated")
+    nlm.flags.writeable = amps.flags.writeable = False
+    return nlm, amps
 
 
 def _radial_norm_const(n: int, l: int) -> float:
@@ -222,9 +222,8 @@ def project_null(field: SpectralField, keep: str) -> SpectralField:
     """
     if keep not in ("null", "orthogonal"):
         raise ValueError("keep must be 'null' or 'orthogonal'")
-    want_null = keep == "null"
-    out = {m: a for m, a in field.coeffs.items() if (m.n + m.l <= 1) == want_null}
-    return SpectralField(out, label=field.label)
+    mask = (field.nlm[:, 0] + field.nlm[:, 1] <= 1) == (keep == "null")
+    return SpectralField((field.nlm[mask], field.amps[mask]), label=field.label)
 
 
 _MIN_NODES = 64  # the least size of each rule of the inner products below
@@ -371,11 +370,9 @@ def orthonormality_max_deviation(nmax: int, lmax: int) -> float:
                 if j <= i:
                     R[i, j] = R[j, i] = _radial_pair_integral(na, la, nb, lb, n_radial, factor)
 
-    rad_pos = {nl: i for i, nl in enumerate(rad_modes)}
-    sph_pos = {lm: i for i, lm in enumerate(sph_modes)}
-    modes = [ModeIndex(n, l, m) for n in range(nmax + 1) for l, m in sph_modes]
-    ri = np.array([rad_pos[(mo.n, mo.l)] for mo in modes])
-    si = np.array([sph_pos[(mo.l, mo.m)] for mo in modes])
+    # mode i is (n, *sph_modes[si]); ri is the rad_modes index of its (n, l)
+    n, si = np.divmod(np.arange((nmax + 1) * len(sph_modes)), len(sph_modes))
+    ri = n * (lmax + 1) + np.array(sph_modes)[si, 0]
     worst = 0.0
     for i, (a, b) in enumerate(zip(ri, si)):  # one row of the Gram matrix at a time
         row = R[a, ri] * sphere_gram[b, si]

@@ -135,11 +135,12 @@ def _parse_init(text: str):
     kind = kind.lower()
     try:
         if kind == "modes":
-            coeffs = {}
+            modes, amps = [], []
             for chunk in rest.split(";"):
                 n, l, m, re, im = (x.strip() for x in chunk.split(","))
-                coeffs[(int(n), int(l), int(m))] = complex(float(re), float(im))
-            return SpectralField(coeffs, label=text)
+                modes.append((int(n), int(l), int(m)))
+                amps.append(complex(float(re), float(im)))
+            return SpectralField((modes, amps), label=text)
         kv = dict(item.split("=") for item in rest.split(",")) if rest else {}
         if kind == "delay":
             return DelaySeries(tau0=float(kv["tau0"]), N=int(kv.get("N", 10000)))
@@ -181,8 +182,7 @@ def cmd_evolve(args) -> int:
         raise UsageError(f"bad --times {args.times!r}: {exc}") from None
     if isinstance(init, SpectralField):
         field = init
-        nmax = max((m.n for m in field.coeffs), default=0)
-        lmax = max((m.l for m in field.coeffs), default=0)
+        nmax, lmax = field.nlm[:, :2].max(axis=0, initial=0).tolist()
         table, _ = _get_table(args, nmax, lmax)
     else:
         table, _ = _get_table(args, init.N, 0)

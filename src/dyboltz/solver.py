@@ -48,7 +48,7 @@ import numpy as np
 from .basis import ModeIndex, SpectralField, project_null
 from .kernel import EigenvalueTable, _check_s, ratio_bounds
 from .kernel import radial_eigenvalues  # not called; the benchmark tracer wraps this name
-from .spaces import W_SHIFT, NormSpec, _weighted_norm, log_weight, spectral_norm
+from .spaces import W_SHIFT, NormSpec, log_weight, spectral_norm
 
 __all__ = [
     "evolve",
@@ -95,9 +95,8 @@ def _check_time(t: float) -> None:
 def evolve(g: SpectralField, t: float, table: EigenvalueTable) -> SpectralField:
     """Multiply each amplitude by exp(-lambda_{n,l} t); null modes are unchanged."""
     _check_time(t)
-    n, l, amps = g.mode_arrays()
-    decayed = amps * _decay(table.lams_at(n, l), t)
-    return SpectralField(dict(zip(g.coeffs, decayed.tolist())), label=g.label)
+    decay = _decay(table.lams_at(g.nlm[:, 0], g.nlm[:, 1]), t)
+    return SpectralField((g.nlm, g.amps * decay), label=g.label)
 
 
 def choose_c0(table: EigenvalueTable, s: float) -> float:
@@ -262,8 +261,7 @@ class _RadialSeries:
         n = np.arange(self.n_min, self.N + 1)
         with np.errstate(over="ignore"):  # SpectralField names an overflowed mode
             amps = np.exp(log_coeff(self, np.log(n), lam[n]))
-        return SpectralField({(k, 0, 0): a for k, a in zip(n.tolist(), amps.tolist())},
-                             label=str(self))
+        return SpectralField((np.outer(n, (1, 0, 0)), amps), label=str(self))
 
 
 @dataclass(frozen=True)
@@ -504,10 +502,9 @@ def weak_form_residual(g0: SpectralField, test_modes, t: float,
     The evolution is exact, so the residual is pure quadrature error.
     """
     _check_time(t)
-    modes = [ModeIndex(*m).validate() for m in test_modes]
-    idx = np.array(modes, dtype=np.int64).reshape(-1, 3)
+    idx = np.array([ModeIndex(*m).validate() for m in test_modes], dtype=np.int64).reshape(-1, 3)
     lams = table.lams_at(idx[:, 0], idx[:, 1])
-    amps = np.array([g0.amplitude(m) for m in modes], dtype=complex)
+    amps = (idx[:, None, :] == g0.nlm).all(axis=2) @ g0.amps  # 0 where g0 has no such mode
 
     lhs = (1.0 + t) * np.sum(amps * np.exp(-lams * t)) - np.sum(amps)
     if t == 0.0:
@@ -546,13 +543,8 @@ class EvolutionReport:
                 ) -> "EvolutionReport":
         times = _sorted_times(times)
         specs = tuple(norms)
-        # evolve and spectral_norm on arrays: the same operations on the same values
-        n, l, amps = g0.mode_arrays()
-        lam = table.lams_at(n, l)
-        rows = []
-        for t in times:
-            amps_t = amps * _decay(lam, t)
-            rows.append(tuple(_weighted_norm(sp, n, l, amps_t, lam) for sp in specs))
+        rows = [tuple(spectral_norm(gt, sp, table) for sp in specs)
+                for gt in (evolve(g0, t, table) for t in times)]
         slopes = []
         tarr = np.array(times)
         for j in range(len(specs)):

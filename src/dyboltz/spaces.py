@@ -184,17 +184,12 @@ def log_weight(spec: NormSpec, logW, lam=None):
 def spectral_norm(field: SpectralField, spec: NormSpec,
                   table: EigenvalueTable | None = None) -> float:
     """sqrt(sum_modes weight * |amplitude|^2); table required for domain norms."""
-    n, l, amps = field.mode_arrays()
+    n, l = field.nlm[:, 0], field.nlm[:, 1]
     lam = table.lams_at(n, l) if spec.needs_table and table is not None else None
-    return _weighted_norm(spec, n, l, amps, lam)
-
-
-def _weighted_norm(spec: NormSpec, n, l, amps, lam) -> float:
-    """``spectral_norm`` of the modes (n, l) with amplitudes ``amps`` and eigenvalues ``lam``."""
     # finite weighted sums may legitimately overflow the double range
     with np.errstate(over="ignore"):
         weight = np.exp(log_weight(spec, np.log(2 * n + l + W_SHIFT), lam))
-        return math.sqrt(float(np.sum(weight * (amps.real ** 2 + amps.imag ** 2))))
+    return field._norm(weight)
 
 
 @dataclass(frozen=True)

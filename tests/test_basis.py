@@ -4,13 +4,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from dyboltz.basis import (NULL_SPACE_MODES, ModeIndex, SpectralField,
+from dyboltz.basis import (ModeIndex, SpectralField,
                            eval_phi, fourier_sqrtmu_phi,
                            inner_product_numeric,
                            orthonormality_max_deviation, oscillator_residual,
                            project_null)
 from dyboltz.errors import ResolutionError
+from strategies import FIELDS
+
+# the collision invariants 1, v and |v|^2 span these five modes
+NULL_SPACE_MODES = {(0, 0, 0), (1, 0, 0), (0, 1, -1), (0, 1, 0), (0, 1, 1)}
 
 
 def test_mode_index_validation():
@@ -34,9 +39,19 @@ def test_amplitudes_must_be_finite():
     for amp in (math.nan, math.inf, complex(0.0, -math.inf), complex(1.0, math.nan)):
         with pytest.raises(ValueError, match=r"amplitude of mode \(2, 0, 0\) is not finite"):
             SpectralField({(0, 0, 0): 1.0, (2, 0, 0): amp})
-    f = SpectralField({(2, 0, 0): 1.0})
-    with pytest.raises(ValueError, match="not finite"):
-        f.map_amplitudes(lambda _, a: a * math.inf)
+    # JSON reads Infinity and NaN, so the rows of a field file are checked too
+    with pytest.raises(ValueError, match=r"amplitude of mode \(2, 0, 0\) is not finite"):
+        SpectralField.from_json('{"label":"","rows":[[0,0,0,1.0,0.0],[2,0,0,Infinity,0.0]]}')
+
+
+def test_repeated_mode_is_rejected():
+    # a mapping cannot repeat a key, but the rows of a pair or a file can;
+    # the field keeps neither value silently
+    rows = '{"label":"","rows":[[2,0,0,1.0,0.0],[0,0,0,1.0,0.0],[2,0,0,3.0,0.0]]}'
+    with pytest.raises(ValueError, match=r"mode \(2, 0, 0\) is repeated"):
+        SpectralField.from_json(rows)
+    with pytest.raises(ValueError, match=r"mode \(0, 1, 0\) is repeated"):
+        SpectralField(([(0, 1, 0), (0, 1, 0)], [1.0, 1.0]))
 
 
 def test_points_must_be_finite():
@@ -121,19 +136,23 @@ def test_project_null_examples():
         project_null(f, "both")
 
 
-def test_project_null_partition_and_idempotence(rng):
-    f = _random_field(rng, 40)
+@settings(max_examples=30, deadline=None)
+@given(f=FIELDS, g=FIELDS)
+def test_project_null_partition_and_idempotence(f, g):
     p = project_null(f, "null")
     q = project_null(f, "orthogonal")
     assert set(p.coeffs) | set(q.coeffs) == set(f.coeffs)
     assert not set(p.coeffs) & set(q.coeffs)
-    assert all(m in NULL_SPACE_MODES for m in p.coeffs)
+    assert set(p.coeffs) <= NULL_SPACE_MODES
+    assert set(f.coeffs) & NULL_SPACE_MODES <= set(p.coeffs)
     assert project_null(p, "null").coeffs == p.coeffs
+    assert project_null(q, "orthogonal").coeffs == q.coeffs
     # Pythagoras in the orthonormal basis
-    assert abs(p.l2_norm() ** 2 + q.l2_norm() ** 2 - f.l2_norm() ** 2) < 1e-12
+    norm2 = f.l2_norm() ** 2
+    assert abs(p.l2_norm() ** 2 + q.l2_norm() ** 2 - norm2) <= 1e-12 * norm2
     # self-adjointness of the coefficient projector
-    g = _random_field(rng, 40)
-    assert abs(project_null(f, "null").inner(g) - f.inner(project_null(g, "null"))) < 1e-12
+    assert (abs(project_null(f, "null").inner(g) - f.inner(project_null(g, "null")))
+            <= 1e-12 * f.l2_norm() * g.l2_norm())
 
 
 def _conjugate_symmetric(field):
@@ -294,10 +313,6 @@ def test_spectral_field_json_roundtrip(rng):
 
 def test_spectral_field_arithmetic(rng):
     f = _random_field(rng, 8)
-    g = _random_field(rng, 8)
-    h = (f + g) - g
-    for m in f.coeffs:
-        assert abs(h.amplitude(m) - f.amplitude(m)) < 1e-12
     assert abs(f.inner(f) - f.l2_norm() ** 2) < 1e-12
 
 

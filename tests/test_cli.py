@@ -76,6 +76,8 @@ BAD_VALUES = {
                      "--norms", "l2"],
     "init-amp=inf": ["evolve", "--s", "2", "--init", "modes:2,0,0,inf,0", "--times", "1",
                      "--norms", "l2"],
+    "init-repeated-mode": ["evolve", "--s", "2", "--init", "modes:2,0,0,1,0;2,0,0,3,0",
+                           "--times", "0"],
     "init-tau0=nan": ["evolve", "--init", "delay:tau0=nan,N=50", "--times", "1"],
     "init-tau=inf": ["evolve", "--init", "sobolev:tau=inf,N=50", "--times", "1"],
     "scenario-times=-1": ["scenario", "--scenario", "remark14", "--s", "1",

@@ -617,6 +617,15 @@ def test_radial_path_matches_table(table_factory):
         assert lam[n] == eigenvalue(n, 0, P1, QUAD).lam
 
 
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 4.0])
+def test_radial_eigenvalues_increase(s):
+    # sin^(2n) and cos^(2n) both fall with n on (0, pi/4], so lambda_{n,0}
+    # increases for n >= 1; each step is far above the tolerance (at least
+    # 6.6e-6 relative, at s = 4)
+    lam = radial_eigenvalues(10_000, KernelParams(s=s), QUAD)[1:]
+    assert (np.diff(lam) > 2.0 * QUAD.rel_tol * lam[1:]).all()
+
+
 def test_convergence_error_carries_modes():
     tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16, max_panels=3)
     with pytest.raises(QuadratureConvergenceError) as exc:

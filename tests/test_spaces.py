@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyboltz.basis import SpectralField
@@ -9,6 +9,7 @@ from dyboltz.errors import EigenvalueLookupError
 from dyboltz.spaces import (W_SHIFT, EmbeddingEstimate, NormSpec,
                             embedding_estimate, parse_norm_spec, spectral_norm,
                             young_min, young_rhs)
+from strategies import FIELDS
 
 GAP_S2 = (2.0 / 3.0) * (1.0 - 2.0 ** -1.5)
 
@@ -104,6 +105,15 @@ def test_l2_norm_equals_euclidean(rng):
     assert abs(spectral_norm(f, NormSpec.l2()) - f.l2_norm()) < 1e-12
 
 
+def test_l2_norm_is_the_weight_one_spectral_norm():
+    # the same sum bit for bit, and past the double range inf, not OverflowError
+    for coeffs in ({(2, 0, 0): 1e200}, {(0, 0, 0): 3.0, (2, 1, -1): 1e155 - 1e155j},
+                   {(0, 0, 0): 0.1, (1, 0, 0): 0.2 - 0.3j, (5, 4, 3): 1.7j}):
+        f = SpectralField(coeffs)
+        assert f.l2_norm() == spectral_norm(f, NormSpec.l2())
+    assert SpectralField({(2, 0, 0): 1e200}).l2_norm() == math.inf
+
+
 def test_domain_norm_needs_table(rng):
     f = _random_field(rng, 5)
     with pytest.raises(ValueError):
@@ -141,15 +151,24 @@ def test_dual_weights_are_reciprocal(table_factory):
         assert abs(wpd - wd / lam) < 1e-12
 
 
-def test_logsob_monotonicity(rng):
-    f = _random_field(rng, 20)
-    n1 = spectral_norm(f, NormSpec.logsob(0.4, 1.5))
-    n2 = spectral_norm(f, NormSpec.logsob(0.9, 1.5))
-    assert n2 >= n1
+def _ordered(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=2, max_size=2).map(sorted)
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=FIELDS, taus=_ordered(-1.0, 1.0), tau=st.floats(0.0, 1.0), nus=_ordered(0.5, 2.0),
+       ks=_ordered(0.0, 10.0))
+def test_logsob_monotonicity(f, taus, tau, nus, ks):
+    # every weight below stays finite for n, l <= 20, so no norm is inf or NaN
+    nu = nus[0]
+    assert (spectral_norm(f, NormSpec.logsob(taus[0], nu))
+            <= spectral_norm(f, NormSpec.logsob(taus[1], nu)))
     # weights order pointwise in nu since log W >= 1
-    m1 = spectral_norm(f, NormSpec.logsob(0.4, 1.0))
-    m2 = spectral_norm(f, NormSpec.logsob(0.4, 1.8))
-    assert m1 >= m2
+    assert (spectral_norm(f, NormSpec.logsob(tau, nus[0]))
+            >= spectral_norm(f, NormSpec.logsob(tau, nus[1])))
+    # and in the Shubin order k, since W >= 1
+    assert (spectral_norm(f, NormSpec.shubin(ks[0]))
+            <= spectral_norm(f, NormSpec.shubin(ks[1])))
 
 
 def test_duality_pairing_bound(rng, table_factory):
