@@ -88,9 +88,14 @@ class SpectralField:
         return complex(self.amps[hit[0]]) if hit.size else 0j
 
     def _norm(self, weight=1.0) -> float:
-        """sqrt(sum weight |amplitude|^2); a sum past the double range is inf."""
-        with np.errstate(over="ignore"):
-            return math.sqrt(float(np.sum(weight * (self.amps.real ** 2 + self.amps.imag ** 2))))
+        """sqrt(sum weight |amplitude|^2); a sum past the double range is inf.
+
+        Only the modes with a nonzero |amplitude|^2 add a term, so a zero
+        amplitude under an infinite weight adds 0, not inf * 0 = NaN.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = self.amps.real ** 2 + self.amps.imag ** 2
+            return math.sqrt(float(np.sum(np.where(sq > 0.0, weight * sq, 0.0))))
 
     def l2_norm(self) -> float:
         return self._norm()

@@ -18,6 +18,7 @@ cache reproduces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -27,8 +28,9 @@ import numpy as np
 
 from .basis import SpectralField
 from .errors import CacheError, QuadratureConvergenceError
-from .kernel import (KernelParams, QuadratureSpec, _dumps_with_rows, asymptotic_leading,
-                     eigenvalue_table, load_table, save_table, table_version)
+from .kernel import (KernelParams, QuadratureSpec, _dumps_with_rows, _row_chunks,
+                     asymptotic_leading, eigenvalue_table, load_table, save_table,
+                     table_version)
 from .kernel import radial_eigenvalues  # not called; the benchmark tracer wraps this name
 from .solver import (DelaySeries, EvolutionReport, S2DelaySeries, SobolevSeries,
                      _check_time, _sorted_times, classify_frontier, series_tail_classify)
@@ -43,7 +45,7 @@ class UsageError(Exception):
     pass
 
 
-def _write_atomic(path: str, text: str):
+def _write_atomic(path: str, text):
     from .kernel import _atomic_write
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     _atomic_write(path, text)
@@ -112,8 +114,10 @@ def cmd_eigs(args) -> int:
                              map(asym.__getitem__, K.tolist())))
     name = f"eigs_s{s:g}_n{args.nmax}_l{args.lmax}.{args.format}"
     path = os.path.join(args.out, name)
-    if args.format == "csv":
-        out = "\n".join(["n,l,lambda,err,ratio_to_log_bound,asymptotic_leading", *rows, ""])
+    if args.format == "csv":  # in pieces of lines, as the JSON output and the cache file
+        chunks = itertools.chain([["n,l,lambda,err,ratio_to_log_bound,asymptotic_leading"]],
+                                 _row_chunks(rows))
+        out = ("\n".join([*chunk, ""]) for chunk in chunks)
     else:
         out = _dumps_with_rows({"s": s, "nmax": args.nmax, "lmax": args.lmax,
                                 "version": table.version,

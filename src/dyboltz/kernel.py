@@ -58,10 +58,11 @@ panels outward from pi/4, adds each panel to the running sums of the rows
 still live, fixes a row at its stopping panel, and evaluates no panel once
 every row has stopped.  It takes the panels in groups, one bracket call
 and two weighted sums per group for the rows that take the bracket, and
-two sums over k for the rows on their series: a group keeps its bracket
-block within ``_BLOCK_DOUBLES`` (64k doubles, 512 KB; the n-rows of an l
-are taken in spans of ``_SPAN_ROWS`` = 1985, so one panel of them fits, and
-the radial N = 10^4 row is six spans), ends where the next
+two sums over k for the rows on their series: a group keeps its working
+set within ``_BLOCK_DOUBLES`` (64k doubles, 512 KB), its bracket block
+alone and its ``_GROUP_ARRAYS`` = 8 panels x rows arrays together (the
+n-rows of an l are taken in spans of ``_SPAN_ROWS`` = 1985, so one panel
+of them fits, and the radial N = 10^4 row is six spans), ends where the next
 bracket row switches to its series, and ends where the first live row
 could stop, so almost no panel past a row's stop is evaluated; a group of
 series rows only runs ``_SERIES_SLACK`` = 2 panels further.  A table build
@@ -96,12 +97,13 @@ a row at once, each weighted sum is one ``np.einsum`` over the panels'
 columns or the series' terms, and the live rows are updated only in
 groups where some row stops.  A cache file and the CLI's ``eigs`` output
 share one formatting pass per table: each float is written by repr, once,
-which for a finite float is the text json.dumps writes.
+which for a finite float is the text json.dumps writes.  Both files are
+written ``_WRITE_ROWS`` = 1024 rows at a time, never joined whole.
 """
 
 from __future__ import annotations
 
-import hashlib
+import itertools
 import json
 import math
 import os
@@ -456,12 +458,20 @@ _PanelRule = namedtuple("_PanelRule",
                         "logsin logcos sin cos wvalue wcheck series_from mvalue mdiff")
 
 # a group of consecutive panels is evaluated in one numpy call per step,
-# as many as keep its bracket block of rows x panels x 33 nodes within this
-# many doubles (512 KB, inside a core's L2 cache); a build takes its n-rows
-# in spans of at most _SPAN_ROWS = 1985, so that even a group of one panel
-# keeps that bound
+# as many as keep its working set within this many doubles (512 KB, inside
+# a core's L2 cache): its bracket block of rows x panels x 33 nodes, and
+# its panels x rows arrays together; a build takes its n-rows in spans of
+# at most _SPAN_ROWS = 1985, so that even a group of one panel keeps that
+# bound
 _BLOCK_DOUBLES = 1 << 16
 _SPAN_ROWS = _BLOCK_DOUBLES // (2 * QuadratureSpec.nodes_per_panel + 1)
+
+# the panels x rows arrays a group of _eigen_rows holds at once: the
+# values and errors, the joined value, the running sums of value and error,
+# the panel sizes, their stopping limits and the stop mask.  A group takes
+# as many panels as keep all of them within _BLOCK_DOUBLES together; the
+# count follows the loop's code, so it is a constant, not an option
+_GROUP_ARRAYS = 8
 
 # log of the factor by which a panel's value falls from one panel to the
 # next below the knee (theta^2 over dyadic panels); it only sizes groups
@@ -668,18 +678,19 @@ def _eigen_rows(l: int, n_arr: np.ndarray, pl: np.ndarray, params: KernelParams,
     a_k x^k is within 1e-18 of a_1 x at the largest x a series panel sees.
 
     Each step evaluates a group of consecutive panels in one bracket call
-    for the rows not yet on their series.  The group keeps that block
-    within ``_BLOCK_DOUBLES`` in rows as well as panels: ``_block_task``
-    passes at most ``_SPAN_ROWS`` rows, so one panel of them fits, and every
-    other per-group array holds at most that many values per panel.  The
-    group ends at the next bracket row's switch panel, and at the first
+    for the rows not yet on their series.  The budget ``_BLOCK_DOUBLES``
+    covers every per-group array: the bracket block fits it, and so do the
+    ``_GROUP_ARRAYS`` arrays of one value per panel and row taken together,
+    in rows as well as panels (``_block_task`` passes at most
+    ``_SPAN_ROWS`` rows, so one panel of them fits).  The group ends at the
+    next bracket row's switch panel, and at the first
     panel where a live row could stop: below the knee
     a panel's value falls about 4-fold per panel, as theta^2 does, so a
     row whose last value is q times its stopping threshold stops no sooner
     than floor(log_4 q) + 1 panels later (before the first panel, q is
     1 / (``_PANEL_CUTOFF`` rel_tol), as if that panel held all of lambda).
     A group with every row on its series runs ``_SERIES_SLACK`` panels
-    further, within ``_BLOCK_DOUBLES`` values.  This only sizes the groups;
+    further, within the same budget.  This only sizes the groups;
     the running sums go through a group with ``np.add.accumulate``, which
     adds in sequence as ``+=`` does, and a row takes the sums at its own
     stopping panel.  Each weighted sum is an ``np.einsum`` whose inner loop
@@ -707,10 +718,10 @@ def _eigen_rows(l: int, n_arr: np.ndarray, pl: np.ndarray, params: KernelParams,
         while j < n_panels:
             ns = first.searchsorted(j, side="right")  # rows on their series at panel j
             direct = ns < len(rows)
-            if direct:
-                steps, slack = max(1, _BLOCK_DOUBLES // ((len(rows) - ns) * width)), 0
-            else:
-                steps, slack = max(1, _BLOCK_DOUBLES // len(rows)), _SERIES_SLACK
+            # doubles per panel: of the bracket block, or of the group's arrays together
+            per_panel = max((len(rows) - ns) * width, _GROUP_ARRAYS * len(rows))
+            steps = max(1, _BLOCK_DOUBLES // per_panel)
+            slack = 0 if direct else _SERIES_SLACK
             if reach < steps * _LOG_DECAY:  # False for NaN, which keeps the budget
                 steps = min(steps, int(reach / _LOG_DECAY) + 1 + slack)
             # a group ends where the next bracket row switches to its series
@@ -877,7 +888,7 @@ class EigenvalueTable:
         of one job share it.  repr is json.dumps's text for every finite
         float, and a table holds no other.
         """
-        prefixes = [f"{n},{l}," for n in range(self.nmax + 1) for l in range(self.lmax + 1)]
+        prefixes = (f"{n},{l}," for n in range(self.nmax + 1) for l in range(self.lmax + 1))
         texts = (map(float.__repr__, a.ravel().tolist()) for a in (self.lams, self.errs))
         return list(map("{}{},{}".format, prefixes, *texts))
 
@@ -893,6 +904,8 @@ def table_version(params: KernelParams, quad: QuadratureSpec) -> str:
         f"max_panels={quad.max_panels}",
         f"nodes_per_panel={QuadratureSpec.nodes_per_panel}",
     ])
+    import hashlib  # only commands that hash a version load OpenSSL
+
     return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
@@ -901,8 +914,9 @@ def _block_task(args):
 
     One Legendre sweep serves the block.  The n-rows of each l are taken in
     spans of at most ``_SPAN_ROWS``, so that a group of one panel keeps its
-    bracket block within ``_BLOCK_DOUBLES``; the series coefficients are
-    one vectorized pass per chunk of l-rows and span, each chunk within
+    working set within ``_BLOCK_DOUBLES``: its bracket block, and its
+    per-group arrays together; the series coefficients are one vectorized
+    pass per chunk of l-rows and span, each chunk's within
     ``_BLOCK_DOUBLES``.  Every entry is an independent computation, so the
     spans leave every bit as it is.  The spans of an l all run before any
     of them fails it, so a ``QuadratureConvergenceError`` names each
@@ -1015,12 +1029,30 @@ def ratio_bounds(table: EigenvalueTable, shift: float = math.e) -> RatioBounds:
 # cache files
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: str, text: str):
+# files are written this many rows at a time, so a job never holds a whole
+# cache file or ``eigs`` output as one string (4 MB and 6.9 MB at 201x201),
+# nor its encoded bytes; one write per row took 4x the time of these pieces
+_WRITE_ROWS = 1024
+
+
+def _row_chunks(rows):
+    """Lists of at most ``_WRITE_ROWS`` consecutive items of ``rows``."""
+    rows = iter(rows)
+    return iter(lambda: list(itertools.islice(rows, _WRITE_ROWS)), [])
+
+
+def _atomic_write(path: str, text):
+    """Write ``text``, a str or an iterable of str pieces, to ``path`` atomically.
+
+    The pieces go to a temp file in the target's directory, which replaces
+    ``path`` only once every piece is written; if writing fails, the temp
+    file is removed and ``path`` is left as it was.
+    """
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -1028,20 +1060,24 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _dumps_with_rows(doc: dict, rows) -> str:
+def _dumps_with_rows(doc: dict, rows):
     """Compact key-sorted json.dumps of doc plus "rows", each row given as JSON text.
 
     A row text is its elements without the brackets ("0,1,0.0,0.0"), so
-    preformatted rows are joined, not encoded again; the output equals
+    preformatted rows are joined, not encoded again.  The text comes in
+    pieces of at most ``_WRITE_ROWS`` rows, whose join equals
     json.dumps({**doc, "rows": [...]}, separators=(",", ":"), sort_keys=True).
     """
     head, tail = json.dumps({**doc, "rows": 0}, separators=(",", ":"),
                             sort_keys=True).split('"rows":0', 1)
-    return "".join((head, '"rows":[[', "],[".join(rows), "]]", tail))
+    yield head + '"rows":[['
+    for i, chunk in enumerate(_row_chunks(rows)):
+        yield ("],[" if i else "") + "],[".join(chunk)
+    yield "]]" + tail
 
 
 def save_table(table: EigenvalueTable, path: str):
-    """Write the cache file atomically (temp file + rename).
+    """Write the cache file atomically (temp file + rename), in pieces.
 
     The header goes through json.dumps; the rows are the table's
     ``_row_texts``, formatted once per table, so an ``eigs`` job that saves

@@ -158,6 +158,22 @@ def test_eigs_outputs_match_reference_formatting(tmp_path):
         assert got == _reference_cache(table).encode()
 
 
+def test_files_written_in_pieces_match_the_whole_text(tmp_path):
+    # 37 x 29 = 1073 rows: one full piece of _WRITE_ROWS rows and a partial
+    # one; the cache file, the csv and the json equal their one-string texts
+    table = kernel.eigenvalue_table(36, 28, KernelParams(s=2.0))
+    rows = len(table._row_texts)
+    assert rows > kernel._WRITE_ROWS and rows % kernel._WRITE_ROWS
+    cache = tmp_path / "cache"
+    for fmt in ("csv", "json"):
+        assert run(tmp_path, "eigs", "--s", "2", "--nmax", "36", "--lmax", "28",
+                   "--format", fmt, "--cache-dir", str(cache), "--out", str(tmp_path)) == 0
+        got = (tmp_path / f"eigs_s2_n36_l28.{fmt}").read_bytes()
+        assert got == _reference_eigs(table, fmt).encode()
+    got = (cache / f"eigs-{table.version}-n36-l28.json").read_bytes()
+    assert got == _reference_cache(table).encode()
+
+
 def _modules_loaded_by(argv, names):
     """The modules among ``names`` that a fresh process holds after ``main(argv)``."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -172,8 +188,9 @@ def _modules_loaded_by(argv, names):
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     lazy = ["scipy", "concurrent.futures.process"]
-    # import only; the verify checks are imported by the verify command alone
-    assert _modules_loaded_by([], [*lazy, "dyboltz.verify"]) == "None []"
+    # import only; the verify checks are imported by the verify command alone,
+    # and OpenSSL (_hashlib) only where a table version is hashed
+    assert _modules_loaded_by([], [*lazy, "dyboltz.verify", "_hashlib"]) == "None []"
     assert _modules_loaded_by(["verify", "--suite", "basis", "--out", str(tmp_path)],
                               lazy) == "0 []"
     args = ["eigs", "--s", "2", "--nmax", "6", "--lmax", "5",
@@ -184,7 +201,17 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # the tail classifier takes its median without numpy.ma (np.median imports it)
     scenario = ["scenario", "--scenario", "remark14", "--s", "1", "--series-n", "400",
                 "--out", str(tmp_path)]
-    assert _modules_loaded_by(scenario, [*lazy, "numpy.ma"]) == "0 []"
+    assert _modules_loaded_by(scenario, [*lazy, "numpy.ma", "_hashlib"]) == "0 []"
+
+
+def test_evolve_norm_of_a_mode_decayed_to_zero(tmp_path):
+    # by t = 2000 exp(-lambda t) is 0 at (200, 0, 0), whose logsob weight
+    # overflows: the norm is that of (0, 0, 0) alone, not inf * 0 = nan
+    assert run(tmp_path, "evolve", "--s", "2", "--init", "modes:0,0,0,1,0;200,0,0,1,0",
+               "--times", "0,2000", "--norms", "logsob:tau=1,nu=0.5",
+               "--out", str(tmp_path)) == 0
+    last = (tmp_path / "evolve_s2.csv").read_text().splitlines()[-1]
+    assert last == '2000.0,"logsob:tau=1,nu=0.5",73.18480748434146'
 
 
 def test_subcommands_reject_flags_they_do_not_read(tmp_path):

@@ -566,6 +566,36 @@ def test_radial_build_working_set_is_bounded():
     assert peak < 8 * 8 * kernel._BLOCK_DOUBLES
 
 
+def test_series_groups_share_one_block_budget():
+    # numpy reports its buffers to tracemalloc.  A series-only group of a
+    # 1985-row span held _GROUP_ARRAYS arrays of up to _BLOCK_DOUBLES values
+    # each, a peak of 2.3 MB; the budget now covers them together
+    eigenvalue_table(100, 0, P1, QUAD)  # the cached panel rule is not the build's
+    tracemalloc.start()
+    try:
+        eigenvalue_table(2000, 0, P1, QUAD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+
+
+def test_atomic_write_that_fails_partway_leaves_no_file(tmp_path):
+    def pieces():
+        yield "a first piece,"
+        raise RuntimeError("formatting failed")
+
+    target = tmp_path / "table.json"
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        kernel._atomic_write(str(target), pieces())
+    assert list(tmp_path.iterdir()) == []
+    # an existing file is left as it was
+    target.write_text("old")
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        kernel._atomic_write(str(target), pieces())
+    assert list(tmp_path.iterdir()) == [target] and target.read_text() == "old"
+
+
 def test_serial_build_sweeps_legendre_once(monkeypatch):
     degrees = []
     sweep = kernel.legendre_all

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -112,6 +113,18 @@ def test_l2_norm_is_the_weight_one_spectral_norm():
         f = SpectralField(coeffs)
         assert f.l2_norm() == spectral_norm(f, NormSpec.l2())
     assert SpectralField({(2, 0, 0): 1e200}).l2_norm() == math.inf
+
+
+def test_zero_amplitude_under_an_overflowing_weight_adds_nothing():
+    # the logsob weight of (200, 0, 0) overflows at nu = 0.5, and inf * 0 is
+    # NaN; an explicit zero amplitude there must leave the norm as it is
+    spec = NormSpec.logsob(1.0, 0.5)
+    alone = spectral_norm(SpectralField({(0, 0, 0): 1.0}), spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        padded = spectral_norm(SpectralField({(0, 0, 0): 1.0, (200, 0, 0): 0.0}), spec)
+    assert math.isfinite(alone) and padded == alone
+    assert spectral_norm(SpectralField({(0, 0, 0): 1.0, (200, 0, 0): 1.0}), spec) == math.inf
 
 
 def test_domain_norm_needs_table(rng):
