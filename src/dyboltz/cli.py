@@ -23,14 +23,14 @@ import json
 import math
 import os
 import sys
+import zlib
 
 import numpy as np
 
 from .basis import SpectralField
 from .errors import CacheError, QuadratureConvergenceError
-from .kernel import (KernelParams, QuadratureSpec, _dumps_with_rows, _row_chunks,
-                     asymptotic_leading, eigenvalue_table, load_table, save_table,
-                     table_version)
+from .kernel import (KernelParams, QuadratureSpec, _cache_key, _dumps_with_rows, _row_chunks,
+                     asymptotic_leading, eigenvalue_table, load_table, save_table)
 from .kernel import radial_eigenvalues  # not called; the benchmark tracer wraps this name
 from .solver import (DelaySeries, EvolutionReport, S2DelaySeries, SobolevSeries,
                      _check_time, _sorted_times, classify_frontier, series_tail_classify)
@@ -67,13 +67,13 @@ def _quad(args) -> QuadratureSpec:
 
 
 def _get_table(args, nmax: int, lmax: int):
-    """The nmax x lmax table, served from the cache only on an exact match."""
+    """The nmax x lmax table, served from the cache file named by its key's crc32."""
     params, quad = _params(args), _quad(args)
     cache_path = None
     if args.cache_dir:
         os.makedirs(args.cache_dir, exist_ok=True)
-        cache_path = os.path.join(
-            args.cache_dir, f"eigs-{table_version(params, quad)}-n{nmax}-l{lmax}.json")
+        crc = zlib.crc32(json.dumps(_cache_key(params, quad)).encode())
+        cache_path = os.path.join(args.cache_dir, f"eigs-{crc:08x}-n{nmax}-l{lmax}.json")
         if os.path.exists(cache_path):
             table = load_table(cache_path, params, quad)
             if (table.nmax, table.lmax) != (nmax, lmax):
@@ -302,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--abs-tol", type=float, default=1e-13)
         p.add_argument("--max-panels", type=int, default=72)
         p.add_argument("--cache-dir", default=None,
-                       help="eigenvalue cache directory (keyed by hash and shape)")
+                       help="eigenvalue cache directory (one file per table key and shape)")
         p.add_argument("--workers", type=int, default=1,
                        help="parallel workers for table construction")
 

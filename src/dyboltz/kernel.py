@@ -21,7 +21,7 @@ Eigenvalues are
 computed over geometrically graded dyadic panels [pi/4 * 2^-(j+1), pi/4 * 2^-j]
 with one fixed Gauss-Kronrod pair per panel: the 16-node Gauss rule
 embedded in its 33-node Kronrod extension (m = 16 is the constant
-``QuadratureSpec.nodes_per_panel``, part of every table version).  A
+``QuadratureSpec.nodes_per_panel``, part of every cache key).  A
 panel's value is the Kronrod sum and its error term |K_33 - G_16|, summed
 over panels; that measures the error of the Gauss rule, so it overstates
 the error of the reported value.  The Kronrod nodes come from Laurie's
@@ -477,6 +477,10 @@ _GROUP_ARRAYS = 8
 # next below the knee (theta^2 over dyadic panels); it only sizes groups
 _LOG_DECAY = math.log(4.0)
 
+# a smaller table is built serially whatever ``workers`` says: two workers in
+# fresh processes lost to one at 161x161 (0.26 s against 0.18 s at s = 2)
+_POOL_ENTRIES = 30_000
+
 
 @lru_cache(maxsize=32)
 def _gauss_legendre(m: int):
@@ -893,20 +897,20 @@ class EigenvalueTable:
         return list(map("{}{},{}".format, prefixes, *texts))
 
 
+def _cache_key(params: KernelParams, quad: QuadratureSpec) -> dict:
+    """Every input a table's bits depend on: the header of its cache file."""
+    return {"s": params.s, "theta_max": THETA_MAX, "rel_tol": quad.rel_tol,
+            "abs_tol": quad.abs_tol, "max_panels": quad.max_panels,
+            "nodes_per_panel": QuadratureSpec.nodes_per_panel, "code_version": CODE_VERSION}
+
+
 def table_version(params: KernelParams, quad: QuadratureSpec) -> str:
-    """Content hash of (kernel params, the fixed THETA_MAX, quadrature spec, code version)."""
-    key = "|".join([
-        CODE_VERSION,
-        f"s={params.s!r}",
-        f"theta_max={THETA_MAX!r}",
-        f"rel_tol={quad.rel_tol!r}",
-        f"abs_tol={quad.abs_tol!r}",
-        f"max_panels={quad.max_panels}",
-        f"nodes_per_panel={QuadratureSpec.nodes_per_panel}",
-    ])
+    """SHA-256 of the cache key, the ``version`` that ``eigs --format json`` writes."""
+    key = _cache_key(params, quad)
+    text = "|".join([key.pop("code_version"), *(f"{k}={v}" for k, v in key.items())])
     import hashlib  # only commands that hash a version load OpenSSL
 
-    return hashlib.sha256(key.encode()).hexdigest()[:16]
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _block_task(args):
@@ -955,14 +959,14 @@ def eigenvalue_table(nmax: int, lmax: int, params: KernelParams,
 
     A serial build sweeps the Legendre recurrence once for the whole table;
     ``workers > 1`` distributes contiguous l-blocks over processes, each
-    with its own sweep.  Every entry is an independent deterministic
-    computation, so the result does not depend on worker count or
-    evaluation order.
+    with its own sweep, once the table has ``_POOL_ENTRIES`` entries.  Every
+    entry is an independent deterministic computation, so the result does
+    not depend on worker count or evaluation order.
     """
     if nmax < 0 or lmax < 0:
         raise ValueError("nmax and lmax must be nonnegative")
     n = np.arange(nmax + 1)
-    if workers > 1 and lmax > 0:
+    if workers > 1 and lmax > 0 and (nmax + 1) * (lmax + 1) >= _POOL_ENTRIES:
         size = -(-(lmax + 1) // (4 * workers))  # about four blocks per worker
         tasks = [(range(l, min(l + size, lmax + 1)), n, params, quad)
                  for l in range(0, lmax + 1, size)]
@@ -1077,68 +1081,77 @@ def _dumps_with_rows(doc: dict, rows):
 
 
 def save_table(table: EigenvalueTable, path: str):
-    """Write the cache file atomically (temp file + rename), in pieces.
+    """Write the cache file {"header": the cache key, "rows": [[n, l, lambda, err], ...]}.
 
-    The header goes through json.dumps; the rows are the table's
-    ``_row_texts``, formatted once per table, so an ``eigs`` job that saves
-    and then writes its output formats each float once.
+    It is written atomically (temp file + rename), in pieces.  The rows are
+    the table's ``_row_texts``, formatted once per table, so an ``eigs`` job
+    that saves and then writes its output formats each float once.
     """
-    header = {
-        "s": table.params.s,
-        "theta_max": THETA_MAX,
-        "rel_tol": table.quad.rel_tol,
-        "abs_tol": table.quad.abs_tol,
-        "max_panels": table.quad.max_panels,
-        "nodes_per_panel": QuadratureSpec.nodes_per_panel,
-        "version": table.version,
-    }
-    _atomic_write(path, _dumps_with_rows({"header": header}, table._row_texts))
+    _atomic_write(path, _dumps_with_rows({"header": _cache_key(table.params, table.quad)},
+                                         table._row_texts))
 
 
 def load_table(path: str, params: KernelParams | None = None,
                quad: QuadratureSpec | None = None) -> EigenvalueTable:
-    """Load and validate a cache file.
+    """Load and validate a cache file; any fault raises CacheError, nothing is migrated.
 
-    Corrupt files and version mismatches (different parameters, quadrature
-    spec, or code version) raise CacheError; stale caches are never migrated
-    or partially read.
+    Every header field must equal the cache key's of ``params`` and ``quad``
+    (by default the header's own); the error names the first that differs.
+    json.loads reads the header alone and ``_parse_rows`` the rows.
     """
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        header = doc["header"]
-        for key, fixed in (("theta_max", THETA_MAX),
-                           ("nodes_per_panel", QuadratureSpec.nodes_per_panel)):
-            if header[key] != fixed:  # a constant: the version hash does not read the file's
-                raise CacheError(f"cache {key} {header[key]!r} is not the fixed {fixed!r}")
-        file_params = KernelParams(s=header["s"])
-        file_quad = QuadratureSpec(rel_tol=header["rel_tol"], abs_tol=header["abs_tol"],
-                                   max_panels=header["max_panels"])
-        expected = table_version(file_params, file_quad)
-        if header["version"] != expected:
-            raise CacheError(
-                f"cache version {header['version']} does not match expected {expected} "
-                f"(stale code or tampered header); rebuild required"
-            )
-        if params is not None and params != file_params:
-            raise CacheError("cache was built for different kernel parameters")
-        if quad is not None and quad != file_quad:
-            raise CacheError("cache was built with a different quadrature spec")
-        lams, errs = _grid_from_rows(doc["rows"])
-        return EigenvalueTable(params=file_params, quad=file_quad, lams=lams, errs=errs)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        start = data.index(b'"rows"')
+        header = json.loads(data[:start].rstrip().removesuffix(b",") + b"}")["header"]
+        params = params or KernelParams(s=header["s"])
+        quad = quad or QuadratureSpec(rel_tol=header["rel_tol"], abs_tol=header["abs_tol"],
+                                      max_panels=header["max_panels"])
+        key = _cache_key(params, quad)
+        for field in {**key, **header}:
+            if header.get(field) != key.get(field):
+                raise CacheError(f"cache {field} {header.get(field)!r} is not {key.get(field)!r}")
+        lams, errs = _grid_from_rows(_parse_rows(data, start + len(b'"rows"')))
+        return EigenvalueTable(params=params, quad=quad, lams=lams, errs=errs)
     except CacheError:
         raise
     except Exception as exc:
         raise CacheError(f"unreadable eigenvalue cache {path}: {exc}") from exc
 
 
-def _grid_from_rows(rows):
-    """(lams, errs) arrays from cache rows [n, l, lambda, err] in any order.
+_PARSE_BYTES = 1 << 16  # the rows are parsed about this many bytes at a time
+_NOT_ROW_SYNTAX = bytes(sorted(set(range(256)) - set(b",[]")))
+
+
+def _parse_rows(data: bytes, pos: int) -> np.ndarray:
+    """The rows ': [[n, l, lambda, err], ...]}' after ``data[pos]`` as an (nrows, 4) array.
+
+    In each piece, cut after a row's ']', the brackets and commas must read
+    ',[,,,]' per row (the first piece's comma implied), and np.fromstring
+    must read four numbers per row with the brackets blanked.
+    """
+    lo, hi = data.index(b"[", pos), data.rindex(b"]")
+    if data[pos:lo].strip() != b":" or data[hi + 1:].strip() != b"}":
+        raise CacheError("cache rows must be one array closed by the file's last '}'")
+    rows, done, start = np.empty((data.count(b"]", lo + 1, hi), 4)), 0, lo + 1
+    while start < hi:
+        stop = data.find(b"]", start + _PARSE_BYTES, hi) + 1 or hi
+        piece = (b"," if start == lo + 1 else b"") + data[start:stop]
+        count = piece.count(b"]")
+        if piece.translate(None, _NOT_ROW_SYNTAX) != b",[,,,]" * count:
+            raise CacheError("cache rows must be [n, l, lambda, err] lists")
+        text = piece.translate(bytes.maketrans(b"[]", b"  ")).lstrip().removeprefix(b",")
+        rows[done:done + count] = np.fromstring(text, sep=",").reshape(count, 4)
+        done, start = done + count, stop
+    return rows
+
+
+def _grid_from_rows(rows: np.ndarray):
+    """(lams, errs) arrays from the (nrows, 4) cache rows [n, l, lambda, err] in any order.
 
     The rows must cover the full (n, l) rectangle exactly once.
     """
-    rows = np.array(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 4 or not len(rows):
+    if not len(rows):
         raise CacheError("cache rows must be nonempty [n, l, lambda, err] lists")
     idx = rows[:, :2]
     if not np.all((idx >= 0) & (idx < len(rows)) & (idx == np.floor(idx))):

@@ -30,7 +30,7 @@ import time
 import numpy as np
 import pytest
 
-from dyboltz import verify
+from dyboltz import kernel, verify
 from dyboltz.basis import SpectralField
 from dyboltz.kernel import (KernelParams, QuadratureSpec, asymptotic_leading,
                             eigenvalue, eigenvalue_table, ratio_bounds)
@@ -219,7 +219,7 @@ def test_c14_weak_formulation(rng, table_factory):
     assert report("C14 weak formulation", res.passed, t0, f"max residual {res.measured:.3e}")
 
 
-def test_c15_determinism_and_caching(tmp_path):
+def test_c15_determinism_and_caching(tmp_path, monkeypatch):
     t0 = time.time()
     outs = []
     for run in ("a", "b"):
@@ -235,6 +235,7 @@ def test_c15_determinism_and_caching(tmp_path):
     byte_identical = outs[0] == outs[1]
 
     p = KernelParams(s=1.0)
+    monkeypatch.setattr(kernel, "_POOL_ENTRIES", 0)  # a 41x41 build would stay serial
     serial = eigenvalue_table(40, 40, p, QUAD, workers=1)
     parallel = eigenvalue_table(40, 40, p, QUAD, workers=3)
     exact = (np.array_equal(serial.lams, parallel.lams)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+import zlib
 
 import pytest
 
@@ -134,12 +135,21 @@ def _reference_eigs(table, fmt):
     return json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
+def _reference_header(params, quad=kernel.QuadratureSpec()):
+    return {"s": params.s, "theta_max": kernel.THETA_MAX, "rel_tol": quad.rel_tol,
+            "abs_tol": quad.abs_tol, "max_panels": quad.max_panels,
+            "nodes_per_panel": quad.nodes_per_panel, "code_version": kernel.CODE_VERSION}
+
+
+def _cache_name(params, nmax, lmax):
+    # the crc32 of the header as json.dumps writes it, in 8 hex digits
+    crc = zlib.crc32(json.dumps(_reference_header(params)).encode())
+    return f"eigs-{crc:08x}-n{nmax}-l{lmax}.json"
+
+
 def _reference_cache(table):
-    header = {"s": table.params.s, "theta_max": kernel.THETA_MAX,
-              "rel_tol": table.quad.rel_tol, "abs_tol": table.quad.abs_tol,
-              "max_panels": table.quad.max_panels,
-              "nodes_per_panel": table.quad.nodes_per_panel, "version": table.version}
-    return json.dumps({"header": header, "rows": [list(r) for r in table.rows()]},
+    return json.dumps({"header": _reference_header(table.params, table.quad),
+                       "rows": [list(r) for r in table.rows()]},
                       separators=(",", ":"), sort_keys=True)
 
 
@@ -154,7 +164,7 @@ def test_eigs_outputs_match_reference_formatting(tmp_path):
                        "--format", fmt, "--cache-dir", str(cache), "--out", str(tmp_path)) == 0
             got = (tmp_path / f"eigs_s{s}_n12_l9.{fmt}").read_bytes()
             assert got == _reference_eigs(table, fmt).encode()
-        got = (cache / f"eigs-{table.version}-n12-l9.json").read_bytes()
+        got = (cache / _cache_name(table.params, 12, 9)).read_bytes()
         assert got == _reference_cache(table).encode()
 
 
@@ -170,17 +180,21 @@ def test_files_written_in_pieces_match_the_whole_text(tmp_path):
                    "--format", fmt, "--cache-dir", str(cache), "--out", str(tmp_path)) == 0
         got = (tmp_path / f"eigs_s2_n36_l28.{fmt}").read_bytes()
         assert got == _reference_eigs(table, fmt).encode()
-    got = (cache / f"eigs-{table.version}-n36-l28.json").read_bytes()
+    got = (cache / _cache_name(table.params, 36, 28)).read_bytes()
     assert got == _reference_cache(table).encode()
 
 
-def _modules_loaded_by(argv, names):
-    """The modules among ``names`` that a fresh process holds after ``main(argv)``."""
+def _modules_loaded_by(argv, names, runs=1):
+    """The modules among ``names`` that a fresh process holds after ``main(argv)``.
+
+    ``runs`` = 2 runs the command twice in that process: with ``--cache-dir``,
+    a build that fills the cache and then a hit.
+    """
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = ("import sys; from dyboltz.cli import main; "
-            "rc = main(sys.argv[2:]) if sys.argv[2:] else None; "
+    code = ("import sys; from dyboltz.cli import main; argv = sys.argv[3:]; "
+            "rc = [main(argv) for _ in range(int(sys.argv[2]))][-1] if argv else None; "
             "print(rc, sorted(m for m in sys.argv[1].split(',') if m in sys.modules))")
-    r = subprocess.run([sys.executable, "-c", code, ",".join(names), *argv],
+    r = subprocess.run([sys.executable, "-c", code, ",".join(names), str(runs), *argv],
                        capture_output=True, text=True, check=True,
                        env={**os.environ, "PYTHONPATH": src})
     return r.stdout.strip().splitlines()[-1]  # after the command's own output
@@ -194,11 +208,15 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # the basis checks draw points, from the standard library's random
     assert _modules_loaded_by(["verify", "--suite", "basis", "--out", str(tmp_path)],
                               [*lazy, "numpy.random", "_hashlib"]) == "0 []"
-    args = ["eigs", "--s", "2", "--nmax", "6", "--lmax", "5",
-            "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)]
-    assert run(tmp_path, *args) == 0
-    # a cache hit loads the table without numpy.ma (np.unique imports it)
-    assert _modules_loaded_by(args, [*lazy, "numpy.ma", "dyboltz.verify"]) == "0 []"
+    # the cache is named and checked by its key, so neither a build that fills
+    # it nor a hit hashes anything (only eigs --format json writes a hash); a
+    # hit loads the table without numpy.ma (np.unique imports it)
+    cache = ["--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)]
+    args = ["eigs", "--s", "2", "--nmax", "6", "--lmax", "5", *cache]
+    assert _modules_loaded_by(args, [*lazy, "numpy.ma", "dyboltz.verify", "_hashlib"],
+                              runs=2) == "0 []"
+    series = ["evolve", "--s", "1", "--init", "delay:tau0=0.5,N=300", "--times", "1", *cache]
+    assert _modules_loaded_by(series, [*lazy, "_hashlib"], runs=2) == "0 []"
     # the tail classifier takes its median without numpy.ma (np.median imports it)
     scenario = ["scenario", "--scenario", "remark14", "--s", "1", "--series-n", "400",
                 "--out", str(tmp_path)]
@@ -231,9 +249,20 @@ def test_eigs_corrupt_cache_rejected(tmp_path):
     assert run(tmp_path, "eigs", *args, "--out", str(tmp_path)) == 0
     cache_file = next(cache.glob("eigs-*.json"))
     doc = json.load(open(cache_file))
-    doc["header"]["version"] = "f" * 16
+    doc["header"]["code_version"] = "dyboltz-kernel-2"
     json.dump(doc, open(cache_file, "w"))
     assert run(tmp_path, "eigs", *args, "--out", str(tmp_path)) == 2
+
+
+def test_cache_file_of_another_key_under_this_name_is_an_error(tmp_path, capsys):
+    # as two keys of one crc32 would meet: the header, not the name, decides
+    cache = tmp_path / "cache"
+    args = ["--nmax", "3", "--lmax", "2", "--cache-dir", str(cache), "--out", str(tmp_path)]
+    assert run(tmp_path, "eigs", "--s", "2", *args) == 0
+    os.replace(cache / _cache_name(KernelParams(s=2.0), 3, 2),
+               cache / _cache_name(KernelParams(s=1.0), 3, 2))
+    assert run(tmp_path, "eigs", "--s", "1", *args) == 2
+    assert "cache s 2.0 is not 1.0" in capsys.readouterr().err
 
 
 def test_cache_second_round_builds_nothing(tmp_path, monkeypatch):
@@ -472,3 +501,30 @@ def test_scenario_example41_frontier(tmp_path):
 def test_scenario_unknown_name(tmp_path):
     assert run(tmp_path, "scenario", "--scenario", "nope",
                "--out", str(tmp_path)) == 2
+
+
+def test_small_benchmark_outputs_keep_their_bytes(tmp_path):
+    # the modes evolve, eigs 49x49 and verify --suite all jobs of
+    # scripts/output_digest.py, run in process, against the SHA-256 of each
+    # file recorded with the versions the golden names; a change that moves
+    # a byte on purpose records the golden again and says why
+    import hashlib
+    import importlib.util
+
+    import numpy as np
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", os.path.join(root, "scripts", "output_digest.py"))
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    golden = json.load(open(os.path.join(root, "tests", "golden", "cli_output_sha256.json")))
+    for argv in digest.jobs(tmp_path):
+        if argv[0] == "verify" or argv[:len(digest.MODES)] == digest.MODES or "48" in argv:
+            assert main(argv) == 0
+    now = {"code_version": kernel.CODE_VERSION, "numpy": np.__version__,
+           "python": sys.version.split()[0]}
+    for name, sha in golden["files"].items():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == sha, (f"{name} differs from its golden, recorded with "
+                            f"{golden['recorded_with']}; this run has {now}")

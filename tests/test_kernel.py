@@ -286,12 +286,13 @@ def test_table_positivity_and_gap(table_factory):
     assert np.all(tab.lams[~null] >= gap - tab.errs[~null])
 
 
-def test_parallel_and_serial_builds_bitwise_equal():
+def test_parallel_and_serial_builds_bitwise_equal(monkeypatch):
     # workers=2 and 3 split l = 0..14 into blocks of 2 and a last block of 1,
     # and l = 0..200 into blocks of 26; the rows of the 21x201 tables switch
     # to their series from panel 4 (l = 0, 1) to panel 10 (l = 200), and
     # single entries at l = 0, 1, 57 and 200 on both sides of that switch
-    # equal the table entries
+    # equal the table entries; tables this small start a pool only here
+    monkeypatch.setattr(kernel, "_POOL_ENTRIES", 0)
     for nmax, lmax, workers in ((14, 14, 3), (20, 200, 2), (14, 0, 2)):
         a = eigenvalue_table(nmax, lmax, P1, QUAD, workers=1)
         b = eigenvalue_table(nmax, lmax, P1, QUAD, workers=workers)
@@ -717,8 +718,25 @@ def test_ratio_bounds_needs_eligible_modes():
         ratio_bounds(tab)
 
 
+def test_small_parallel_build_stays_serial(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a 61x61 build started a process pool")
+
+    serial = eigenvalue_table(60, 60, P2, QUAD)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    parallel = eigenvalue_table(60, 60, P2, QUAD, workers=2)
+    assert np.array_equal(parallel.lams, serial.lams)
+    assert np.array_equal(parallel.errs, serial.errs)
+    with pytest.raises(AssertionError, match="process pool"):  # the pool path, as a control
+        monkeypatch.setattr(kernel, "_POOL_ENTRIES", 61 * 61)
+        eigenvalue_table(60, 60, P2, QUAD, workers=2)
+
+
 def test_version_hash_sensitivity():
     v1 = table_version(P2, QUAD)
+    assert v1 == "04b37745d501d533"  # the version eigs --format json writes for s = 2
     assert v1 == table_version(KernelParams(s=2.0), QuadratureSpec())
     assert v1 != table_version(P1, QUAD)
     assert v1 != table_version(P2, QuadratureSpec(rel_tol=1e-9))
@@ -744,44 +762,99 @@ def test_table_version_is_the_hash_of_params_and_quad(tmp_path, table_factory):
     assert json.load(open(path))["header"]["theta_max"] == kernel.THETA_MAX == math.pi / 4
 
 
-def test_cache_rejects_corrupt_and_stale(tmp_path, monkeypatch, table_factory):
+def test_cache_rejects_corrupt_and_stale(tmp_path, table_factory):
     tab = table_factory(2.0, 8, 8)
     path = str(tmp_path / "tab.json")
     save_table(tab, path)
 
-    doc = json.load(open(path))
-    doc["header"]["version"] = "0" * 16
-    json.dump(doc, open(path, "w"))
-    with pytest.raises(CacheError):
+    def tampered(**fields):
+        doc = json.load(open(path))
+        doc["header"].update(fields)
+        json.dump(doc, open(path, "w"))
+
+    # written by other code: the header names the code version, not a hash of it
+    tampered(code_version="dyboltz-kernel-2")
+    with pytest.raises(CacheError, match="code_version 'dyboltz-kernel-2' is not "
+                                         "'dyboltz-kernel-3'"):
         load_table(path)
 
-    # the version hash names the fixed cutoff, so it cannot see this field
-    # change; load_table checks the field itself
-    doc = json.load(open(path))
-    doc["header"].update(version=tab.version, theta_max=1.0)
-    json.dump(doc, open(path, "w"))
+    # the cutoff is fixed; load_table checks the field itself
+    tampered(code_version=kernel.CODE_VERSION, theta_max=1.0)
     with pytest.raises(CacheError, match="theta_max"):
         load_table(path)
 
-    # a header written for G12 in K25, with the version that rule would hash
-    # to: the panel rule is fixed at G16 in K33
-    with monkeypatch.context() as patch:
-        patch.setattr(QuadratureSpec, "nodes_per_panel", 12)
-        version = table_version(tab.params, tab.quad)
-    assert version != tab.version
-    doc["header"].update(version=version, theta_max=kernel.THETA_MAX, nodes_per_panel=12)
-    json.dump(doc, open(path, "w"))
-    with pytest.raises(CacheError, match="nodes_per_panel 12 is not the fixed 16"):
+    # a header written for G12 in K25: the panel rule is fixed at G16 in K33
+    tampered(theta_max=kernel.THETA_MAX, nodes_per_panel=12)
+    with pytest.raises(CacheError, match="nodes_per_panel 12 is not 16"):
+        load_table(path)
+
+    # a header of the hashed format, or with a field of its own
+    tampered(nodes_per_panel=16, version=tab.version)
+    with pytest.raises(CacheError, match="version"):
         load_table(path)
 
     save_table(tab, path)
-    with pytest.raises(CacheError):
+    assert load_table(path, P2, QUAD).lams.shape == (9, 9)
+    with pytest.raises(CacheError, match="cache s 2.0 is not 1.0"):
         load_table(path, P1, QUAD)  # built for another kernel
+    with pytest.raises(CacheError, match="rel_tol"):
+        load_table(path, P2, QuadratureSpec(rel_tol=1e-9))
 
     with open(path, "w") as fh:
         fh.write("{not json")
     with pytest.raises(CacheError):
         load_table(path)
+
+
+def _five_then_three(text):
+    # the total is still a multiple of four: only the row structure is wrong
+    return text.replace("[0,1,", "[0,", 1).replace("[0,0,", "[0,0,0,", 1)
+
+
+def _number_at_a_cut(text):
+    # just after the ']' that ends the first piece, so the second piece starts with it
+    cut = text.index("]", text.index('"rows":[') + 8 + kernel._PARSE_BYTES) + 1
+    return text[:cut] + " 7" + text[cut:]
+
+
+@pytest.mark.parametrize("edit", [
+    _five_then_three,
+    _number_at_a_cut,
+    lambda text: text[:len(text) // 2],  # truncated inside a row
+    lambda text: text[:-2],  # truncated after the last row
+    lambda text: text + "{}",  # text after the closing brace
+    lambda text: text.replace('"rows":[[', '"rows":[', 1),  # rows not lists
+    lambda text: text.replace("],[", "],,[", 1),  # an empty row
+    lambda text: text.replace("],[", "] 7,[", 1),  # a number outside the rows
+    lambda text: text.replace(",0.0,", ",0.0 1,", 1),  # two numbers in one item
+    lambda text: text.replace(",0.0,", ',"0.0",', 1),  # a string for a number
+], ids=["five-then-three", "number-at-a-cut", "truncated", "truncated-end", "trailing-text", "flat-rows",
+        "empty-row", "stray-number", "split-item", "string-item"])
+def test_cache_rejects_broken_row_structure(tmp_path, table_factory, edit):
+    # 61x61 rows are several _PARSE_BYTES pieces of text
+    path = tmp_path / "tab.json"
+    save_table(table_factory(2.0, 60, 60), str(path))
+    text = path.read_text()
+    assert len(text) > 2 * kernel._PARSE_BYTES
+    path.write_text(edit(text))
+    with pytest.raises(CacheError):
+        load_table(str(path), P2, QUAD)
+
+
+def test_cache_rewritten_by_json_dump_loads_the_same_bits(tmp_path, table_factory):
+    # default separators, indentation and a trailing newline leave the numbers
+    # as they are; the radial table of the series jobs, in eight pieces
+    tab = table_factory(2.0, 10000, 0)
+    path = str(tmp_path / "tab.json")
+    save_table(tab, path)
+    doc = json.load(open(path))
+    for dump in (lambda fh: json.dump(doc, fh),
+                 lambda fh: (json.dump(doc, fh, indent=1), fh.write("\n"))):
+        with open(path, "w") as fh:
+            dump(fh)
+        back = load_table(path, P2, QUAD)
+        assert np.array_equal(back.lams, tab.lams) and np.array_equal(back.errs, tab.errs)
+        assert (back.params, back.quad) == (tab.params, tab.quad)
 
 
 def _row_index(rows, n, l):
