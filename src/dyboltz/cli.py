@@ -29,8 +29,8 @@ import numpy as np
 
 from .basis import SpectralField
 from .errors import CacheError, QuadratureConvergenceError
-from .kernel import (KernelParams, QuadratureSpec, _cache_key, _dumps_with_rows, _row_chunks,
-                     asymptotic_leading, eigenvalue_table, load_table, save_table)
+from .kernel import (KernelParams, QuadratureSpec, _cache_key, _dumps_with_rows, _panel_rules,
+                     _row_chunks, asymptotic_leading, eigenvalue_table, load_table, save_table)
 from .kernel import radial_eigenvalues  # not called; the benchmark tracer wraps this name
 from .solver import (DelaySeries, EvolutionReport, S2DelaySeries, SobolevSeries,
                      _check_time, _sorted_times, classify_frontier, series_tail_classify)
@@ -80,6 +80,11 @@ def _get_table(args, nmax: int, lmax: int):
                 raise CacheError(f"{cache_path} holds nmax={table.nmax}, lmax={table.lmax}, "
                                  f"not the nmax={nmax}, lmax={lmax} of its name")
             return table, True
+    try:  # beta must be finite at every node; the innermost panels overflow it for a small s
+        _panel_rules(params, quad)
+    except ValueError as exc:
+        raise UsageError(f"--s {params.s:g} with --max-panels {quad.max_panels}: {exc}; "
+                         f"a larger --s or a smaller --max-panels keeps it finite") from None
     table = eigenvalue_table(nmax, lmax, params, quad, workers=args.workers)
     if cache_path:
         save_table(table, cache_path)

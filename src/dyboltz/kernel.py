@@ -240,14 +240,20 @@ class EigenvalueEntry:
 
 
 def beta(theta, params: KernelParams):
-    """Canonical angular kernel on (0, pi/4]; positive and finite there."""
+    """Canonical angular kernel on (0, pi/4]; positive and finite there, or a ValueError
+    where it overflows a double (near 0 for a small s: below theta = 6.3e-14 at s = 0.01)."""
     theta = np.asarray(theta, dtype=float)
     if not np.all((theta > 0.0) & (theta <= THETA_MAX + 1e-15)):  # NaN fails too
         raise ValueError("theta must lie in (0, pi/4]")
     scalar = theta.ndim == 0
     theta = np.atleast_1d(theta)
     sin = np.sin(theta)
-    out = np.log(1.0 / sin) ** (2.0 / params.s - 1.0) / sin
+    with np.errstate(over="ignore"):
+        out = np.log(1.0 / sin) ** (2.0 / params.s - 1.0) / sin
+    over = ~np.isfinite(out)
+    if over.any():
+        raise ValueError(f"beta overflows a double at theta = {theta[over].max():.3g} "
+                         f"for s = {params.s:g}")
     return float(out[0]) if scalar else out
 
 
@@ -847,14 +853,11 @@ class EigenvalueTable:
     def lmax(self) -> int:
         return self.lams.shape[1] - 1
 
-    def lookup(self, n: int, l: int) -> EigenvalueEntry:
+    def lam(self, n: int, l: int) -> float:
+        """lambda_{n,l}; EigenvalueLookupError unless the table covers (n, l)."""
         if not (0 <= n <= self.nmax and 0 <= l <= self.lmax):
             raise EigenvalueLookupError(n, l)
-        return EigenvalueEntry(n=n, l=l, lam=float(self.lams[n, l]),
-                               err=float(self.errs[n, l]))
-
-    def lam(self, n: int, l: int) -> float:
-        return self.lookup(n, l).lam
+        return float(self.lams[n, l])
 
     def lams_at(self, n, l) -> np.ndarray:
         """lambda at index arrays n, l; null modes are 0 and need no coverage.
@@ -877,12 +880,6 @@ class EigenvalueTable:
                              f"table({self.nmax}, {self.lmax})")
         return EigenvalueTable(self.params, self.quad, self.lams[:nmax + 1, :lmax + 1],
                                self.errs[:nmax + 1, :lmax + 1])
-
-    def rows(self):
-        """(n, l, lambda, err) as Python numbers, in (n, l) order."""
-        for n, (lam_row, err_row) in enumerate(zip(self.lams.tolist(), self.errs.tolist())):
-            for l, (lam, err) in enumerate(zip(lam_row, err_row)):
-                yield n, l, lam, err
 
     @cached_property
     def _row_texts(self) -> list:

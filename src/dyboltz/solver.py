@@ -68,7 +68,7 @@ __all__ = [
     "EvolutionReport",
 ]
 
-_RATE1_REL_SLACK = 1e-12  # roundoff slack of rate1_certificate
+_REL_SLACK = 1e-12  # roundoff slack of rate1_certificate and the decay checks
 _TAIL_WINDOW = 1000  # trailing terms that series_tail_classify reads for growth
 _FRONTIER_T_LO, _FRONTIER_TOL = 1e-3, 0.01  # classify_frontier's lower end, width
 _WEAK_FORM_NODES = 64  # Gauss-Legendre order of weak_form_residual
@@ -118,7 +118,7 @@ def rate1_certificate(table: EigenvalueTable, s: float) -> CertificateReport:
     """Mode-wise check lambda - c0 log W >= lambda_{2,0}/2 over the whole table.
 
     Equality occurs at the ratio-minimizing mode for s = 2, hence a slack for
-    roundoff, r = ``_RATE1_REL_SLACK``: the stricter of r * lambda_{2,0}/2 on
+    roundoff, r = ``_REL_SLACK``: the stricter of r * lambda_{2,0}/2 on
     the margin and a factor 1 + r on W^(c0 t) e^(-lambda t) <=
     e^(-lambda_{2,0} t/2) at every t <= 5, i.e. log1p(r)/5 on the margin.
     """
@@ -130,7 +130,7 @@ def rate1_certificate(table: EigenvalueTable, s: float) -> CertificateReport:
     margin = table.lams[keep] - c0 * np.log(2 * n + l + W_SHIFT) - half_gap
     i = int(np.argmin(margin))
     worst, worst_mode = float(margin[i]), (int(n[i]), int(l[i]))
-    ok = worst >= -min(_RATE1_REL_SLACK * half_gap, math.log1p(_RATE1_REL_SLACK) / 5.0)
+    ok = worst >= -min(_REL_SLACK * half_gap, math.log1p(_REL_SLACK) / 5.0)
     return CertificateReport(ok=ok, c0=c0, worst_margin=worst, worst_mode=worst_mode)
 
 
@@ -142,6 +142,23 @@ class DecayCheck:
     rhs_paper: float
     holds_paper: bool
     c0: float
+
+
+def _decay_check(g0: SpectralField, t: float, table: EigenvalueTable, c0: float,
+                 weight: NormSpec, base_norm, paper_rate: float) -> DecayCheck:
+    """The ``weight`` norm of (I-P)g(t) against base_norm((I-P)g0) times the
+    certified factor exp(-lambda_{2,0}t/2) (``rhs``) and the paper factor
+    exp(-paper_rate lambda_{2,0}t) (``rhs_paper``), each with the roundoff
+    slack ``_REL_SLACK``."""
+    gp = project_null(g0, "orthogonal")
+    lhs = spectral_norm(evolve(gp, t, table), weight)
+    base = base_norm(gp)
+    gap = table.lam(2, 0)
+    rhs = math.exp(-0.5 * gap * t) * base
+    rhs_paper = math.exp(-paper_rate * gap * t) * base
+    return DecayCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1.0 + _REL_SLACK),
+                      rhs_paper=rhs_paper, holds_paper=lhs <= rhs_paper * (1.0 + _REL_SLACK),
+                      c0=c0)
 
 
 def decay_check_thm12(g0: SpectralField, t0: float, t: float,
@@ -159,15 +176,8 @@ def decay_check_thm12(g0: SpectralField, t0: float, t: float,
     c0 = choose_c0(table, s)
     if t < t0 / c0:
         raise ValueError(f"need t >= t0/c0 = {t0 / c0:.6g}, got {t}")
-    gp = project_null(g0, "orthogonal")
-    lhs = spectral_norm(evolve(gp, t, table), NormSpec.logsob(t * c0, s))
-    base = spectral_norm(gp, NormSpec.logsob(-t0, s))
-    gap = table.lam(2, 0)
-    rhs = math.exp(-0.5 * gap * t) * base
-    rhs_paper = math.exp(-0.25 * gap * t) * base
-    return DecayCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1.0 + 1e-12),
-                      rhs_paper=rhs_paper, holds_paper=lhs <= rhs_paper * (1.0 + 1e-12),
-                      c0=c0)
+    return _decay_check(g0, t, table, c0, NormSpec.logsob(t * c0, s),
+                        lambda gp: spectral_norm(gp, NormSpec.logsob(-t0, s)), 0.25)
 
 
 def rate1_check(g0: SpectralField, t: float, table: EigenvalueTable,
@@ -183,15 +193,8 @@ def rate1_check(g0: SpectralField, t: float, table: EigenvalueTable,
         raise ValueError("rate1 check applies for s in (0, 2]")
     _check_time(t)
     c0 = choose_c0(table, s)
-    gp = project_null(g0, "orthogonal")
-    lhs = spectral_norm(evolve(gp, t, table), NormSpec.shubin(2.0 * c0 * t))
-    base = gp.l2_norm()
-    gap = table.lam(2, 0)
-    rhs = math.exp(-0.5 * gap * t) * base
-    rhs_paper = math.exp(-gap * t) * base
-    return DecayCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1.0 + 1e-12),
-                      rhs_paper=rhs_paper, holds_paper=lhs <= rhs_paper * (1.0 + 1e-12),
-                      c0=c0)
+    return _decay_check(g0, t, table, c0, NormSpec.shubin(2.0 * c0 * t),
+                        SpectralField.l2_norm, 1.0)
 
 
 @dataclass(frozen=True)
@@ -229,10 +232,8 @@ def rate2_check(g0: SpectralField, t: float, k: float, table: EigenvalueTable,
     gap = table.lam(2, 0)
     baseline = math.exp(-gap * t) * gp.l2_norm()
     if k == 0.0:
-        cs_emp = 0.0
-        holds = lhs <= baseline * (1.0 + 1e-12)
-        return Rate2Check(lhs=lhs, rhs=baseline, holds=holds,
-                          cs_empirical=cs_emp, cs_budget=0.0)
+        return Rate2Check(lhs=lhs, rhs=baseline, holds=lhs <= baseline * (1.0 + _REL_SLACK),
+                          cs_empirical=0.0, cs_budget=0.0)
     scale = (1.0 / t) ** (s / (2.0 - s)) * k ** (2.0 / (2.0 - s))
     cs_emp = max(0.0, math.log(lhs / baseline) / scale) if baseline > 0.0 else math.inf
     c_min = ratio_bounds(table, shift=W_SHIFT).c_min
@@ -319,21 +320,11 @@ class TailVerdict:
     window_growth_log10: float
     median_tail_ratio_log: float
     log10_tail_estimate: float
-    log10_partial_sums: tuple
-
-    def to_json_dict(self):
-        return {
-            "classification": self.classification,
-            "p_hat": self.p_hat,
-            "window_growth_log10": self.window_growth_log10,
-            "median_tail_ratio_log": self.median_tail_ratio_log,
-            "log10_tail_estimate": self.log10_tail_estimate,
-            "log10_partial_sums": list(self.log10_partial_sums),
-        }
+    log10_partial_sum: float  # log10 of the sum of every term n <= N
 
 
-def _fit_lambda_tail(lam: np.ndarray, s: float):
-    """Fit lambda_{n,0} ~ a x^(2/s) + b x^(2/s-1) + c with x = log sqrt(2n).
+def _fit_lambda_tail(lam: np.ndarray, s: float, u: np.ndarray) -> np.ndarray:
+    """lambda_{n,0} at n = e^u from a fit a x^(2/s) + b x^(2/s-1) + c, x = log sqrt(2n).
 
     Fitted on the top decade of the computed range; the basis matches the
     leading term and first correction of the large-mode expansion, so the
@@ -345,19 +336,8 @@ def _fit_lambda_tail(lam: np.ndarray, s: float):
     x = 0.5 * np.log(2.0 * n)
     A = np.vstack([x ** (2.0 / s), x ** (2.0 / s - 1.0), np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(A, lam[n], rcond=None)
-
-    def lam_hat(u: np.ndarray) -> np.ndarray:
-        xx = 0.5 * (u + math.log(2.0))
-        return coef[0] * xx ** (2.0 / s) + coef[1] * xx ** (2.0 / s - 1.0) + coef[2]
-
-    return lam_hat
-
-
-def _log_term_tail(spec, norm: NormSpec, t: float, u: np.ndarray, lam_hat) -> np.ndarray:
-    """log b at n = e^u for the extrapolated tail region (log-space only)."""
-    lam_u = lam_hat(u)
-    logW = u + math.log(2.0) + np.log1p(0.5 * W_SHIFT * np.exp(-u))
-    return log_weight(norm, logW, lam_u) + 2.0 * (log_coeff(spec, u, lam_u) - lam_u * t)
+    xx = 0.5 * (u + math.log(2.0))
+    return coef[0] * xx ** (2.0 / s) + coef[1] * xx ** (2.0 / s - 1.0) + coef[2]
 
 
 _U_HORIZON = 600.0  # far edge of the log-space extrapolation grid (n = e^600)
@@ -415,23 +395,22 @@ def series_tail_classify(spec, t: float, norm: NormSpec,
              + 2.0 * (log_coeff(spec, logn, lam[n]) - lam[n] * t))
     window = min(_TAIL_WINDOW, len(n) // 2)
     tail_b = log_b[-window:]
-    tail_n = n[-window:].astype(float)
 
-    log10_sums = np.array([_log10_sum_at(log_b, k) for k in _marks(len(n))])
-    growth = log10_sums[-1] - _log10_sum_at(log_b, len(n) - window)
+    log10_sum = _log10_sum_at(log_b, len(n))
+    growth = log10_sum - _log10_sum_at(log_b, len(n) - window)
     med_ratio = _median(np.diff(tail_b))
-    A = np.vstack([np.log(tail_n), np.ones_like(tail_n)]).T
+    A = np.vstack([logn[-window:], np.ones(window)]).T
     slope, _ = np.linalg.lstsq(A, tail_b, rcond=None)[0]
     p_hat = float(-slope)
 
     if growth >= 1.0 or med_ratio >= 0.0:
-        return TailVerdict("divergent", p_hat, float(growth), med_ratio,
-                           math.inf, tuple(log10_sums))
+        return TailVerdict("divergent", p_hat, growth, med_ratio, math.inf, log10_sum)
 
     # extrapolated integral test: h(u) = log b(e^u) + u, tail = int exp(h) du
-    lam_hat = _fit_lambda_tail(lam, table.params.s)
     u = np.linspace(math.log(float(N)), _U_HORIZON, 1024)
-    h = _log_term_tail(spec, norm, t, u, lam_hat) + u
+    lam_u = _fit_lambda_tail(lam, table.params.s, u)
+    logW = u + math.log(2.0) + np.log1p(0.5 * W_SHIFT * np.exp(-u))
+    h = log_weight(norm, logW, lam_u) + 2.0 * (log_coeff(spec, u, lam_u) - lam_u * t) + u
     du = u[1] - u[0]
     rising = h[-1] >= h[len(h) // 2]
     hmax = float(np.max(h))
@@ -450,16 +429,7 @@ def series_tail_classify(spec, t: float, norm: NormSpec,
         cls = "convergent"
     else:
         cls = "inconclusive"
-    return TailVerdict(cls, p_hat, float(growth), med_ratio, log10_tail,
-                       tuple(log10_sums))
-
-
-def _marks(total: int, k: int = 8):
-    step = max(1, total // k)
-    marks = list(range(step, total + 1, step))
-    if marks[-1] != total:
-        marks.append(total)
-    return marks
+    return TailVerdict(cls, p_hat, growth, med_ratio, log10_tail, log10_sum)
 
 
 def _log10_sum_at(log_b: np.ndarray, upto: int) -> float:

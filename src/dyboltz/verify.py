@@ -212,11 +212,12 @@ def check_ratio_interval(rng, table: kernel.EigenvalueTable, *, corner: int = 48
                        ratio, 50.0, detail=f"s={table.params.s}, c_min={rb.c_min:.5g}")
 
 
-def check_table_determinism(rng) -> CheckResult:
+def check_table_determinism(rng, *, nmax: int = 10, lmax: int = 10,
+                            workers: int = 1) -> CheckResult:
     p = kernel.KernelParams(s=1.0)
-    a = kernel.eigenvalue_table(10, 10, p)
-    b = kernel.eigenvalue_table(10, 10, p)
-    same = bool(np.array_equal(a.lams, b.lams))
+    a = kernel.eigenvalue_table(nmax, lmax, p)
+    b = kernel.eigenvalue_table(nmax, lmax, p, workers=workers)
+    same = bool(np.array_equal(a.lams, b.lams) and np.array_equal(a.errs, b.errs))
     return CheckResult("table_determinism", same, float(same), 1.0)
 
 

@@ -33,7 +33,7 @@ import pytest
 from dyboltz import kernel, verify
 from dyboltz.basis import SpectralField
 from dyboltz.kernel import (KernelParams, QuadratureSpec, asymptotic_leading,
-                            eigenvalue, eigenvalue_table, ratio_bounds)
+                            eigenvalue, ratio_bounds)
 from dyboltz.solver import (S2DelaySeries, SobolevSeries, choose_c0,
                             classify_frontier, rate1_check, series_tail_classify)
 from dyboltz.spaces import NormSpec
@@ -219,7 +219,7 @@ def test_c14_weak_formulation(rng, table_factory):
     assert report("C14 weak formulation", res.passed, t0, f"max residual {res.measured:.3e}")
 
 
-def test_c15_determinism_and_caching(tmp_path, monkeypatch):
+def test_c15_determinism_and_caching(rng, tmp_path, monkeypatch):
     t0 = time.time()
     outs = []
     for run in ("a", "b"):
@@ -234,12 +234,8 @@ def test_c15_determinism_and_caching(tmp_path, monkeypatch):
         outs.append(open(out / "eigs_s2_n16_l16.csv", "rb").read())
     byte_identical = outs[0] == outs[1]
 
-    p = KernelParams(s=1.0)
     monkeypatch.setattr(kernel, "_POOL_ENTRIES", 0)  # a 41x41 build would stay serial
-    serial = eigenvalue_table(40, 40, p, QUAD, workers=1)
-    parallel = eigenvalue_table(40, 40, p, QUAD, workers=3)
-    exact = (np.array_equal(serial.lams, parallel.lams)
-             and np.array_equal(serial.errs, parallel.errs))
+    exact = verify.check_table_determinism(rng, nmax=40, lmax=40, workers=3).passed
     ok = byte_identical and exact
     assert report("C15 determinism/caching", ok, t0,
                   f"byte-identical: {byte_identical}; parallel==serial: {exact}")

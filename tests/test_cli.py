@@ -98,24 +98,43 @@ BAD_VALUES = {
     "max-panels=1100": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2",
                         "--max-panels", "1100"],
     "s=0.002 overflow": ["eigs", "--s", "0.002", "--nmax", "100", "--lmax", "0"],
+    # beta overflows at the innermost of the default 72 panels (--max-panels 30 keeps it finite)
+    "s=0.01 beta overflow": ["eigs", "--s", "0.01", "--nmax", "2", "--lmax", "0"],
+    "evolve-s=0.01 beta overflow": ["evolve", "--s", "0.01", "--init", "modes:2,0,0,1,0",
+                                    "--times", "1"],
+    "scenario-s=0.01 beta overflow": ["scenario", "--scenario", "remark14", "--s", "0.01",
+                                      "--series-n", "200"],
 }
 
 
 @pytest.mark.parametrize("argv", BAD_VALUES.values(), ids=BAD_VALUES)
 def test_eigs_rejects_bad_s(tmp_path, capsys, monkeypatch, argv):
     # a bad value is a usage error (exit 2) with a message, not a traceback;
-    # every command rejects it before it builds a table
+    # every command rejects it before it builds a table, and with no
+    # RuntimeWarning, which a CLI run would print to stderr
     monkeypatch.setattr(cli, "eigenvalue_table", lambda *a, **k: pytest.fail("built"))
-    assert run(tmp_path, *argv, "--out", str(tmp_path)) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(tmp_path, *argv, "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if "0.01" in argv:
+        assert err.startswith("error: --s 0.01 with --max-panels 72: beta overflows")
+
+
+def _rows(table):
+    """(n, l, lambda, err) as Python numbers, in (n, l) order."""
+    return [(n, l, float(table.lams[n, l]), float(table.errs[n, l]))
+            for n in range(table.nmax + 1) for l in range(table.lmax + 1)]
 
 
 def _reference_eigs(table, fmt):
     """The eigs file by the per-row formulas, one Python expression per entry."""
     s = table.params.s
     rows = []
-    for n, l, lam, err in table.rows():
+    for n, l, lam, err in _rows(table):
         K = 2 * n + l
         ratio = lam / math.log(K + math.e) ** (2.0 / s) if n + l >= 2 else math.nan
         asym = kernel.asymptotic_leading(n, l, table.params) if K >= 3 else math.nan
@@ -149,7 +168,7 @@ def _cache_name(params, nmax, lmax):
 
 def _reference_cache(table):
     return json.dumps({"header": _reference_header(table.params, table.quad),
-                       "rows": [list(r) for r in table.rows()]},
+                       "rows": [list(r) for r in _rows(table)]},
                       separators=(",", ":"), sort_keys=True)
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import tracemalloc
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -61,6 +62,22 @@ def test_beta_values():
         beta(1.0, P2)
     with pytest.raises(ValueError, match=r"\(0, pi/4\]"):  # NaN fails the domain check too
         beta(math.nan, P2)
+
+
+def test_beta_raises_where_it_overflows():
+    # at s = 0.01 beta passes the largest double below theta = 6.3e-14, which the
+    # innermost of the default 72 panels reach; 30 panels stop above it
+    small = KernelParams(s=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(beta(1e-13, small))
+        for theta in (6e-14, np.array([1e-3, 1e-22])):
+            with pytest.raises(ValueError, match=r"overflows a double at theta = (6e-14|1e-22) "):
+                beta(theta, small)
+        with pytest.raises(ValueError, match="overflows"):
+            kernel._panel_rules(small, QuadratureSpec())
+        assert np.all(np.isfinite(kernel._panel_rules(small, QuadratureSpec(max_panels=30))
+                                  .wvalue))
 
 
 def test_integrand_null_modes_identically_zero(rng):
@@ -272,8 +289,9 @@ def test_table_coverage_and_lookup(table_factory):
     assert tab.lams.shape == tab.errs.shape == (9, 9)
     assert (tab.nmax, tab.lmax) == (8, 8)
     assert tab.lam(2, 0) == eigenvalue(2, 0, P2, QUAD).lam
-    with pytest.raises(EigenvalueLookupError):
-        tab.lookup(9, 0)
+    for n, l in ((9, 0), (0, 9), (-1, 0)):
+        with pytest.raises(EigenvalueLookupError):
+            tab.lam(n, l)
 
 
 def test_table_positivity_and_gap(table_factory):
@@ -284,6 +302,35 @@ def test_table_positivity_and_gap(table_factory):
     assert np.all(tab.lams[null] == 0.0)
     assert np.all(tab.lams[~null] > 0.0)
     assert np.all(tab.lams[~null] >= gap - tab.errs[~null])
+
+
+def test_tables_keep_their_bits(table_factory):
+    # the four 201x201 tables the acceptance tests build, and the single-entry
+    # and max_panels cases of scripts/table_digest.py, hashed as it hashes,
+    # against the digests recorded with the versions the golden names; a
+    # change that moves a bit on purpose bumps CODE_VERSION, records the
+    # golden again and says why
+    import importlib.util
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("table_digest",
+                                                  root / "scripts" / "table_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    golden = json.loads((root / "tests" / "golden" / "table_sha256.json").read_text())
+    got = {name: thunk() for name, thunk in digest.cases()
+           if name.startswith(("entry ", "error "))}
+    for s in (0.5, 1.0, 2.0, 4.0):
+        tab = table_factory(s, 200, 200)
+        got[f"table 201x201 s={s}"] = digest._sha(tab.lams, tab.errs)
+    assert len(got) == 32
+    now = {"code_version": kernel.CODE_VERSION, "numpy": np.__version__,
+           "python": sys.version.split()[0]}
+    for name, sha in got.items():
+        assert sha == golden["cases"][name], (f"{name} differs from its golden, recorded "
+                                              f"with {golden['recorded_with']}; this run "
+                                              f"has {now}")
 
 
 def test_parallel_and_serial_builds_bitwise_equal(monkeypatch):
@@ -919,7 +966,8 @@ def test_csv_export_mirrors_rows(tmp_path, table_factory):
     lines = (tmp_path / "eigs_s2_n8_l8.csv").read_text().strip().split("\n")
     assert lines[0].startswith("n,l,lambda,err,")
     assert [ln.split(",")[:4] for ln in lines[1:]] == \
-        [[str(n), str(l), repr(lam), repr(err)] for n, l, lam, err in tab.rows()]
+        [[str(n), str(l), repr(float(tab.lams[n, l])), repr(float(tab.errs[n, l]))]
+         for n in range(9) for l in range(9)]
 
 
 def test_large_mode_fast_path():
