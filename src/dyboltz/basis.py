@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ResolutionError
-from .specfun import _ylm, assoc_legendre_norm, laguerre, laguerre_all
+from .specfun import _gauss_rule, _ylm, assoc_legendre_norm, laguerre, laguerre_all
 
 __all__ = [
     "ModeIndex",
@@ -244,7 +244,7 @@ def _sphere_gram(sph_modes, n_theta: int, n_phi: int) -> np.ndarray:
     P rows and a phi Gram over the e^(i m phi) rows; no array holds every
     mode at every node of the sphere.
     """
-    x, w = np.polynomial.legendre.leggauss(n_theta)
+    x, w = _gauss_rule(n_theta)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     P = np.array([assoc_legendre_norm(l, abs(m), x) for l, m in sph_modes])
     E = np.array([np.exp(1j * m * phi) for _, m in sph_modes])

@@ -69,6 +69,8 @@ def _quad(args) -> QuadratureSpec:
 def _get_table(args, nmax: int, lmax: int):
     """The nmax x lmax table, served from the cache file named by its key's crc32."""
     params, quad = _params(args), _quad(args)
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     cache_path = None
     if args.cache_dir:
         os.makedirs(args.cache_dir, exist_ok=True)
@@ -257,6 +259,8 @@ def cmd_scenario(args) -> int:
         else:
             ks = ([float(x) for x in args.k_grid.split(",")] if name == "example41"
                   else [args.tau, args.tau_prime])
+            if len(set(ks)) < len(ks):
+                raise ValueError(f"--k-grid {args.k_grid!r} repeats an order")
             norms = [NormSpec.shubin(k) for k in ks]
         for t in ts or ():
             _check_time(t)

@@ -116,7 +116,7 @@ import numpy as np
 
 from .basis import ModeIndex
 from .errors import CacheError, EigenvalueLookupError, QuadratureConvergenceError
-from .specfun import legendre, legendre_all
+from .specfun import _gauss_rule, _jacobi_nodes, _jacobi_walk, legendre, legendre_all
 
 __all__ = [
     "KernelParams",
@@ -136,7 +136,7 @@ __all__ = [
 ]
 
 # bump when the quadrature scheme changes; stale caches are rejected, never migrated
-CODE_VERSION = "dyboltz-kernel-3"
+CODE_VERSION = "dyboltz-kernel-4"
 
 THETA_MAX = math.pi / 4
 
@@ -488,14 +488,6 @@ _LOG_DECAY = math.log(4.0)
 _POOL_ENTRIES = 30_000
 
 
-@lru_cache(maxsize=32)
-def _gauss_legendre(m: int):
-    """Read-only Gauss-Legendre nodes and weights of order m on [-1, 1], solved once."""
-    x, w = np.polynomial.legendre.leggauss(m)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
 def _kronrod_jacobi(m: int) -> np.ndarray:
     """Off-diagonal squares b_0..b_2m of the Jacobi-Kronrod matrix of G_m in K_2m+1.
 
@@ -527,34 +519,12 @@ def _kronrod_jacobi(m: int) -> np.ndarray:
     return b
 
 
-def _jacobi_walk(x: np.ndarray, b: np.ndarray):
-    """Three-term recurrence of the Jacobi matrix with zero diagonal and b at x.
-
-    Returns the characteristic polynomial q, up to a positive factor, its
-    derivative, and the Christoffel numbers 1 / sum_k p_k(x)^2 over the
-    orthonormal polynomials p_0..p_{N-1}: at an eigenvalue x these are the
-    weights of the matrix's Gauss rule, a sum of positive terms and so
-    accurate to a few ulp.
-    """
-    root = np.sqrt(b)
-    p0, p1 = np.zeros_like(x), np.full_like(x, 1.0 / root[0])
-    d0, d1 = np.zeros_like(x), np.zeros_like(x)
-    total = p1 * p1
-    for k in range(len(b)):
-        c = root[k + 1] if k + 1 < len(b) else 1.0
-        back = root[k] if k else 0.0
-        p0, p1, d0, d1 = p1, (x * p1 - back * p0) / c, d1, (p1 + x * d1 - back * d0) / c
-        if k + 1 < len(b):
-            total += p1 * p1
-    return p1, d1, 1.0 / total
-
-
 @lru_cache(maxsize=32)
 def _gauss_kronrod(m: int):
     """Read-only Gauss-Kronrod rule G_m in K_2m+1 on [-1, 1], solved once.
 
     Returns the nodes x, the 2m + 1 Kronrod weights and the m Gauss weights.
-    The first m nodes are those of ``_gauss_legendre(m)``, the other m + 1
+    The first m nodes are those of ``specfun._gauss_rule(m)``, the other m + 1
     the Kronrod nodes, each ascending.  The eigenvalues of the
     Jacobi-Kronrod matrix interlace Gauss and Kronrod nodes; each Kronrod
     node takes one Newton step on the characteristic polynomial, and all
@@ -562,10 +532,8 @@ def _gauss_kronrod(m: int):
     from 8 to 256 the rule integrates P_0..P_3m+1 to about 5e-16.
     """
     b = _kronrod_jacobi(m)
-    xk = np.linalg.eigvalsh(np.diag(np.sqrt(b[1:]), -1))[0::2]
-    q, dq, _ = _jacobi_walk(xk, b)
-    xk -= q / dq
-    xg, wg = _gauss_legendre(m)
+    xk = _jacobi_nodes(b)[0::2]
+    xg, wg = _gauss_rule(m)
     x = np.concatenate([xg, 0.5 * (xk - xk[::-1])])
     w = _jacobi_walk(x, b)[2]
     w[:m], w[m:] = 0.5 * (w[:m] + w[m - 1::-1]), 0.5 * (w[m:] + w[:m - 1:-1])
@@ -962,6 +930,8 @@ def eigenvalue_table(nmax: int, lmax: int, params: KernelParams,
     """
     if nmax < 0 or lmax < 0:
         raise ValueError("nmax and lmax must be nonnegative")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     n = np.arange(nmax + 1)
     if workers > 1 and lmax > 0 and (nmax + 1) * (lmax + 1) >= _POOL_ENTRIES:
         size = -(-(lmax + 1) // (4 * workers))  # about four blocks per worker

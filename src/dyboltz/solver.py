@@ -49,6 +49,7 @@ from .basis import ModeIndex, SpectralField, project_null
 from .kernel import EigenvalueTable, _check_s, ratio_bounds
 from .kernel import radial_eigenvalues  # not called; the benchmark tracer wraps this name
 from .spaces import W_SHIFT, NormSpec, log_weight, spectral_norm
+from .specfun import _gauss_rule
 
 __all__ = [
     "evolve",
@@ -479,7 +480,7 @@ def weak_form_residual(g0: SpectralField, test_modes, t: float,
     lhs = (1.0 + t) * np.sum(amps * np.exp(-lams * t)) - np.sum(amps)
     if t == 0.0:
         return float(abs(lhs))
-    x, w = np.polynomial.legendre.leggauss(_WEAK_FORM_NODES)
+    x, w = _gauss_rule(_WEAK_FORM_NODES)
     tau = 0.5 * t * (x + 1.0)
     wt = 0.5 * t * w
     decay = np.exp(-np.outer(tau, lams))  # (nodes, modes)

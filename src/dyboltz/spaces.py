@@ -122,34 +122,29 @@ def _num(x: float) -> str:
 
 
 def parse_norm_spec(text: str) -> NormSpec:
-    """Parse the canonical CLI string form, e.g. 'shubin:k=2' or 'domain:tau=0.5'."""
+    """Parse the canonical CLI string form, e.g. 'shubin:k=2' or 'domain:tau=0.5'; a
+    ValueError names an argument that is malformed, repeated, missing or not the kind's."""
     text = text.strip().lower()
     kind, _, rest = text.partition(":")
+    if kind not in _KINDS:
+        raise ValueError(
+            f"unknown norm spec {text!r}; canonical forms: l2, shubin:k=K, "
+            "logsob:tau=T,nu=N, domain:tau=T, domaindual:tau=T, domainplus:tau=T, "
+            "domainplusdual:tau=T")
+    takes = {"l2": (), "shubin": ("k",), "logsob": ("tau", "nu")}.get(kind, ("tau",))
     args = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")
-            if not value:
-                raise ValueError(f"malformed norm argument {item!r} in {text!r}")
-            args[key.strip()] = float(value)
-    try:
-        if kind == "l2":
-            if args:
-                raise ValueError("l2 takes no arguments")
-            return NormSpec.l2()
-        if kind == "shubin":
-            return NormSpec.shubin(args.pop("k"))
-        if kind == "logsob":
-            return NormSpec.logsob(args.pop("tau"), args.pop("nu"))
-        if kind in ("domain", "domaindual", "domainplus", "domainplusdual"):
-            return NormSpec(kind, tau=args.pop("tau"))
-    except KeyError as exc:
-        raise ValueError(f"norm spec {text!r} is missing argument {exc}") from None
-    raise ValueError(
-        f"unknown norm spec {text!r}; canonical forms: l2, shubin:k=K, "
-        "logsob:tau=T,nu=N, domain:tau=T, domaindual:tau=T, domainplus:tau=T, "
-        "domainplusdual:tau=T"
-    )
+    for item in rest.split(",") if rest else ():
+        key, _, value = (part.strip() for part in item.partition("="))
+        if not value:
+            raise ValueError(f"malformed norm argument {item!r} in {text!r}")
+        if key in args or key not in takes:
+            raise ValueError(f"norm spec {text!r} {'repeats' if key in args else 'takes no'} "
+                             f"argument {key!r}")
+        args[key] = float(value)
+    for key in takes:
+        if key not in args:
+            raise ValueError(f"norm spec {text!r} is missing argument {key!r}")
+    return NormSpec(kind, **args)
 
 
 def _lam_tilde(lam):

@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the package's evaluation paths:
 explicit derivative/sum formulas via sympy, a truncated Bessel series, the
-Gauss-Kronrod rule from its Stieltjes polynomial in rationals, closed
-forms and the unnormalized recurrence of the associated Legendre functions
-in mpmath, the exact s = 2 eigenvalues of the l = 0 column in mpmath, and
-the bracket's power series in sin^2 theta in rationals.
+Gauss-Kronrod rule from its Stieltjes polynomial in rationals, the
+Gauss-Legendre rule by Newton's method in mpmath, closed forms and the
+unnormalized recurrence of the associated Legendre functions in mpmath,
+the exact s = 2 eigenvalues of the l = 0 column in mpmath, and the
+bracket's power series in sin^2 theta in rationals.
 """
 
 import math
@@ -146,6 +147,37 @@ def gauss_kronrod_mp(m: int, dps: int = 40):
         A = mp.matrix([[mp.legendre(k, xj) for xj in nodes] for k in range(2 * m + 1)])
         w = mp.lu_solve(A, mp.matrix([2] + [0] * (2 * m)))
         return nodes, [w[i] for i in range(2 * m + 1)]
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre_mp(m: int, dps: int = 50):
+    """The nonnegative nodes of the m-point Gauss-Legendre rule and their weights, ascending.
+
+    Newton's method on P_m, evaluated by its three-term recurrence at
+    ``dps`` digits and started from numpy's leggauss nodes (only a start:
+    the iteration runs until its step is below 10^-dps), with P_m' =
+    m (x P_m - P_{m-1}) / (x^2 - 1) and the weights 2 / ((1 - x^2) P_m'^2).
+    The rule is symmetric about 0.
+    """
+    start = np.polynomial.legendre.leggauss(m)[0][m // 2:]
+    with mp.workdps(dps + 10):
+        def walk(x):
+            p_prev, p = mp.mpf(1), x
+            for k in range(1, m):
+                p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+            return p, m * (x * p - p_prev) / (x * x - 1)
+
+        nodes, weights = [], []
+        for x0 in start:
+            x, step = mp.mpf(float(x0)), mp.mpf(1)
+            while abs(step) > mp.mpf(10) ** -dps:
+                p, dp = walk(x)
+                step = p / dp
+                x -= step
+            dp = walk(x)[1]
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+        return nodes, weights
 
 
 def lambda_s2_l0(nmax: int, dps: int = 40):

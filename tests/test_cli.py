@@ -91,6 +91,12 @@ BAD_VALUES = {
                 "--tau", "inf"],
     "k-grid=-1": ["scenario", "--scenario", "example41", "--series-n", "200",
                   "--k-grid", "-1"],
+    "k-grid=1,1": ["scenario", "--scenario", "example41", "--series-n", "200",
+                   "--k-grid", "1,1"],
+    "norms-extra-argument": ["evolve", "--init", "modes:2,0,0,1,0", "--times", "1",
+                             "--norms", "shubin:k=2,tau=3"],
+    "workers=0": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2", "--workers", "0"],
+    "workers=-3": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2", "--workers", "-3"],
     "tau-prime=-1": ["scenario", "--scenario", "example42", "--s", "4",
                      "--series-n", "200", "--tau-prime", "-1"],
     "rel-tol=nan": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2", "--rel-tol", "nan"],
@@ -220,12 +226,14 @@ def _modules_loaded_by(argv, names, runs=1):
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    lazy = ["scipy", "concurrent.futures.process"]
+    # every Gauss rule comes from specfun's Jacobi-matrix engine, so no job
+    # loads numpy.polynomial (leggauss, hermgauss)
+    lazy = ["scipy", "concurrent.futures.process", "numpy.polynomial"]
     # import only; the verify checks are imported by the verify command alone,
     # and OpenSSL (_hashlib) only where a table version is hashed
     assert _modules_loaded_by([], [*lazy, "dyboltz.verify", "_hashlib"]) == "None []"
     # the basis checks draw points, from the standard library's random
-    assert _modules_loaded_by(["verify", "--suite", "basis", "--out", str(tmp_path)],
+    assert _modules_loaded_by(["verify", "--suite", "all", "--out", str(tmp_path)],
                               [*lazy, "numpy.random", "_hashlib"]) == "0 []"
     # the cache is named and checked by its key, so neither a build that fills
     # it nor a hit hashes anything (only eigs --format json writes a hash); a

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dyboltz import kernel
+from dyboltz import kernel, specfun
 from dyboltz.errors import (CacheError, EigenvalueLookupError,
                             QuadratureConvergenceError)
 from dyboltz.kernel import (NULL_MODES, EigenvalueEntry, EigenvalueTable,
@@ -484,22 +484,19 @@ def test_bracket_group_equals_its_panels(n, l, j, size, s):
 
 
 def test_gauss_legendre_solved_once_per_order(monkeypatch):
-    # the Gauss rule (leggauss) and the Kronrod extension (one eigvalsh of
-    # the 2m + 1 Jacobi-Kronrod matrix) are each solved once per order m:
-    # m = 16 for the panel rules of every kernel, m = 12 called directly
-    orders, kronrod = [], []
-    solve, eig = np.polynomial.legendre.leggauss, np.linalg.eigvalsh
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                        lambda m: orders.append(m) or solve(m))
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: kronrod.append(len(a)) or eig(a))
-    for cached in (kernel._gauss_legendre, kernel._gauss_kronrod, kernel._panel_rules):
+    # the Gauss rule (one eigvalsh of the m x m Jacobi matrix) and the
+    # Kronrod extension (one of the 2m + 1 Jacobi-Kronrod matrix) are each
+    # solved once per order m: m = 16 for the panel rules of every kernel,
+    # m = 12 called directly
+    sizes, eig = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eig(a))
+    for cached in (specfun._gauss_rule, kernel._gauss_kronrod, kernel._panel_rules):
         cached.cache_clear()
     for s in (0.7, 1.3, 2.9):
         kernel._panel_rules(KernelParams(s=s), QUAD)
         kernel._gauss_kronrod(12)
-    assert orders == [16, 12]  # leggauss also calls eigvalsh
-    assert kronrod.count(2 * 16 + 1) == kronrod.count(2 * 12 + 1) == 1
-    for a in (*kernel._gauss_legendre(12), *kernel._gauss_kronrod(12)):
+    assert sorted(sizes) == [12, 16, 2 * 12 + 1, 2 * 16 + 1]
+    for a in (*specfun._gauss_rule(12), *kernel._gauss_kronrod(12)):
         assert not a.flags.writeable
 
 
@@ -507,7 +504,7 @@ def test_gauss_legendre_solved_once_per_order(monkeypatch):
 def test_gauss_kronrod_rule(m):
     x, wk, wg = kernel._gauss_kronrod(m)
     assert x.shape == wk.shape == (2 * m + 1,) and wg.shape == (m,)
-    gx, gw = kernel._gauss_legendre(m)
+    gx, gw = specfun._gauss_rule(m)
     assert np.array_equal(x[:m], gx) and np.array_equal(wg, gw)
     assert np.all(np.diff(x[m:]) > 0.0) and np.all(np.abs(x) < 1.0)
     # Kronrod and Gauss nodes interlace, and every weight is positive
@@ -783,7 +780,7 @@ def test_small_parallel_build_stays_serial(monkeypatch):
 
 def test_version_hash_sensitivity():
     v1 = table_version(P2, QUAD)
-    assert v1 == "04b37745d501d533"  # the version eigs --format json writes for s = 2
+    assert v1 == "52ae8e3f2cdd5892"  # the version eigs --format json writes for s = 2
     assert v1 == table_version(KernelParams(s=2.0), QuadratureSpec())
     assert v1 != table_version(P1, QUAD)
     assert v1 != table_version(P2, QuadratureSpec(rel_tol=1e-9))
@@ -820,9 +817,9 @@ def test_cache_rejects_corrupt_and_stale(tmp_path, table_factory):
         json.dump(doc, open(path, "w"))
 
     # written by other code: the header names the code version, not a hash of it
-    tampered(code_version="dyboltz-kernel-2")
-    with pytest.raises(CacheError, match="code_version 'dyboltz-kernel-2' is not "
-                                         "'dyboltz-kernel-3'"):
+    tampered(code_version="dyboltz-kernel-3")
+    with pytest.raises(CacheError, match="code_version 'dyboltz-kernel-3' is not "
+                                         "'dyboltz-kernel-4'"):
         load_table(path)
 
     # the cutoff is fixed; load_table checks the field itself

@@ -49,6 +49,19 @@ def test_norm_spec_validation_and_strings():
         parse_norm_spec("logsob:tau=1")
 
 
+@pytest.mark.parametrize("text, named", [
+    ("shubin:k=2,tau=3", "takes no argument 'tau'"),
+    ("logsob:tau=1,nu=2,k=5", "takes no argument 'k'"),
+    ("l2:k=1", "takes no argument 'k'"),
+    ("domain:tau=0.5,nu=1", "takes no argument 'nu'"),
+    ("shubin:k=2,k=3", "repeats argument 'k'"),
+    ("logsob:tau=1,nu=2,tau=1", "repeats argument 'tau'")])
+def test_norm_spec_rejects_foreign_and_repeated_arguments(text, named):
+    # a dropped or overwritten argument would compute another norm with no error
+    with pytest.raises(ValueError, match=named):
+        parse_norm_spec(text)
+
+
 @pytest.mark.parametrize("text", ["shubin:k=nan", "shubin:k=inf", "logsob:tau=inf,nu=2",
                                   "logsob:tau=1,nu=nan", "domain:tau=nan"])
 def test_norm_spec_rejects_non_finite_parameters(text):
