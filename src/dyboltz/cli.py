@@ -33,7 +33,7 @@ from .kernel import (KernelParams, QuadratureSpec, _cache_key, _dumps_with_rows,
                      _row_chunks, asymptotic_leading, eigenvalue_table, load_table, save_table)
 from .kernel import radial_eigenvalues  # not called; the benchmark tracer wraps this name
 from .solver import (DelaySeries, EvolutionReport, S2DelaySeries, SobolevSeries,
-                     _check_time, _sorted_times, classify_frontier, series_tail_classify)
+                     _sorted_times, classify_frontier, series_tail_classify)
 from .spaces import NormSpec, parse_norm_spec
 
 USAGE_ERROR = 2
@@ -262,8 +262,7 @@ def cmd_scenario(args) -> int:
             if len(set(ks)) < len(ks):
                 raise ValueError(f"--k-grid {args.k_grid!r} repeats an order")
             norms = [NormSpec.shubin(k) for k in ks]
-        for t in ts or ():
-            _check_time(t)
+        _sorted_times(ts or ())  # finite, nonnegative and distinct
     except ValueError as exc:
         raise UsageError(f"scenario {name}: {exc}") from None
     table, _ = _get_table(args, N, 0)

@@ -7,8 +7,8 @@ test oracles only, never for evaluation).  The private row generators
 ``_legendre_rows`` and ``_laguerre_rows`` hold the one text of the
 Legendre and Laguerre recurrences: ``legendre`` and ``laguerre`` walk them
 keeping two rows, ``legendre_all`` and ``laguerre_all`` keep every row.
-Every Gauss rule of the package (``_gauss_rule``: Legendre, Hermite) and the
-Kronrod rule of ``kernel`` come from ``_jacobi_nodes`` and ``_jacobi_walk``.
+The Gauss-Legendre and Gauss-Hermite rules (``_gauss_rule``) and the Kronrod
+rule of ``kernel`` come from ``_jacobi_nodes`` and ``_jacobi_walk``.
 
 Conventions
 -----------

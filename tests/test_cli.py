@@ -85,6 +85,8 @@ BAD_VALUES = {
                           "--series-n", "200", "--times", "-1"],
     "scenario-times=nan": ["scenario", "--scenario", "remark14", "--s", "1",
                            "--series-n", "200", "--times", "nan"],
+    "scenario-times=1,1": ["scenario", "--scenario", "remark14", "--s", "1",
+                           "--series-n", "200", "--times", "1,1"],
     "tau0=nan": ["scenario", "--scenario", "remark14", "--s", "1", "--series-n", "200",
                  "--tau0", "nan"],
     "tau=inf": ["scenario", "--scenario", "example42", "--s", "4", "--series-n", "200",
