@@ -23,18 +23,19 @@ import json
 import math
 import os
 import sys
-import zlib
+from dataclasses import fields
 
 import numpy as np
 
 from .basis import SpectralField
 from .errors import CacheError, QuadratureConvergenceError
-from .kernel import (KernelParams, QuadratureSpec, _cache_key, _dumps_with_rows, _panel_rules,
-                     _row_chunks, asymptotic_leading, eigenvalue_table, load_table, save_table)
+from .kernel import (KernelParams, QuadratureSpec, _atomic_write, _dumps_with_rows, _panel_rules,
+                     _row_chunks, asymptotic_leading, eigenvalue_table, load_table, save_table,
+                     table_version)
 from .kernel import radial_eigenvalues  # not called; the benchmark tracer wraps this name
 from .solver import (DelaySeries, EvolutionReport, S2DelaySeries, SobolevSeries,
                      _sorted_times, classify_frontier, series_tail_classify)
-from .spaces import NormSpec, parse_norm_spec
+from .spaces import NormSpec, _parse_spec, parse_norm_spec
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
@@ -43,12 +44,6 @@ CONVERGENCE_FAILURE = 3
 
 class UsageError(Exception):
     pass
-
-
-def _write_atomic(path: str, text):
-    from .kernel import _atomic_write
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    _atomic_write(path, text)
 
 
 def _params(args) -> KernelParams:
@@ -67,15 +62,14 @@ def _quad(args) -> QuadratureSpec:
 
 
 def _get_table(args, nmax: int, lmax: int):
-    """The nmax x lmax table, served from the cache file named by its key's crc32."""
+    """The nmax x lmax table, served from the cache file named by its ``table_version``."""
     params, quad = _params(args), _quad(args)
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
     cache_path = None
     if args.cache_dir:
-        os.makedirs(args.cache_dir, exist_ok=True)
-        crc = zlib.crc32(json.dumps(_cache_key(params, quad)).encode())
-        cache_path = os.path.join(args.cache_dir, f"eigs-{crc:08x}-n{nmax}-l{lmax}.json")
+        cache_path = os.path.join(args.cache_dir,
+                                  f"eigs-{table_version(params, quad)}-n{nmax}-l{lmax}.json")
         if os.path.exists(cache_path):
             table = load_table(cache_path, params, quad)
             if (table.nmax, table.lmax) != (nmax, lmax):
@@ -127,11 +121,11 @@ def cmd_eigs(args) -> int:
         out = ("\n".join([*chunk, ""]) for chunk in chunks)
     else:
         out = _dumps_with_rows({"s": s, "nmax": args.nmax, "lmax": args.lmax,
-                                "version": table.version,
+                                "version": table_version(table.params, table.quad),
                                 "columns": ["n", "l", "lambda", "err",
                                             "ratio_to_log_bound", "asymptotic_leading"]},
                                rows)
-    _write_atomic(path, out)
+    _atomic_write(path, out)
     print(f"{'cache hit' if from_cache else 'built'}: {path}")
     return 0
 
@@ -140,42 +134,41 @@ def cmd_eigs(args) -> int:
 # evolve
 # ---------------------------------------------------------------------------
 
+_SERIES = {"delay": DelaySeries, "s2delay": S2DelaySeries, "sobolev": SobolevSeries}
+
+
 def _parse_init(text: str):
     text = text.strip()
     kind, _, rest = text.partition(":")
-    kind = kind.lower()
     try:
-        if kind == "modes":
+        if kind.lower() == "modes":
             modes, amps = [], []
             for chunk in rest.split(";"):
                 n, l, m, re, im = (x.strip() for x in chunk.split(","))
                 modes.append((int(n), int(l), int(m)))
                 amps.append(complex(float(re), float(im)))
             return SpectralField((modes, amps), label=text)
-        kv = dict(item.split("=") for item in rest.split(",")) if rest else {}
-        if kind == "delay":
-            return DelaySeries(tau0=float(kv["tau0"]), N=int(kv.get("N", 10000)))
-        if kind == "s2delay":
-            return S2DelaySeries(N=int(kv.get("N", 10000)))
-        if kind == "sobolev":
-            return SobolevSeries(tau=float(kv["tau"]), N=int(kv.get("N", 10000)))
-    except (KeyError, ValueError) as exc:
+        kind, args = _parse_spec(text, {name: tuple(f.name for f in fields(series))
+                                        for name, series in _SERIES.items()})
+        return _SERIES[kind](**{key: (int if key == "N" else float)(value)
+                                for key, value in args.items()})
+    except (TypeError, ValueError) as exc:  # TypeError: a required argument is missing
         raise UsageError(f"bad --init {text!r}: {exc}") from None
-    raise UsageError(
-        f"unknown init spec {text!r}; use modes:n,l,m,re,im;... or "
-        "delay:tau0=T[,N=...] or s2delay:[N=...] or sobolev:tau=T[,N=...]")
 
 
 def _parse_norms(text: str):
     try:
         return [parse_norm_spec(p) for p in text.split(";") if p.strip()]
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"--norms: {exc}") from None
 
 
 def _parse_times(text: str):
+    """The times in the order given; UsageError unless each is finite, nonnegative
+    and distinct, and there is at least one."""
     try:
         times = [float(x) for x in text.split(",") if x.strip()]
+        _sorted_times(times)
     except ValueError as exc:
         raise UsageError(f"bad --times {text!r}: {exc}") from None
     if not times:
@@ -187,10 +180,6 @@ def cmd_evolve(args) -> int:
     init = _parse_init(args.init)
     norms = _parse_norms(args.norms)
     times = _parse_times(args.times)
-    try:  # before a table is built, or cached, for a rejected command
-        _sorted_times(times)
-    except ValueError as exc:
-        raise UsageError(f"bad --times {args.times!r}: {exc}") from None
     if isinstance(init, SpectralField):
         field = init
         nmax, lmax = field.nlm[:, :2].max(axis=0, initial=0).tolist()
@@ -203,7 +192,7 @@ def cmd_evolve(args) -> int:
             raise UsageError(f"bad --init {args.init!r}: {exc}") from None
     report = EvolutionReport.compute(field, times, norms, table)
     path = os.path.join(args.out, f"evolve_s{table.params.s:g}.{args.format}")
-    _write_atomic(path, report.to_csv() if args.format == "csv" else report.to_json())
+    _atomic_write(path, report.to_csv() if args.format == "csv" else report.to_json())
     print(f"wrote {path}")
     return 0
 
@@ -224,7 +213,7 @@ def cmd_verify(args) -> int:
            "checks": [r.to_json_dict() for r in results],
            "passed": bool(all(r.passed for r in results))}
     path = os.path.join(args.out, f"verify_{args.suite}.json")
-    _write_atomic(path, json.dumps(doc, separators=(",", ":"), sort_keys=True))
+    _atomic_write(path, json.dumps(doc, separators=(",", ":"), sort_keys=True))
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: measured "
               f"{r.measured:.6g} vs {r.threshold:.6g} {r.detail}")
@@ -262,7 +251,6 @@ def cmd_scenario(args) -> int:
             if len(set(ks)) < len(ks):
                 raise ValueError(f"--k-grid {args.k_grid!r} repeats an order")
             norms = [NormSpec.shubin(k) for k in ks]
-        _sorted_times(ts or ())  # finite, nonnegative and distinct
     except ValueError as exc:
         raise UsageError(f"scenario {name}: {exc}") from None
     table, _ = _get_table(args, N, 0)
@@ -275,14 +263,14 @@ def cmd_scenario(args) -> int:
             rows += _verdict_rows(spec, tgrid, [norm], table, extra=(k,))
             frontier.append(f"{k!r},{classify_frontier(spec, k, table)!r}")
         fpath = os.path.join(args.out, "scenario_example41_frontier.csv")
-        _write_atomic(fpath, "\n".join(frontier) + "\n")
+        _atomic_write(fpath, "\n".join(frontier) + "\n")
         print(f"wrote {fpath}")
     else:
         ts = ts or ([round(args.tau0 * f, 6) for f in (0.2, 0.5, 0.8, 0.95, 1.05, 1.2, 2.0, 4.0)]
                     if name == "remark14" else [0.5, 1.0, 2.0, 5.0, 10.0])
         rows = list(_verdict_rows(spec, ts, norms, table))
     path = os.path.join(args.out, f"scenario_{name}.csv")
-    _write_atomic(path, "\n".join([header] + [",".join(map(str, r)) for r in rows]) + "\n")
+    _atomic_write(path, "\n".join([header] + [",".join(map(str, r)) for r in rows]) + "\n")
     print(f"wrote {path}")
     return 0
 

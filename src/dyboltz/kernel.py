@@ -108,6 +108,7 @@ import json
 import math
 import os
 import tempfile
+import zlib
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -808,11 +809,6 @@ class EigenvalueTable:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @cached_property
-    def version(self) -> str:
-        """The ``table_version`` hash of the table's params and quad."""
-        return table_version(self.params, self.quad)
-
     @property
     def nmax(self) -> int:
         return self.lams.shape[0] - 1
@@ -870,12 +866,9 @@ def _cache_key(params: KernelParams, quad: QuadratureSpec) -> dict:
 
 
 def table_version(params: KernelParams, quad: QuadratureSpec) -> str:
-    """SHA-256 of the cache key, the ``version`` that ``eigs --format json`` writes."""
-    key = _cache_key(params, quad)
-    text = "|".join([key.pop("code_version"), *(f"{k}={v}" for k, v in key.items())])
-    import hashlib  # only commands that hash a version load OpenSSL
-
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    """The crc32 of the cache key as json.dumps writes it, in 8 hex digits: the name
+    of the table's cache files and the ``version`` that ``eigs --format json`` writes."""
+    return f"{zlib.crc32(json.dumps(_cache_key(params, quad)).encode()):08x}"
 
 
 def _block_task(args):
@@ -1015,11 +1008,12 @@ def _row_chunks(rows):
 def _atomic_write(path: str, text):
     """Write ``text``, a str or an iterable of str pieces, to ``path`` atomically.
 
-    The pieces go to a temp file in the target's directory, which replaces
-    ``path`` only once every piece is written; if writing fails, the temp
-    file is removed and ``path`` is left as it was.
+    The pieces go to a temp file in the target's directory, made if missing,
+    which replaces ``path`` only once every piece is written; if writing
+    fails, the temp file is removed and ``path`` is left as it was.
     """
     d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -1114,24 +1108,17 @@ def _parse_rows(data: bytes, pos: int) -> np.ndarray:
 
 
 def _grid_from_rows(rows: np.ndarray):
-    """(lams, errs) arrays from the (nrows, 4) cache rows [n, l, lambda, err] in any order.
+    """(lams, errs) arrays from the (nrows, 4) cache rows [n, l, lambda, err].
 
-    The rows must cover the full (n, l) rectangle exactly once.
+    The rows must be the (n, l) grid up to the last row's pair, in (n, l)
+    order, the order ``save_table`` writes.
     """
     if not len(rows):
         raise CacheError("cache rows must be nonempty [n, l, lambda, err] lists")
-    idx = rows[:, :2]
-    if not np.all((idx >= 0) & (idx < len(rows)) & (idx == np.floor(idx))):
-        raise CacheError("cache rows need integer (n, l) inside the table")
-    n, l = idx.astype(np.int64).T
-    shape = (int(n.max()) + 1, int(l.max()) + 1)
-    flat = n * shape[1] + l
-    covered = np.zeros(len(rows), dtype=bool)  # stays False unless the sizes match
-    if len(rows) == shape[0] * shape[1]:
-        covered[flat] = True
-    if not covered.all():
-        raise CacheError(f"cache rows do not cover the {shape[0]}x{shape[1]} (n, l) "
-                         f"grid exactly once ({len(rows)} rows)")
-    lams, errs = np.empty(shape), np.empty(shape)
-    lams.flat[flat], errs.flat[flat] = rows[:, 2], rows[:, 3]
-    return lams, errs
+    n, l = rows[-1, :2]
+    fits = 0 <= min(n, l) and (n + 1) * (l + 1) == len(rows)
+    shape = (int(n) + 1, int(l) + 1) if fits else (0, 0)
+    if not np.array_equal(rows[:, :2], np.indices(shape).reshape(2, -1).T):
+        raise CacheError(f"cache rows are not the (n, l) grid up to ({n:g}, {l:g}) in "
+                         f"(n, l) order, each pair exactly once ({len(rows)} rows)")
+    return rows[:, 2:].T.copy().reshape(2, *shape)  # a copy, so ``rows`` can be freed

@@ -48,8 +48,9 @@ __all__ = [
 
 W_SHIFT = 1.5 + math.e
 
-_KINDS = ("l2", "shubin", "logsob", "domain", "domaindual", "domainplus",
-          "domainplusdual")
+# each norm kind and the NormSpec fields it takes, in their canonical order
+_KINDS = {"l2": (), "shubin": ("k",), "logsob": ("tau", "nu"), "domain": ("tau",),
+          "domaindual": ("tau",), "domainplus": ("tau",), "domainplusdual": ("tau",)}
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class NormSpec:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown norm kind {self.kind!r}; choose from {_KINDS}")
+            raise ValueError(f"unknown norm kind {self.kind!r}; choose from {tuple(_KINDS)}")
         if not all(map(math.isfinite, (self.k, self.tau, self.nu))):
             raise ValueError(f"norm parameters must be finite, got {self!r}")
         if self.kind == "shubin" and self.k < 0.0:
@@ -106,13 +107,8 @@ class NormSpec:
 
     def __str__(self):
         """The canonical form; ``parse_norm_spec`` reads it back to an equal spec."""
-        if self.kind == "l2":
-            return "l2"
-        if self.kind == "shubin":
-            return f"shubin:k={_num(self.k)}"
-        if self.kind == "logsob":
-            return f"logsob:tau={_num(self.tau)},nu={_num(self.nu)}"
-        return f"{self.kind}:tau={_num(self.tau)}"
+        args = ",".join(f"{key}={_num(getattr(self, key))}" for key in _KINDS[self.kind])
+        return f"{self.kind}:{args}" if args else self.kind
 
 
 def _num(x: float) -> str:
@@ -121,30 +117,38 @@ def _num(x: float) -> str:
     return text if float(text) == x else repr(float(x))
 
 
-def parse_norm_spec(text: str) -> NormSpec:
-    """Parse the canonical CLI string form, e.g. 'shubin:k=2' or 'domain:tau=0.5'; a
-    ValueError names an argument that is malformed, repeated, missing or not the kind's."""
-    text = text.strip().lower()
+def _parse_spec(text: str, takes: dict) -> tuple:
+    """``(kind, {key: value text})`` of a 'kind:key=value,...' spec, the kind lowercased.
+
+    A ValueError names an unknown kind (and lists the kinds of ``takes`` with
+    their arguments), or an argument that is malformed, repeated or not among
+    ``takes[kind]``.
+    """
     kind, _, rest = text.partition(":")
-    if kind not in _KINDS:
-        raise ValueError(
-            f"unknown norm spec {text!r}; canonical forms: l2, shubin:k=K, "
-            "logsob:tau=T,nu=N, domain:tau=T, domaindual:tau=T, domainplus:tau=T, "
-            "domainplusdual:tau=T")
-    takes = {"l2": (), "shubin": ("k",), "logsob": ("tau", "nu")}.get(kind, ("tau",))
+    kind = kind.strip().lower()
+    if kind not in takes:
+        forms = (name + ":" * bool(keys) + ",".join(f"{k}={k[0].upper()}" for k in keys)
+                 for name, keys in takes.items())
+        raise ValueError(f"unknown kind {kind!r}; canonical forms: {', '.join(forms)}")
     args = {}
     for item in rest.split(",") if rest else ():
         key, _, value = (part.strip() for part in item.partition("="))
         if not value:
-            raise ValueError(f"malformed norm argument {item!r} in {text!r}")
-        if key in args or key not in takes:
-            raise ValueError(f"norm spec {text!r} {'repeats' if key in args else 'takes no'} "
-                             f"argument {key!r}")
-        args[key] = float(value)
-    for key in takes:
+            raise ValueError(f"malformed {kind} argument {item.strip()!r}")
+        if key in args or key not in takes[kind]:
+            raise ValueError(f"{kind} {'repeats' if key in args else 'takes no'} argument {key!r}")
+        args[key] = value
+    return kind, args
+
+
+def parse_norm_spec(text: str) -> NormSpec:
+    """Parse the canonical CLI string form, e.g. 'shubin:k=2' or 'domain:tau=0.5'; a
+    ValueError names an argument that is malformed, repeated, missing or not the kind's."""
+    kind, args = _parse_spec(text.lower(), _KINDS)
+    for key in _KINDS[kind]:
         if key not in args:
             raise ValueError(f"norm spec {text!r} is missing argument {key!r}")
-    return NormSpec(kind, **args)
+    return NormSpec(kind, **{key: float(value) for key, value in args.items()})
 
 
 def _lam_tilde(lam):

@@ -81,6 +81,14 @@ BAD_VALUES = {
                            "--times", "0"],
     "init-tau0=nan": ["evolve", "--init", "delay:tau0=nan,N=50", "--times", "1"],
     "init-tau=inf": ["evolve", "--init", "sobolev:tau=inf,N=50", "--times", "1"],
+    # each series family takes its own arguments, each once, and needs the required ones
+    "init-foreign-argument": ["evolve", "--s", "1", "--init", "delay:tau0=0.5,n=300",
+                              "--times", "1"],
+    "init-repeated-argument": ["evolve", "--s", "1", "--init", "delay:tau0=0.5,N=300,tau0=2",
+                               "--times", "1"],
+    "init-s2delay-tau": ["evolve", "--s", "1", "--init", "s2delay:tau=3,N=300", "--times", "1"],
+    "init-missing-tau0": ["evolve", "--s", "1", "--init", "delay:N=300", "--times", "1"],
+    "init-malformed": ["evolve", "--s", "1", "--init", "delay:tau0", "--times", "1"],
     "scenario-times=-1": ["scenario", "--scenario", "remark14", "--s", "1",
                           "--series-n", "200", "--times", "-1"],
     "scenario-times=nan": ["scenario", "--scenario", "remark14", "--s", "1",
@@ -152,7 +160,8 @@ def _reference_eigs(table, fmt):
         lines += [f"{n},{l},{lam!r},{err!r},{ratio!r},{asym!r}"
                   for n, l, lam, err, ratio, asym in rows]
         return "\n".join(lines) + "\n"
-    doc = {"s": s, "nmax": table.nmax, "lmax": table.lmax, "version": table.version,
+    doc = {"s": s, "nmax": table.nmax, "lmax": table.lmax,
+           "version": _reference_crc(table.params, table.quad),
            "columns": ["n", "l", "lambda", "err", "ratio_to_log_bound",
                        "asymptotic_leading"],
            "rows": [[n, l, lam, err,
@@ -168,10 +177,13 @@ def _reference_header(params, quad=kernel.QuadratureSpec()):
             "nodes_per_panel": quad.nodes_per_panel, "code_version": kernel.CODE_VERSION}
 
 
-def _cache_name(params, nmax, lmax):
+def _reference_crc(params, quad=kernel.QuadratureSpec()):
     # the crc32 of the header as json.dumps writes it, in 8 hex digits
-    crc = zlib.crc32(json.dumps(_reference_header(params)).encode())
-    return f"eigs-{crc:08x}-n{nmax}-l{lmax}.json"
+    return f"{zlib.crc32(json.dumps(_reference_header(params, quad)).encode()):08x}"
+
+
+def _cache_name(params, nmax, lmax):
+    return f"eigs-{_reference_crc(params)}-n{nmax}-l{lmax}.json"
 
 
 def _reference_cache(table):
@@ -193,6 +205,9 @@ def test_eigs_outputs_match_reference_formatting(tmp_path):
             assert got == _reference_eigs(table, fmt).encode()
         got = (cache / _cache_name(table.params, 12, 9)).read_bytes()
         assert got == _reference_cache(table).encode()
+        # the version eigs --format json writes is the crc that names the cache file
+        version = kernel.table_version(table.params, table.quad)
+        assert _cache_name(table.params, 12, 9) == f"eigs-{version}-n12-l9.json"
 
 
 def test_files_written_in_pieces_match_the_whole_text(tmp_path):
@@ -232,18 +247,18 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # loads numpy.polynomial (leggauss, hermgauss)
     lazy = ["scipy", "concurrent.futures.process", "numpy.polynomial"]
     # import only; the verify checks are imported by the verify command alone,
-    # and OpenSSL (_hashlib) only where a table version is hashed
+    # and no job loads OpenSSL (_hashlib): a table's version is a crc32
     assert _modules_loaded_by([], [*lazy, "dyboltz.verify", "_hashlib"]) == "None []"
     # the basis checks draw points, from the standard library's random
     assert _modules_loaded_by(["verify", "--suite", "all", "--out", str(tmp_path)],
                               [*lazy, "numpy.random", "_hashlib"]) == "0 []"
-    # the cache is named and checked by its key, so neither a build that fills
-    # it nor a hit hashes anything (only eigs --format json writes a hash); a
-    # hit loads the table without numpy.ma (np.unique imports it)
+    # the cache is named and checked by its key; a hit loads the table without
+    # numpy.ma (np.unique imports it), and the JSON output writes the crc32
     cache = ["--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)]
     args = ["eigs", "--s", "2", "--nmax", "6", "--lmax", "5", *cache]
     assert _modules_loaded_by(args, [*lazy, "numpy.ma", "dyboltz.verify", "_hashlib"],
                               runs=2) == "0 []"
+    assert _modules_loaded_by([*args, "--format", "json"], [*lazy, "_hashlib"]) == "0 []"
     series = ["evolve", "--s", "1", "--init", "delay:tau0=0.5,N=300", "--times", "1", *cache]
     assert _modules_loaded_by(series, [*lazy, "_hashlib"], runs=2) == "0 []"
     # the tail classifier takes its median without numpy.ma (np.median imports it)

@@ -4,6 +4,7 @@ import math
 import pathlib
 import tracemalloc
 import warnings
+import zlib
 from importlib import resources
 
 import numpy as np
@@ -343,7 +344,7 @@ def test_parallel_and_serial_builds_bitwise_equal(monkeypatch):
     for nmax, lmax, workers in ((14, 14, 3), (20, 200, 2), (14, 0, 2)):
         a = eigenvalue_table(nmax, lmax, P1, QUAD, workers=1)
         b = eigenvalue_table(nmax, lmax, P1, QUAD, workers=workers)
-        assert a.version == b.version
+        assert (a.params, a.quad) == (b.params, b.quad)
         assert np.array_equal(a.lams, b.lams)
         assert np.array_equal(a.errs, b.errs)
         if lmax == 200:
@@ -780,7 +781,8 @@ def test_small_parallel_build_stays_serial(monkeypatch):
 
 def test_version_hash_sensitivity():
     v1 = table_version(P2, QUAD)
-    assert v1 == "52ae8e3f2cdd5892"  # the version eigs --format json writes for s = 2
+    assert v1 == "ef782fd9"  # the version eigs --format json writes for s = 2
+    assert v1 == f"{zlib.crc32(json.dumps(kernel._cache_key(P2, QUAD)).encode()):08x}"
     assert v1 == table_version(KernelParams(s=2.0), QuadratureSpec())
     assert v1 != table_version(P1, QUAD)
     assert v1 != table_version(P2, QuadratureSpec(rel_tol=1e-9))
@@ -791,18 +793,20 @@ def test_cache_roundtrip_exact(tmp_path, table_factory):
     path = str(tmp_path / "tab.json")
     save_table(tab, path)
     back = load_table(path, P2, QUAD)
-    assert back.version == tab.version
+    assert (back.params, back.quad) == (tab.params, tab.quad)
     assert np.array_equal(back.lams, tab.lams)
     assert np.array_equal(back.errs, tab.errs)
 
 
 def test_table_version_is_the_hash_of_params_and_quad(tmp_path, table_factory):
-    # a built, a loaded and a subset table carry no version of their own
+    # a built, a loaded and a subset table carry no version of their own: the
+    # version is that of their params and quad
     tab = table_factory(2.0, 8, 8)
     path = str(tmp_path / "tab.json")
     save_table(tab, path)
     for t in (tab, load_table(path), tab.subset(4, 3)):
-        assert t.version == table_version(t.params, t.quad)
+        assert (t.params, t.quad) == (P2, QUAD)
+        assert table_version(t.params, t.quad) == table_version(P2, QUAD)
     assert json.load(open(path))["header"]["theta_max"] == kernel.THETA_MAX == math.pi / 4
 
 
@@ -833,7 +837,7 @@ def test_cache_rejects_corrupt_and_stale(tmp_path, table_factory):
         load_table(path)
 
     # a header of the hashed format, or with a field of its own
-    tampered(nodes_per_panel=16, version=tab.version)
+    tampered(nodes_per_panel=16, version=table_version(P2, QUAD))
     with pytest.raises(CacheError, match="version"):
         load_table(path)
 
@@ -929,8 +933,14 @@ def _duplicated_row(rows):
     rows.append(list(rows[_row_index(rows, 4, 4)]))
 
 
+def _swapped_rows(rows):
+    # every pair still once, but not in the (n, l) order the file is written in
+    i, j = _row_index(rows, 3, 2), _row_index(rows, 5, 1)
+    rows[i], rows[j] = rows[j], rows[i]
+
+
 @pytest.mark.parametrize("edit", [_negative_lambda, _nonzero_null_mode, _infinite_lambda,
-                                  _nan_err, _missing_row, _duplicated_row],
+                                  _nan_err, _missing_row, _duplicated_row, _swapped_rows],
                          ids=lambda f: f.__name__[1:])
 def test_cache_rejects_invalid_rows(tmp_path, table_factory, edit):
     path = str(tmp_path / "tab.json")
@@ -940,6 +950,15 @@ def test_cache_rejects_invalid_rows(tmp_path, table_factory, edit):
     json.dump(doc, open(path, "w"))
     with pytest.raises(CacheError):
         load_table(path, P2, QUAD)
+
+
+def test_save_table_makes_its_directory(tmp_path, table_factory):
+    tab = table_factory(2.0, 8, 8)
+    path = tmp_path / "new" / "cache" / "tab.json"
+    save_table(tab, str(path))
+    back = load_table(str(path), P2, QUAD)
+    assert np.array_equal(back.lams, tab.lams) and np.array_equal(back.errs, tab.errs)
+    assert [p.name for p in path.parent.iterdir()] == ["tab.json"]  # no temp file left
 
 
 def test_cache_rejects_duplicate_in_place_of_row(tmp_path, table_factory):
