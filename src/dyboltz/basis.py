@@ -35,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ResolutionError
-from .specfun import _gauss_rule, _ylm, assoc_legendre_norm, laguerre, laguerre_all
+from .specfun import (_gauss_rule, _jacobi_nodes, _jacobi_walk, _ylm, assoc_legendre_norm,
+                      laguerre)
 
 __all__ = [
     "ModeIndex",
@@ -253,57 +254,31 @@ def _sphere_gram(sph_modes, n_theta: int, n_phi: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _laguerre_rule(n_radial: int, alpha: float):
-    """Read-only generalized Gauss-Laguerre nodes and weights, one per (n_radial, alpha).
+    """Read-only n_radial-point Gauss rule for the weight u^alpha e^(-u) on (0, inf).
 
-    A Gram scan over l <= lmax asks for 2 lmax + 1 distinct alphas but
-    (lmax + 1)^2 (nmax + 1)^2 / 2 pair integrals.
+    Golub-Welsch on the Jacobi matrix with diagonal 2k + alpha + 1,
+    b_0 = Gamma(alpha + 1) and b_k = k (k + alpha): nodes and Christoffel
+    weights.  Tail weights below the double range round to 0.  Raises
+    ResolutionError when a node or weight is not finite: the orthonormal
+    Laguerre values at the nodes overflow from n_radial = 364 on
+    (alpha = 0.5), and Gamma(alpha + 1) does for alpha >= 170.  One rule per
+    (n_radial, alpha): a Gram scan over l <= lmax asks for 2 lmax + 1
+    distinct alphas but (lmax + 1)^2 (nmax + 1)^2 / 2 pair integrals.
     """
-    u, w = _gauss_laguerre(n_radial, alpha)
+    if n_radial < 1:
+        raise ValueError(f"n_radial must be positive, got {n_radial}")
+    k = np.arange(1.0, n_radial)
+    b = np.concatenate([[math.gamma(alpha + 1.0) if alpha < 170.0 else math.inf],
+                        k * (k + alpha)])
+    diag = 2.0 * np.arange(n_radial) + alpha + 1.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # raises below
+        u = _jacobi_nodes(b, diag)
+        w = _jacobi_walk(u, b, diag)[2]
+    if not (np.isfinite(u).all() and np.isfinite(w).all()):
+        raise ResolutionError(f"Gauss-Laguerre rule n_radial={n_radial}, alpha={alpha} "
+                              "leaves the double range: a node or weight is not finite")
     u.flags.writeable = w.flags.writeable = False
     return u, w
-
-
-def _gauss_laguerre(n: int, alpha: float):
-    """Nodes and weights of the n-point rule for the weight x^alpha e^(-x) on (0, inf).
-
-    Nodes are the eigenvalues of the Jacobi matrix (diagonal 2k + alpha + 1,
-    off-diagonal sqrt(k (k + alpha))), refined by one Newton step.  Weights
-    come from the derivative formula 1 / (L_{n-1}(x) L_n'(x)), scaled to sum
-    to Gamma(alpha + 1), not from eigenvectors: at n = 64 eigenvector tail
-    weights (about 1e-100) were off by up to 1e41, and the Laguerre values
-    they multiply there reach 1e57.  Tail weights below the double range
-    round to 0.  Raises ResolutionError when a node or weight is not
-    finite: the Laguerre values at the nodes overflow from n = 363 on
-    (alpha = 0.5), and Gamma(alpha + 1) does for alpha >= 170.
-    """
-    if n < 1:
-        raise ValueError(f"n_radial must be positive, got {n}")
-    k = np.arange(n, dtype=float)
-    # eigvalsh reads only the lower triangle of the symmetric Jacobi matrix
-    u = np.linalg.eigvalsh(np.diag(2.0 * k + alpha + 1.0)
-                           + np.diag(np.sqrt(k[1:] * (k[1:] + alpha)), -1))
-    leaves = (f"Gauss-Laguerre rule n_radial={n}, alpha={alpha} leaves the double range: "
-              "a node or weight is not finite, or a weight is negative")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lag = laguerre_all(n, alpha, u)
-        dlag = (n * lag[n] - (n + alpha) * lag[n - 1]) / u  # L_n' at the nodes
-        u = u - lag[n] / dlag  # one Newton step
-        if not np.isfinite(u).all():
-            raise ResolutionError(leaves)
-        lag = laguerre_all(n, alpha, u)
-        dlag = (n * lag[n] - (n + alpha) * lag[n - 1]) / u
-        # both factors span many decades; centre each in log space first
-        w = 1.0 / (_log_centred(lag[n - 1]) * _log_centred(dlag))
-        w *= (math.gamma(alpha + 1.0) if alpha < 170.0 else math.inf) / w.sum()
-    if not np.all(np.isfinite(w) & (w >= 0.0)):
-        raise ResolutionError(leaves)
-    return u, w
-
-
-def _log_centred(v):
-    """v divided by the geometric mean of its largest and smallest |v|."""
-    logs = np.log(np.abs(v))
-    return v / np.exp(0.5 * (logs.max() + logs.min()))
 
 
 def _radial_factor(n: int, l: int, lsum: int, n_radial: int) -> np.ndarray:

@@ -951,10 +951,12 @@ def radial_eigenvalues(nmax: int, params: KernelParams,
 
 
 def asymptotic_leading(n: int, l: int, params: KernelParams) -> float:
-    """Leading large-mode term (s/2) * log(sqrt(2n+l))^(2/s), needs 2n+l >= 3.
+    """Radial leading term (s/2) * log(sqrt(K))^(2/s) at K = 2n+l, needs K >= 3.
 
-    For l = 0 this is the whole leading behaviour of lambda_{n,0} (the
-    Legendre correction term vanishes since P_0 = 1).
+    It is the leading large-n behaviour of lambda_{n,0} (the Legendre
+    correction term vanishes since P_0 = 1), evaluated at K = 2n+l for any
+    l; it is not the leading term in l.  Along n = 0 it lies below
+    lambda_{0,l} by a factor that tends to 2^(2/s).
     """
     ModeIndex(n, l, 0).validate()
     K = 2 * n + l

@@ -255,8 +255,10 @@ class _RadialSeries:
     n_min = 2
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ValueError("truncation N must be at least 2")
+        # series_tail_classify reads term ratios over the trailing half
+        if self.N - self.n_min < 3:
+            raise ValueError(f"the series needs at least four terms: truncation N must be "
+                             f"at least {self.n_min + 3}, got {self.N}")
 
     def field(self, lam: np.ndarray) -> SpectralField:
         """The truncated data as a SpectralField, given lambda_{n,0} for n <= N."""
@@ -392,14 +394,16 @@ def series_tail_classify(spec, t: float, norm: NormSpec,
     lam = table.lams_at(np.arange(N + 1), np.zeros(N + 1, dtype=np.int64))
     n = np.arange(spec.n_min, N + 1)
     logn = np.log(n)
-    log_b = (log_weight(norm, np.log(2 * n + W_SHIFT), lam[n])
-             + 2.0 * (log_coeff(spec, logn, lam[n]) - lam[n] * t))
+    with np.errstate(over="ignore"):  # lambda t past the double range: a zero term
+        log_b = (log_weight(norm, np.log(2 * n + W_SHIFT), lam[n])
+                 + 2.0 * (log_coeff(spec, logn, lam[n]) - lam[n] * t))
     window = min(_TAIL_WINDOW, len(n) // 2)
     tail_b = log_b[-window:]
 
     log10_sum = _log10_sum_at(log_b, len(n))
     growth = log10_sum - _log10_sum_at(log_b, len(n) - window)
-    med_ratio = _median(np.diff(tail_b))
+    with np.errstate(invalid="ignore"):  # two zero terms have no ratio: NaN, not >= 0
+        med_ratio = _median(np.diff(tail_b))
     A = np.vstack([logn[-window:], np.ones(window)]).T
     slope, _ = np.linalg.lstsq(A, tail_b, rcond=None)[0]
     p_hat = float(-slope)
@@ -411,10 +415,13 @@ def series_tail_classify(spec, t: float, norm: NormSpec,
     u = np.linspace(math.log(float(N)), _U_HORIZON, 1024)
     lam_u = _fit_lambda_tail(lam, table.params.s, u)
     logW = u + math.log(2.0) + np.log1p(0.5 * W_SHIFT * np.exp(-u))
-    h = log_weight(norm, logW, lam_u) + 2.0 * (log_coeff(spec, u, lam_u) - lam_u * t) + u
+    with np.errstate(over="ignore"):
+        h = log_weight(norm, logW, lam_u) + 2.0 * (log_coeff(spec, u, lam_u) - lam_u * t) + u
     du = u[1] - u[0]
-    rising = h[-1] >= h[len(h) // 2]
+    rising = h[-1] > -math.inf and h[-1] >= h[len(h) // 2]  # -inf is a zero term
     hmax = float(np.max(h))
+    if hmax == -math.inf:  # every term of the tail is zero in doubles
+        return TailVerdict("convergent", p_hat, growth, med_ratio, -math.inf, log10_sum)
     decayed = h[-1] <= hmax - 40.0
     with np.errstate(under="ignore"):
         contrib = np.exp(h - hmax)

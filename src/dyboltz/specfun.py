@@ -6,9 +6,10 @@ all by three-term recurrences (explicit derivative formulas are used as
 test oracles only, never for evaluation).  The private row generators
 ``_legendre_rows`` and ``_laguerre_rows`` hold the one text of the
 Legendre and Laguerre recurrences: ``legendre`` and ``laguerre`` walk them
-keeping two rows, ``legendre_all`` and ``laguerre_all`` keep every row.
-The Gauss-Legendre and Gauss-Hermite rules (``_gauss_rule``) and the Kronrod
-rule of ``kernel`` come from ``_jacobi_nodes`` and ``_jacobi_walk``.
+keeping two rows, ``legendre_all`` keeps every row.  Every Gauss rule comes
+from ``_jacobi_nodes`` and ``_jacobi_walk``: the Gauss-Legendre and
+Gauss-Hermite rules (``_gauss_rule``), the Kronrod rule of ``kernel`` and
+the Gauss-Laguerre rule of ``basis``.
 
 Conventions
 -----------
@@ -37,7 +38,6 @@ __all__ = [
     "legendre_all",
     "assoc_legendre_norm",
     "laguerre",
-    "laguerre_all",
     "hermite_osc",
     "legendre_scaled_gap",
 ]
@@ -82,13 +82,9 @@ def legendre(l: int, x):
 
 def legendre_all(lmax: int, x) -> np.ndarray:
     """All P_0..P_lmax at x, shape (lmax+1,) + x.shape."""
-    return _fill_rows(lmax, _legendre_rows(lmax, x))
-
-
-def _fill_rows(top: int, rows) -> np.ndarray:
-    """Rows 0..top of a row generator stacked in one array."""
+    rows = _legendre_rows(lmax, x)
     first = next(rows)  # runs the generator's domain checks
-    out = np.empty((top + 1,) + first.shape)
+    out = np.empty((lmax + 1,) + first.shape)
     out[0] = first
     for k, row in enumerate(rows, 1):
         out[k] = row
@@ -196,11 +192,6 @@ def laguerre(n: int, alpha: float, x):
     return float(p[0]) if np.ndim(x) == 0 else p
 
 
-def laguerre_all(nmax: int, alpha: float, x) -> np.ndarray:
-    """All L_0^(alpha)..L_nmax^(alpha) at x, shape (nmax+1,) + x.shape."""
-    return _fill_rows(nmax, _laguerre_rows(nmax, alpha, x))
-
-
 def hermite_osc(n: int, x):
     """Orthonormal eigenfunction of -d^2/dx^2 + x^2/4 with eigenvalue n + 1/2.
 
@@ -266,33 +257,38 @@ def _legendre_gap_series(l: int, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _jacobi_walk(x: np.ndarray, b: np.ndarray):
-    """Three-term recurrence of the Jacobi matrix with zero diagonal and b at x.
+def _jacobi_walk(x: np.ndarray, b: np.ndarray, a=0.0):
+    """Three-term recurrence at x of the Jacobi matrix (diagonal a, off-diagonal sqrt(b[1:])).
 
-    Returns the characteristic polynomial q, up to a positive factor, its
-    derivative, and the Christoffel numbers 1 / sum_k p_k(x)^2 over the
-    orthonormal polynomials p_0..p_{N-1}: at an eigenvalue x these are the
-    weights of the matrix's Gauss rule, a sum of positive terms and so
-    accurate to a few ulp.
+    ``a`` holds one value per row, or one for every row.  Returns the
+    characteristic polynomial q, up to a positive factor, its derivative,
+    and the Christoffel numbers 1 / sum_k p_k(x)^2 over the orthonormal
+    polynomials p_0..p_{N-1}: at an eigenvalue x these are the weights of
+    the matrix's Gauss rule, a sum of positive terms and so accurate to a
+    few ulp.
     """
     root = np.sqrt(b)
+    a = np.broadcast_to(a, b.shape)
     p0, p1 = np.zeros_like(x), np.full_like(x, 1.0 / root[0])
     d0, d1 = np.zeros_like(x), np.zeros_like(x)
     total = p1 * p1
     for k in range(len(b)):
         c = root[k + 1] if k + 1 < len(b) else 1.0
         back = root[k] if k else 0.0
-        p0, p1, d0, d1 = p1, (x * p1 - back * p0) / c, d1, (p1 + x * d1 - back * d0) / c
+        y = x - a[k]
+        p0, p1, d0, d1 = p1, (y * p1 - back * p0) / c, d1, (p1 + y * d1 - back * d0) / c
         if k + 1 < len(b):
             total += p1 * p1
     return p1, d1, 1.0 / total
 
 
-def _jacobi_nodes(b: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Jacobi matrix with zero diagonal and off-diagonal sqrt(b[1:]),
+def _jacobi_nodes(b: np.ndarray, a=0.0) -> np.ndarray:
+    """Ascending eigenvalues of the Jacobi matrix with diagonal a and off-diagonal sqrt(b[1:]),
     each refined by one Newton step on its characteristic polynomial."""
-    x = np.linalg.eigvalsh(np.diag(np.sqrt(b[1:]), -1))  # reads the lower triangle only
-    q, dq, _ = _jacobi_walk(x, b)
+    J = np.diag(np.sqrt(b[1:]), -1)
+    np.fill_diagonal(J, a)
+    x = np.linalg.eigvalsh(J)  # reads the lower triangle only
+    q, dq, _ = _jacobi_walk(x, b, a)
     return x - q / dq
 
 

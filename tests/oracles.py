@@ -3,10 +3,10 @@
 Everything here deliberately avoids the package's evaluation paths:
 explicit derivative/sum formulas via sympy, a truncated Bessel series, the
 Gauss-Kronrod rule from its Stieltjes polynomial in rationals, the
-Gauss-Legendre rule by Newton's method in mpmath, closed forms and the
-unnormalized recurrence of the associated Legendre functions in mpmath,
-the exact s = 2 eigenvalues of the l = 0 column in mpmath, and the
-bracket's power series in sin^2 theta in rationals.
+Gauss-Legendre and Gauss-Laguerre rules by Newton's method in mpmath,
+closed forms and the unnormalized recurrence of the associated Legendre
+functions in mpmath, the exact s = 2 eigenvalues of the l = 0 column in
+mpmath, and the bracket's power series in sin^2 theta in rationals.
 """
 
 import math
@@ -177,6 +177,41 @@ def gauss_legendre_mp(m: int, dps: int = 50):
             dp = walk(x)[1]
             nodes.append(x)
             weights.append(2 / ((1 - x * x) * dp * dp))
+        return nodes, weights
+
+
+@lru_cache(maxsize=None)
+def gauss_laguerre_mp(n: int, alpha: float, dps: int = 40):
+    """Nodes and weights of the n-point rule for the weight x^alpha e^(-x) on (0, inf).
+
+    Newton's method on L_n^(alpha), evaluated by its three-term recurrence
+    at ``dps`` digits and started from SciPy's nodes (only a start: the
+    iteration runs until its relative step is below 10^-dps), with
+    L_n' = (n L_n - (n + alpha) L_{n-1}) / x and the weights
+    Gamma(n + alpha + 1) x / (n! (n + 1)^2 L_{n+1}(x)^2).
+    """
+    from scipy.special import roots_genlaguerre
+
+    with mp.workdps(dps + 10):
+        a = mp.mpf(alpha)
+
+        def walk(x, top):
+            """L_{top-1}^(alpha) and L_top^(alpha) at x, top >= 1."""
+            p_prev, p = mp.mpf(1), 1 + a - x
+            for k in range(1, top):
+                p_prev, p = p, ((2 * k + 1 + a - x) * p - (k + a) * p_prev) / (k + 1)
+            return p_prev, p
+
+        nodes, weights = [], []
+        for x0 in roots_genlaguerre(n, alpha)[0]:
+            x, step = mp.mpf(float(x0)), mp.mpf(1)
+            while abs(step) > mp.mpf(10) ** -dps * x:
+                p_prev, p = walk(x, n)
+                step = p * x / (n * p - (n + a) * p_prev)
+                x -= step
+            nodes.append(x)
+            weights.append(mp.gamma(n + a + 1) * x
+                           / (mp.factorial(n) * (n + 1) ** 2 * walk(x, n + 1)[1] ** 2))
         return nodes, weights
 
 

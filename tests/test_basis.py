@@ -12,6 +12,7 @@ from dyboltz.basis import (ModeIndex, SpectralField,
                            orthonormality_max_deviation, oscillator_residual,
                            project_null)
 from dyboltz.errors import ResolutionError
+from oracles import gauss_laguerre_mp
 from strategies import FIELDS
 
 # the collision invariants 1, v and |v|^2 span these five modes
@@ -228,7 +229,7 @@ def test_laguerre_rule_matches_scipy(n):
 
     from dyboltz import basis
     for alpha in np.arange(0.5, 13.0, 0.5):
-        u, w = basis._gauss_laguerre(n, float(alpha))
+        u, w = basis._laguerre_rule(n, float(alpha))
         u_ref, w_ref = roots_genlaguerre(n, alpha)
         assert np.max(np.abs(u / u_ref - 1.0)) <= 1e-12
         assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-10
@@ -236,6 +237,18 @@ def test_laguerre_rule_matches_scipy(n):
             moments = [np.sum(w * u ** j) for j in range(2 * n)]
             exact = [math.gamma(alpha + j + 1) for j in range(2 * n)]
             assert np.max(np.abs(np.array(moments) / exact - 1.0)) <= 1e-13
+
+
+def test_laguerre_rule_matches_mpmath():
+    # against Newton's method at 40 digits; the weights below 1e-250 are those
+    # of the far tail, which round toward 0 in doubles
+    from dyboltz import basis
+    nodes, weights = gauss_laguerre_mp(200, 0.5)
+    u, w = basis._laguerre_rule(200, 0.5)
+    want = np.array(weights, dtype=float)
+    keep = want > 1e-250
+    assert np.max(np.abs(u / np.array(nodes, dtype=float) - 1.0)) <= 1e-12
+    assert np.max(np.abs(w[keep] / want[keep] - 1.0)) <= 1e-11
 
 
 def test_large_laguerre_rules_raise_instead_of_nan():
@@ -277,9 +290,9 @@ def test_basis_checks_working_set_is_bounded(name):
 def test_laguerre_rule_built_once_per_alpha(monkeypatch):
     from dyboltz import basis
     calls = []
-    source = basis._gauss_laguerre
-    monkeypatch.setattr(basis, "_gauss_laguerre",
-                        lambda n, alpha: calls.append((n, alpha)) or source(n, alpha))
+    source = basis._jacobi_nodes  # the rule's diagonal starts at alpha + 1
+    monkeypatch.setattr(basis, "_jacobi_nodes",
+                        lambda b, a: calls.append((len(b), a[0] - 1.0)) or source(b, a))
     basis._laguerre_rule.cache_clear()
     try:
         assert orthonormality_max_deviation(3, 3) < 1e-8

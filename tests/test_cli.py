@@ -67,6 +67,9 @@ BAD_VALUES = {
     "verify-s=inf": ["verify", "--suite", "specfun", "--s", "inf"],
     "nmax=-1": ["eigs", "--nmax", "-1"],
     "series-n=1": ["scenario", "--scenario", "remark14", "--series-n", "1"],
+    # fewer than four terms leave the tail test no term ratio
+    "series-n=3": ["scenario", "--scenario", "remark14", "--s", "4", "--series-n", "3"],
+    "series-n=4": ["scenario", "--scenario", "example42", "--s", "4", "--series-n", "4"],
     "tau0=-1": ["scenario", "--scenario", "remark14", "--tau0", "-1"],
     "k-grid=a": ["scenario", "--scenario", "example41", "--k-grid", "a"],
     "times=-1": ["evolve", "--init", "modes:2,0,0,1,0", "--times", "-1"],

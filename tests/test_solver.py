@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,13 @@ def test_series_spec_validation(table_factory):
         DelaySeries(tau0=0.0)
     with pytest.raises(ValueError):
         S2DelaySeries(N=1)
+    # the tail test reads term ratios over the trailing half: four terms at least
+    with pytest.raises(ValueError, match="at least four terms: truncation N must be at least 5"):
+        SobolevSeries(tau=1.0, N=4)
+    with pytest.raises(ValueError, match="at least 4, got 3"):
+        DelaySeries(tau0=0.5, N=3)
+    assert series_tail_classify(DelaySeries(tau0=0.5, N=4), 1.0, NormSpec.l2(),
+                                table_factory(1.0, 2000, 0)).classification
     with pytest.raises(ValueError):
         SobolevSeries(tau=-1.0)
     for bad in (math.nan, math.inf):
@@ -329,6 +337,19 @@ def test_sobolev_series_verdicts(table_factory):
     b = series_tail_classify(spec, 1.0, NormSpec.shubin(2.0), tab)
     assert a.classification == "convergent"
     assert b.classification == "divergent"
+
+
+def test_zero_terms_are_a_convergent_series(table_factory):
+    # past t ~ 1e307 lambda t overflows, so the terms are zero in doubles: the
+    # series converges, with a zero tail once the surrogate's terms are all zero
+    tab = table_factory(4.0, 200, 0)
+    spec = DelaySeries(tau0=0.5, N=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdicts = [series_tail_classify(spec, t, NormSpec.l2(), tab)
+                    for t in (1e306, 1e307, 1e308)]
+    assert [v.classification for v in verdicts] == ["convergent"] * 3
+    assert verdicts[-1].log10_tail_estimate == -math.inf
 
 
 def test_frontier_monotone_small(table_factory):

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyboltz.specfun import (_gauss_rule, _ylm, assoc_legendre_norm, hermite_osc, laguerre,
-                             laguerre_all, legendre, legendre_all,
-                             legendre_scaled_gap)
+                             legendre, legendre_all, legendre_scaled_gap)
 from oracles import (assoc_legendre_explicit, assoc_legendre_mp, bessel_j0,
                      gauss_legendre_mp, hermite_osc_explicit, laguerre_explicit,
                      legendre_poly_explicit)
@@ -191,22 +190,13 @@ def test_laguerre_recurrence_matches_explicit_sum(rng):
                 (n, alpha)
 
 
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(0, 200), alpha=st.sampled_from([0.5, 2.5, 200.5]),
-       x=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8))
-def test_laguerre_all_matches_single(n, alpha, x):
-    assert np.array_equal(laguerre_all(n, alpha, x)[n], laguerre(n, alpha, x))
-
-
 def test_laguerre_domain_errors():
     with pytest.raises(ValueError):
         laguerre(2, 0.5, -0.1)
     with pytest.raises(ValueError):
         laguerre(2, -1.0, 0.5)
     with pytest.raises(ValueError):
-        laguerre_all(2, -1.0, 0.5)
-    with pytest.raises(ValueError):
-        laguerre_all(-1, 0.5, 0.5)
+        laguerre(-1, 0.5, 0.5)
 
 
 def test_hermite_osc_values_and_rodrigues(rng):
