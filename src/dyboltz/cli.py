@@ -29,9 +29,9 @@ import numpy as np
 
 from .basis import SpectralField
 from .errors import CacheError, QuadratureConvergenceError
-from .kernel import (KernelParams, QuadratureSpec, _atomic_write, _dumps_with_rows, _panel_rules,
-                     _row_chunks, asymptotic_leading, eigenvalue_table, load_table, save_table,
-                     table_version)
+from .kernel import (KernelParams, QuadratureSpec, _atomic_write, _dumps_with_rows, _log_bound,
+                     _panel_rules, _row_chunks, asymptotic_leading, eigenvalue_table, load_table,
+                     save_table, table_version)
 from .kernel import radial_eigenvalues  # not called; the benchmark tracer wraps this name
 from .solver import (DelaySeries, EvolutionReport, S2DelaySeries, SobolevSeries,
                      _sorted_times, classify_frontier, series_tail_classify)
@@ -95,8 +95,8 @@ def cmd_eigs(args) -> int:
     if min(args.nmax, args.lmax) < 0:
         raise UsageError("--nmax and --lmax must be nonnegative")
     K, s = 2 * args.nmax + args.lmax, _params(args).s
-    try:  # the largest ratio-column divisor; asymptotic_leading stays below it
-        math.log(K + math.e) ** (2.0 / s)
+    try:  # the ratio column's divisors; asymptotic_leading stays below them
+        bound = _log_bound(K, s)
     except OverflowError:
         raise UsageError(f"--s {s:g} is too small for 2 nmax + lmax = {K}: "
                          f"log(K + e)^(2/s) overflows a double") from None
@@ -106,11 +106,10 @@ def cmd_eigs(args) -> int:
     # expression per K, then one IEEE division per entry, which rounds as `/` does
     n, l = np.indices(table.lams.shape)
     K = (2 * n + l).ravel()
-    ks = range(int(K[-1]) + 1)
-    ratio = table.lams.ravel() / np.array([math.log(k + math.e) ** (2.0 / s) for k in ks])[K]
+    ratio = table.lams.ravel() / bound[K]
     ratio[(n + l).ravel() < 2] = math.nan
     asym = [text(asymptotic_leading(k // 2, k % 2, table.params) if k >= 3 else math.nan)
-            for k in ks]
+            for k in range(len(bound))]
     rows = map(",".join, zip(table._row_texts, map(text, ratio.tolist()),
                              map(asym.__getitem__, K.tolist())))
     name = f"eigs_s{s:g}_n{args.nmax}_l{args.lmax}.{args.format}"
@@ -249,7 +248,9 @@ def cmd_scenario(args) -> int:
             ks = ([float(x) for x in args.k_grid.split(",")] if name == "example41"
                   else [args.tau, args.tau_prime])
             if len(set(ks)) < len(ks):
-                raise ValueError(f"--k-grid {args.k_grid!r} repeats an order")
+                given = (f"--k-grid {args.k_grid!r}" if name == "example41" else
+                         f"--tau {args.tau:g} with --tau-prime {args.tau_prime:g}")
+                raise ValueError(f"{given} repeats an order")
             norms = [NormSpec.shubin(k) for k in ks]
     except ValueError as exc:
         raise UsageError(f"scenario {name}: {exc}") from None
@@ -261,7 +262,10 @@ def cmd_scenario(args) -> int:
         for k, norm in zip(ks, norms):
             tgrid = ts or [round(k * f, 6) for f in (0.25, 0.5, 0.8, 1.0, 1.2, 1.6, 2.4)]
             rows += _verdict_rows(spec, tgrid, [norm], table, extra=(k,))
-            frontier.append(f"{k!r},{classify_frontier(spec, k, table)!r}")
+            try:
+                frontier.append(f"{k!r},{classify_frontier(spec, k, table)!r}")
+            except ValueError as exc:
+                raise UsageError(f"scenario example41, --s {args.s:g}, k = {k:g}: {exc}") from None
         fpath = os.path.join(args.out, "scenario_example41_frontier.csv")
         _atomic_write(fpath, "\n".join(frontier) + "\n")
         print(f"wrote {fpath}")

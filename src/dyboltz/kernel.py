@@ -974,18 +974,26 @@ class RatioBounds:
     argmax: tuple
 
 
+def _log_bound(K_max: int, s: float, shift: float = math.e) -> np.ndarray:
+    """log(K + shift)^(2/s) for K = 0..K_max, one ``math.log`` per K, to be indexed by
+    K = 2n + l; OverflowError where a power leaves the double range."""
+    return np.array([math.log(k + shift) ** (2.0 / s) for k in range(K_max + 1)])
+
+
 def ratio_bounds(table: EigenvalueTable, shift: float = math.e) -> RatioBounds:
     """Min/max of lambda_{n,l} / log(2n + l + shift)^(2/s) over modes n+l >= 2.
 
-    The default shift e matches the spectral lower-bound weight; shift
-    1.5 + e gives the oscillator-norm weight used by the decay certificates.
+    The default shift e matches the spectral lower-bound weight and the ``eigs``
+    ``ratio_to_log_bound`` column; shift 1.5 + e gives the oscillator-norm weight used
+    by the decay certificates.  Each divisor takes one ``math.log`` (``_log_bound``).
     """
     n, l = np.indices(table.lams.shape)
     keep = n + l >= 2
     if not keep.any():
         raise ValueError("table has no modes with n + l >= 2")
     n, l = n[keep], l[keep]
-    r = table.lams[keep] / np.log(2 * n + l + shift) ** (2.0 / table.params.s)
+    bound = _log_bound(2 * table.nmax + table.lmax, table.params.s, shift)
+    r = table.lams[keep] / bound[2 * n + l]
     i, j = int(np.argmin(r)), int(np.argmax(r))
     return RatioBounds(c_min=float(r[i]), c_max=float(r[j]),
                        argmin=(int(n[i]), int(l[i])), argmax=(int(n[j]), int(l[j])))

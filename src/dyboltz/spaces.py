@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SpectralField
-from .kernel import EigenvalueTable, _check_s
+from .kernel import EigenvalueTable, _check_s, _log_bound
 
 __all__ = [
     "NormSpec",
@@ -84,22 +84,6 @@ class NormSpec:
     @classmethod
     def logsob(cls, tau: float, nu: float):
         return cls("logsob", tau=tau, nu=nu)
-
-    @classmethod
-    def domain(cls, tau: float):
-        return cls("domain", tau=tau)
-
-    @classmethod
-    def domain_dual(cls, tau: float):
-        return cls("domaindual", tau=tau)
-
-    @classmethod
-    def domain_plus(cls, tau: float):
-        return cls("domainplus", tau=tau)
-
-    @classmethod
-    def domain_plus_dual(cls, tau: float):
-        return cls("domainplusdual", tau=tau)
 
     @property
     def needs_table(self) -> bool:
@@ -265,7 +249,8 @@ def embedding_estimate(table: EigenvalueTable, s: float) -> EmbeddingEstimate:
     """Finite-truncation witnesses for the domain-vs-log-Sobolev embeddings.
 
     Returns the min and max over stored modes of
-    lambda~_{n,l} / (2 (log W)^(2/s)); any tau1 <= tau1_hat makes the domain
+    lambda~_{n,l} / (2 (log W)^(2/s)), with one ``math.log`` per 2n + l as in
+    ``kernel.ratio_bounds`` at shift 3/2 + e; any tau1 <= tau1_hat makes the domain
     norm dominate the logsob(tau*tau1, s) norm mode-wise on this table, and
     any tau2 >= tau2_hat the reverse.  Witnesses are truncation-dependent;
     no asymptotic claim is made.  s must be the table's kernel exponent.
@@ -274,5 +259,6 @@ def embedding_estimate(table: EigenvalueTable, s: float) -> EmbeddingEstimate:
     if table.nmax < 50 or table.lmax < 50:
         raise ValueError("embedding estimate needs table coverage n, l up to at least 50")
     n, l = np.indices(table.lams.shape)
-    r = _lam_tilde(table.lams) / (2.0 * np.log(2 * n + l + W_SHIFT) ** (2.0 / s))
+    bound = _log_bound(2 * table.nmax + table.lmax, s, W_SHIFT)
+    r = _lam_tilde(table.lams) / (2.0 * bound[2 * n + l])
     return EmbeddingEstimate(tau1_hat=float(r.min()), tau2_hat=float(r.max()))

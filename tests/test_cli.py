@@ -76,6 +76,7 @@ BAD_VALUES = {
     "times=1,1": ["evolve", "--init", "modes:2,0,0,1,0", "--times", "1,1"],
     "times=inf": ["evolve", "--init", "modes:0,0,0,1,0;2,0,0,1,0", "--times", "inf"],
     "times=nan": ["evolve", "--init", "modes:0,0,0,1,0;2,0,0,1,0", "--times", "nan"],
+    "times=,": ["evolve", "--init", "modes:2,0,0,1,0", "--times", ","],
     "init-amp=nan": ["evolve", "--s", "2", "--init", "modes:2,0,0,nan,0", "--times", "1",
                      "--norms", "l2"],
     "init-amp=inf": ["evolve", "--s", "2", "--init", "modes:2,0,0,inf,0", "--times", "1",
@@ -112,6 +113,8 @@ BAD_VALUES = {
     "workers=-3": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2", "--workers", "-3"],
     "tau-prime=-1": ["scenario", "--scenario", "example42", "--s", "4",
                      "--series-n", "200", "--tau-prime", "-1"],
+    "tau=tau-prime": ["scenario", "--scenario", "example42", "--s", "4",
+                      "--series-n", "200", "--tau", "3", "--tau-prime", "3"],
     "rel-tol=nan": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2", "--rel-tol", "nan"],
     "abs-tol=inf": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2", "--abs-tol", "inf"],
     "max-panels=1100": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2",
@@ -141,6 +144,20 @@ def test_eigs_rejects_bad_s(tmp_path, capsys, monkeypatch, argv):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if "0.01" in argv:
         assert err.startswith("error: --s 0.01 with --max-panels 72: beta overflows")
+    if argv[-2:] == ["--tau-prime", "3"]:  # the flags example42 reads, not --k-grid
+        assert err == "error: scenario example42: --tau 3 with --tau-prime 3 repeats an order\n"
+
+
+@pytest.mark.parametrize("argv", [["--s", "4"], ["--s", "3", "--k-grid", "1"]])
+def test_example41_without_a_frontier_is_a_usage_error(tmp_path, capsys, argv):
+    # no convergent verdict up to t = max(4, 4k) shows only once the table is
+    # built, so this is no BAD_VALUES case; the job writes no file
+    out = tmp_path / "out"
+    assert run(out, "scenario", "--scenario", "example41", *argv, "--series-n", "200",
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err == (f"error: scenario example41, --s {argv[1]}, k = 1: "
+                                       "no convergent verdict up to t = max(4, 4k) = 4.0\n")
+    assert not list(out.iterdir())
 
 
 def _rows(table):
@@ -536,6 +553,15 @@ def test_scenario_example42(tmp_path):
     assert by_norm["shubin:k=2"] == "divergent"
 
 
+def test_scenario_example42_default_times(tmp_path):
+    assert run(tmp_path, "scenario", "--scenario", "example42", "--s", "4",
+               "--series-n", "200", "--out", str(tmp_path)) == 0
+    lines = open(tmp_path / "scenario_example42.csv").read().splitlines()[1:]
+    assert [tuple(ln.split(",")[:2]) for ln in lines] == [
+        (t, norm) for t in ("0.5", "1.0", "2.0", "5.0", "10.0")
+        for norm in ("shubin:k=1", "shubin:k=2")]
+
+
 def test_scenario_example41_frontier(tmp_path):
     assert run(tmp_path, "scenario", "--scenario", "example41", "--s", "2",
                "--series-n", "2000", "--k-grid", "1,2",
@@ -551,7 +577,7 @@ def test_scenario_unknown_name(tmp_path):
 
 
 def test_small_benchmark_outputs_keep_their_bytes(tmp_path):
-    # the modes evolve, eigs 49x49 and verify --suite all jobs of
+    # the modes evolve, eigs 49x49, scenario and verify --suite all jobs of
     # scripts/output_digest.py, run in process, against the SHA-256 of each
     # file recorded with the versions the golden names; a change that moves
     # a byte on purpose records the golden again and says why
@@ -567,7 +593,8 @@ def test_small_benchmark_outputs_keep_their_bytes(tmp_path):
     spec.loader.exec_module(digest)
     golden = json.load(open(os.path.join(root, "tests", "golden", "cli_output_sha256.json")))
     for argv in digest.jobs(tmp_path):
-        if argv[0] == "verify" or argv[:len(digest.MODES)] == digest.MODES or "48" in argv:
+        if (argv[0] in ("verify", "scenario") or argv[:len(digest.MODES)] == digest.MODES
+                or "48" in argv):
             assert main(argv) == 0
     now = {"code_version": kernel.CODE_VERSION, "numpy": np.__version__,
            "python": sys.version.split()[0]}
@@ -575,3 +602,37 @@ def test_small_benchmark_outputs_keep_their_bytes(tmp_path):
         got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert got == sha, (f"{name} differs from its golden, recorded with "
                             f"{golden['recorded_with']}; this run has {now}")
+
+
+def test_one_log_bound_serves_the_column_and_the_ratio_bounds(tmp_path, monkeypatch,
+                                                              table_factory):
+    # lambda / log(2n + l + shift)^(2/s) has one divisor, kernel._log_bound's,
+    # one math.log per K = 2n + l: no other code takes a log for it, and the
+    # eigs column, ratio_bounds and embedding_estimate agree to the bit
+    import re
+
+    from dyboltz import spaces
+    for code in (inspect.getsource(cli), inspect.getsource(kernel.ratio_bounds),
+                 inspect.getsource(spaces.embedding_estimate)):
+        assert not re.search(r"(math|np)\.log\(|\*\* \(2", code)
+    tab = table_factory(0.5, 200, 200)
+    modes = [(n, l) for n in range(201) for l in range(201)]
+
+    def ratios(shift, lams, least):  # over the modes with n + l >= least
+        div = [math.log(k + shift) ** (2.0 / 0.5) for k in range(601)]
+        return [lams(n, l) / div[2 * n + l] for n, l in modes if n + l >= least]
+
+    assert (kernel.ratio_bounds(tab, spaces.W_SHIFT).c_min
+            == min(ratios(spaces.W_SHIFT, tab.lam, 2)))
+    # lambda~ / (2 log W^(2/s)): lambda~ is 1 on the null modes
+    tilde = ratios(spaces.W_SHIFT, lambda n, l: (tab.lam(n, l) or 1.0) / 2.0, 0)
+    est = spaces.embedding_estimate(tab, 0.5)
+    assert (est.tau1_hat, est.tau2_hat) == (min(tilde), max(tilde))
+    monkeypatch.setattr(cli, "eigenvalue_table", lambda *a, **k: tab)
+    assert run(tmp_path, "eigs", "--s", "0.5", "--nmax", "200", "--lmax", "200",
+               "--out", str(tmp_path)) == 0
+    with open(tmp_path / "eigs_s0.5_n200_l200.csv") as fh:
+        column = [float(row["ratio_to_log_bound"]) for row in csv.DictReader(fh)
+                  if int(row["n"]) + int(row["l"]) >= 2]
+    rb = kernel.ratio_bounds(tab)
+    assert (rb.c_min, rb.c_max) == (min(column), max(column))

@@ -113,7 +113,7 @@ def test_truncation_cauchy_in_dual_norm(table_factory):
     g0 = SpectralField(coeffs)
     t = 0.3
     gt = evolve(g0, t, tab)
-    dual = NormSpec.domain_dual(tau)
+    dual = NormSpec("domaindual", tau=tau)
     prev = None
     def increment(field, N):  # the Galerkin projection onto 2n + l <= N + 20, less onto <= N
         K = 2 * field.nlm[:, 0] + field.nlm[:, 1]
@@ -371,8 +371,8 @@ def test_classifier_accepts_built_table(table_factory):
 
 
 CROSS_PATH_NORMS = [NormSpec.l2(), NormSpec.shubin(2.0), NormSpec.logsob(0.5, 2.0),
-                    NormSpec.domain(0.5), NormSpec.domain_dual(0.5),
-                    NormSpec.domain_plus(0.5), NormSpec.domain_plus_dual(0.5)]
+                    NormSpec("domain", tau=0.5), NormSpec("domaindual", tau=0.5),
+                    NormSpec("domainplus", tau=0.5), NormSpec("domainplusdual", tau=0.5)]
 
 
 @pytest.mark.parametrize("norm", CROSS_PATH_NORMS, ids=str)
@@ -456,6 +456,15 @@ def test_report_rows_and_slope(table_factory):
         EvolutionReport.compute(g, [0.0, 0.0], [NormSpec.l2()], tab)
 
 
+@pytest.mark.parametrize("times", [[1.0], [0.0, 1e6]])
+def test_report_slope_is_nan_below_two_positive_norms(table_factory, times):
+    # one time, or a mode decayed to an exact zero, leaves too few positive norms to fit
+    tab = table_factory(2.0, 8, 8)
+    rep = EvolutionReport.compute(SpectralField({(2, 0, 0): 1.0}), times, [NormSpec.l2()], tab)
+    assert rep.values[-1][0] == math.exp(-tab.lam(2, 0) * times[-1])
+    assert math.isnan(rep.decay_slopes[0])
+
+
 def test_report_null_mode_constant(table_factory):
     tab = table_factory(2.0, 8, 8)
     g = SpectralField({(0, 1, 0): 2.0})
@@ -468,8 +477,8 @@ def test_report_values_equal_per_time_spectral_norms(rng, table_factory):
     g = SpectralField({**_random_field(rng, 40).coeffs, (0, 0, 0): 1.0, (1, 0, 0): -0.5,
                        (0, 1, 1): 0.25j, (3, 4, -2): 2.0 - 1.0j})
     norms = [NormSpec.l2(), NormSpec.shubin(2.5), NormSpec.logsob(0.7, 1.5),
-             NormSpec.domain(0.5), NormSpec.domain_dual(0.5),
-             NormSpec.domain_plus(1.0), NormSpec.domain_plus_dual(1.0)]
+             NormSpec("domain", tau=0.5), NormSpec("domaindual", tau=0.5),
+             NormSpec("domainplus", tau=1.0), NormSpec("domainplusdual", tau=1.0)]
     times = [0.0, 0.3, 1.0, 4.0]
     rep = EvolutionReport.compute(g, times, norms, tab)
     for t, row in zip(times, rep.values):

@@ -36,7 +36,7 @@ def test_norm_spec_validation_and_strings():
     with pytest.raises(ValueError):
         NormSpec.logsob(1.0, 0.0)
     with pytest.raises(ValueError):
-        NormSpec.domain(0.0)
+        NormSpec("domain", tau=0.0)
     assert str(NormSpec.logsob(-0.5, 2)) == "logsob:tau=-0.5,nu=2"
     for text in ("l2", "shubin:k=2", "logsob:tau=1,nu=2", "domain:tau=0.5",
                  "domaindual:tau=0.5", "domainplus:tau=3", "domainplusdual:tau=0.1"):
@@ -93,7 +93,7 @@ def test_single_mode_weight_examples(table_factory):
     tab = table_factory(2.0, 8, 8)
     g = SpectralField({(2, 0, 0): 1.0})
     expect = math.exp(0.5 * tab.lam(2, 0))  # 1.2404634...
-    assert abs(spectral_norm(g, NormSpec.domain(1.0), tab) - expect) < 1e-12
+    assert abs(spectral_norm(g, NormSpec("domain", tau=1.0), tab) - expect) < 1e-12
 
 
 def test_modified_lambda(table_factory):
@@ -103,7 +103,7 @@ def test_modified_lambda(table_factory):
 
     def lam_tilde(mode):
         return 2.0 * math.log(spectral_norm(SpectralField({mode: 1.0}),
-                                            NormSpec.domain(1.0), tab))
+                                            NormSpec("domain", tau=1.0), tab))
 
     for mode in [(0, 0, 0), (1, 0, 0), (0, 1, -1), (0, 1, 0), (0, 1, 1)]:
         assert abs(lam_tilde(mode) - 1.0) < 1e-15
@@ -143,7 +143,7 @@ def test_zero_amplitude_under_an_overflowing_weight_adds_nothing():
 def test_domain_norm_needs_table(rng):
     f = _random_field(rng, 5)
     with pytest.raises(ValueError):
-        spectral_norm(f, NormSpec.domain(0.5))
+        spectral_norm(f, NormSpec("domain", tau=0.5))
 
 
 def test_domain_series_definition_consistency(rng, table_factory):
@@ -151,7 +151,7 @@ def test_domain_series_definition_consistency(rng, table_factory):
     tab = table_factory(2.0, 12, 12)
     f = _random_field(rng, 20)
     for tau in (0.3, 1.0):
-        closed = spectral_norm(f, NormSpec.domain(tau), tab) ** 2
+        closed = spectral_norm(f, NormSpec("domain", tau=tau), tab) ** 2
         series = 0.0
         for k in range(200):
             term = sum(tau**k / math.factorial(k)
@@ -169,8 +169,8 @@ def test_dual_weights_are_reciprocal(table_factory):
     for n, l in [(0, 0), (2, 0), (5, 3)]:
         f = SpectralField({(n, l, 0): 1.0})
         w, wd, wp, wpd = (spectral_norm(f, spec, tab) ** 2 for spec in (
-            NormSpec.domain(0.7), NormSpec.domain_dual(0.7),
-            NormSpec.domain_plus(0.7), NormSpec.domain_plus_dual(0.7)))
+            NormSpec("domain", tau=0.7), NormSpec("domaindual", tau=0.7),
+            NormSpec("domainplus", tau=0.7), NormSpec("domainplusdual", tau=0.7)))
         assert abs(w * wd - 1.0) < 1e-12
         lam = _lam_tilde(tab, n, l)
         assert abs(wp - lam * w) < 1e-12
@@ -204,8 +204,8 @@ def test_duality_pairing_bound(rng, table_factory):
             f = _random_field(rng, 15)
             g = _random_field(rng, 15)
             lhs = abs(f.inner(g))
-            rhs = (spectral_norm(f, NormSpec.domain_dual(tau), tab)
-                   * spectral_norm(g, NormSpec.domain(tau), tab))
+            rhs = (spectral_norm(f, NormSpec("domaindual", tau=tau), tab)
+                   * spectral_norm(g, NormSpec("domain", tau=tau), tab))
             assert lhs <= rhs * (1.0 + 1e-12)
 
 

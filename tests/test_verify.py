@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,9 @@ def test_shubin_vs_logsob_reports_what_it_gates():
     assert res.threshold == 1e-12
     assert res.passed == (res.measured <= res.threshold)
 
+
+def test_rate1_is_skipped_above_s_2(table_factory):
+    # rate1 holds for s <= 2 only; above, the check passes with no measurement
+    res = verify.check_rate1(verify._Draws(verify._SEED), table_factory(4.0, 8, 8))
+    assert res.passed and math.isnan(res.measured)
+    assert res.detail == "skipped: rate1 applies for s <= 2, got s=4.0"
