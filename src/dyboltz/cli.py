@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
@@ -29,9 +28,9 @@ import numpy as np
 
 from .basis import SpectralField
 from .errors import CacheError, QuadratureConvergenceError
-from .kernel import (KernelParams, QuadratureSpec, _atomic_write, _dumps_with_rows, _log_bound,
-                     _panel_rules, _row_chunks, asymptotic_leading, eigenvalue_table, load_table,
-                     save_table, table_version)
+from .kernel import (KernelParams, QuadratureSpec, _atomic_write, _dumps_with_rows, _json_text,
+                     _log_bound, _panel_rules, _row_chunks, asymptotic_leading, eigenvalue_table,
+                     load_table, save_table, table_version)
 from .kernel import radial_eigenvalues  # not called; the benchmark tracer wraps this name
 from .solver import (DelaySeries, EvolutionReport, S2DelaySeries, SobolevSeries,
                      _sorted_times, classify_frontier, series_tail_classify)
@@ -53,17 +52,13 @@ def _params(args) -> KernelParams:
         raise UsageError(f"--s: {exc}") from None
 
 
-def _quad(args) -> QuadratureSpec:
-    try:
-        return QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-                              max_panels=args.max_panels)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _get_table(args, nmax: int, lmax: int):
     """The nmax x lmax table, served from the cache file named by its ``table_version``."""
-    params, quad = _params(args), _quad(args)
+    params = _params(args)
+    try:
+        quad = QuadratureSpec(max_panels=args.max_panels)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
     cache_path = None
@@ -101,7 +96,7 @@ def cmd_eigs(args) -> int:
         raise UsageError(f"--s {s:g} is too small for 2 nmax + lmax = {K}: "
                          f"log(K + e)^(2/s) overflows a double") from None
     table, from_cache = _get_table(args, args.nmax, args.lmax)
-    text = repr if args.format == "csv" else lambda x: "null" if math.isnan(x) else repr(x)
+    text = repr if args.format == "csv" else lambda x: repr(x) if math.isfinite(x) else "null"
     # both extra columns depend on (n, l) only through K = 2n + l: one Python
     # expression per K, then one IEEE division per entry, which rounds as `/` does
     n, l = np.indices(table.lams.shape)
@@ -212,7 +207,7 @@ def cmd_verify(args) -> int:
            "checks": [r.to_json_dict() for r in results],
            "passed": bool(all(r.passed for r in results))}
     path = os.path.join(args.out, f"verify_{args.suite}.json")
-    _atomic_write(path, json.dumps(doc, separators=(",", ":"), sort_keys=True))
+    _atomic_write(path, _json_text(doc))
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: measured "
               f"{r.measured:.6g} vs {r.threshold:.6g} {r.detail}")
@@ -224,14 +219,6 @@ def cmd_verify(args) -> int:
 # scenario
 # ---------------------------------------------------------------------------
 
-def _verdict_rows(spec, ts, norms, table, extra=()):
-    for t in ts:
-        for norm in norms:
-            v = series_tail_classify(spec, t, norm, table)
-            yield (*extra, t, str(norm), v.classification, v.p_hat,
-                   v.window_growth_log10, v.log10_tail_estimate)
-
-
 def cmd_scenario(args) -> int:
     name, N = args.scenario, args.series_n
     specs = {"remark14": lambda: DelaySeries(tau0=args.tau0, N=N),
@@ -240,10 +227,11 @@ def cmd_scenario(args) -> int:
     if name not in specs:
         raise UsageError(f"unknown scenario {name!r}; choose remark14, example41 or example42")
     ts = _parse_times(args.times) if args.times else None
-    try:
+    try:  # each (k column, t grid, norms) to classify, all checked before the table is built
         spec = specs[name]()
         if name == "remark14":
-            norms = [NormSpec.l2()]
+            grid = [round(args.tau0 * f, 6) for f in (0.2, 0.5, 0.8, 0.95, 1.05, 1.2, 2.0, 4.0)]
+            plan = [((), ts or grid, [NormSpec.l2()])]
         else:
             ks = ([float(x) for x in args.k_grid.split(",")] if name == "example41"
                   else [args.tau, args.tau_prime])
@@ -252,16 +240,22 @@ def cmd_scenario(args) -> int:
                          f"--tau {args.tau:g} with --tau-prime {args.tau_prime:g}")
                 raise ValueError(f"{given} repeats an order")
             norms = [NormSpec.shubin(k) for k in ks]
+            plan = ([((), ts or [0.5, 1.0, 2.0, 5.0, 10.0], norms)] if name == "example42" else
+                    [((k,), ts or [round(k * f, 6) for f in (0.25, 0.5, 0.8, 1.0, 1.2, 1.6, 2.4)],
+                      [norm]) for k, norm in zip(ks, norms)])
+        for extra, grid, _ in plan:  # a default grid keeps the --times rule too
+            try:
+                _sorted_times(grid)
+            except ValueError as exc:
+                given = f"--k-grid k = {extra[0]:g}" if extra else f"--tau0 {args.tau0:g}"
+                raise ValueError(f"{given} gives the default times {grid}: {exc}") from None
     except ValueError as exc:
         raise UsageError(f"scenario {name}: {exc}") from None
     table, _ = _get_table(args, N, 0)
     header = "t,norm,classification,p_hat,window_growth_log10,log10_tail_estimate"
     if name == "example41":
-        header = "k," + header
-        rows, frontier = [], ["k,t_star"]
-        for k, norm in zip(ks, norms):
-            tgrid = ts or [round(k * f, 6) for f in (0.25, 0.5, 0.8, 1.0, 1.2, 1.6, 2.4)]
-            rows += _verdict_rows(spec, tgrid, [norm], table, extra=(k,))
+        header, frontier = "k," + header, ["k,t_star"]
+        for k in ks:
             try:
                 frontier.append(f"{k!r},{classify_frontier(spec, k, table)!r}")
             except ValueError as exc:
@@ -269,12 +263,12 @@ def cmd_scenario(args) -> int:
         fpath = os.path.join(args.out, "scenario_example41_frontier.csv")
         _atomic_write(fpath, "\n".join(frontier) + "\n")
         print(f"wrote {fpath}")
-    else:
-        ts = ts or ([round(args.tau0 * f, 6) for f in (0.2, 0.5, 0.8, 0.95, 1.05, 1.2, 2.0, 4.0)]
-                    if name == "remark14" else [0.5, 1.0, 2.0, 5.0, 10.0])
-        rows = list(_verdict_rows(spec, ts, norms, table))
+    rows = [header] + [",".join(map(str, (*extra, t, norm, v.classification, v.p_hat,
+                                          v.window_growth_log10, v.log10_tail_estimate)))
+                       for extra, grid, norms in plan for t in grid for norm in norms
+                       for v in [series_tail_classify(spec, t, norm, table)]]
     path = os.path.join(args.out, f"scenario_{name}.csv")
-    _atomic_write(path, "\n".join([header] + [",".join(map(str, r)) for r in rows]) + "\n")
+    _atomic_write(path, "\n".join(rows) + "\n")
     print(f"wrote {path}")
     return 0
 
@@ -298,13 +292,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def table_options(p):  # for the subcommands that get tables through _get_table
         common(p)
-        p.add_argument("--rel-tol", type=float, default=1e-10)
-        p.add_argument("--abs-tol", type=float, default=1e-13)
-        p.add_argument("--max-panels", type=int, default=72)
+        p.add_argument("--max-panels", type=int, default=72,
+                       help="dyadic panels an eigenvalue may take before exit 3 (default 72)")
         p.add_argument("--cache-dir", default=None,
                        help="eigenvalue cache directory (one file per table key and shape)")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel workers for table construction")
+                       help="parallel workers for table construction; a table of fewer "
+                            "than 30,000 entries, or of one column (so every scenario "
+                            "table), is built serially whatever this says")
 
     p = sub.add_parser("eigs", help="build and export an eigenvalue table")
     table_options(p)

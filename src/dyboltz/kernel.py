@@ -190,16 +190,16 @@ def _check_s(table: EigenvalueTable, s: float):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
+    """``max_panels``, the one setting, bounds the panels an eigenvalue may take.  The
+    accuracy contract, ``rel_tol`` = 1e-10 and ``abs_tol`` = 1e-13, and the panel rule
+    G16 in K33 are class constants, kept in every table version and cache header."""
+
     max_panels: int = 72
-    # the Gauss order m of the panel rule G_m in K_2m+1: a constant, not a
-    # field, kept in every table version and cache header
+    rel_tol = 1e-10
+    abs_tol = 1e-13
     nodes_per_panel = 16
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
-            raise ValueError("quadrature tolerances must be positive and finite")
         # the innermost panel starts at pi/4 * 2^-max_panels, which is a
         # positive normal double only up to max_panels = 1021
         if not (isinstance(self.max_panels, (int, np.integer)) and 1 <= self.max_panels <= 1021):
@@ -1051,6 +1051,13 @@ def _dumps_with_rows(doc: dict, rows):
     yield "]]" + tail
 
 
+def _json_text(doc) -> str:
+    """Compact key-sorted JSON of ``doc``, each non-finite float written as null: strict
+    parsers reject the NaN and Infinity that json.dumps writes (floats keep their repr)."""
+    doc = json.loads(json.dumps(doc), parse_constant=lambda name: None)
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+
 def save_table(table: EigenvalueTable, path: str):
     """Write the cache file {"header": the cache key, "rows": [[n, l, lambda, err], ...]}.
 
@@ -1066,8 +1073,8 @@ def load_table(path: str, params: KernelParams | None = None,
                quad: QuadratureSpec | None = None) -> EigenvalueTable:
     """Load and validate a cache file; any fault raises CacheError, nothing is migrated.
 
-    Every header field must equal the cache key's of ``params`` and ``quad``
-    (by default the header's own); the error names the first that differs.
+    Every header field must equal the cache key's of ``params`` and ``quad`` (by
+    default the header's s and max_panels); the error names the first that differs.
     json.loads reads the header alone and ``_parse_rows`` the rows.
     """
     try:
@@ -1076,8 +1083,7 @@ def load_table(path: str, params: KernelParams | None = None,
         start = data.index(b'"rows"')
         header = json.loads(data[:start].rstrip().removesuffix(b",") + b"}")["header"]
         params = params or KernelParams(s=header["s"])
-        quad = quad or QuadratureSpec(rel_tol=header["rel_tol"], abs_tol=header["abs_tol"],
-                                      max_panels=header["max_panels"])
+        quad = quad or QuadratureSpec(max_panels=header["max_panels"])
         key = _cache_key(params, quad)
         for field in {**key, **header}:
             if header.get(field) != key.get(field):

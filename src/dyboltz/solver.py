@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import ModeIndex, SpectralField, project_null
-from .kernel import EigenvalueTable, _check_s, ratio_bounds
+from .kernel import EigenvalueTable, _check_s, _json_text, ratio_bounds
 from .kernel import radial_eigenvalues  # not called; the benchmark tracer wraps this name
 from .spaces import W_SHIFT, NormSpec, log_weight, spectral_norm
 from .specfun import _gauss_rule
@@ -550,10 +550,5 @@ class EvolutionReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        import json
-        return json.dumps({
-            "times": list(self.times),
-            "norms": list(self.norm_specs),
-            "values": [list(r) for r in self.values],
-            "decay_slopes": list(self.decay_slopes),
-        }, separators=(",", ":"), sort_keys=True)
+        return _json_text({"times": self.times, "norms": self.norm_specs,
+                           "values": self.values, "decay_slopes": self.decay_slopes})

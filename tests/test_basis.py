@@ -34,6 +34,8 @@ def test_mode_index_validation():
             SpectralField({mode: 1.0})
     with pytest.raises(ValueError, match="must be integers"):
         SpectralField.from_json('{"label":"","rows":[[2.5,0,0,1.0,0.0]]}')
+    with pytest.raises(ValueError, match=r"each row must be \[n, l, m, re, im\]"):
+        SpectralField.from_json('{"label":"","rows":[[2,0,0,1.0]]}')
 
 
 def test_amplitudes_must_be_finite():
@@ -253,6 +255,8 @@ def test_laguerre_rule_matches_mpmath():
 
 def test_large_laguerre_rules_raise_instead_of_nan():
     from dyboltz import basis
+    with pytest.raises(ValueError, match="n_radial must be positive, got 0"):
+        basis._laguerre_rule(0, 0.5)
     # the error alone reports a value out of range: no RuntimeWarning comes first
     with warnings.catch_warnings():
         warnings.simplefilter("error")

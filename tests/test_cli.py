@@ -107,6 +107,9 @@ BAD_VALUES = {
                   "--k-grid", "-1"],
     "k-grid=1,1": ["scenario", "--scenario", "example41", "--series-n", "200",
                    "--k-grid", "1,1"],
+    # the default t grid round(k f, 6) of k = 0 repeats t = 0, as of tau0 = 1e-7
+    "k-grid=0": ["scenario", "--scenario", "example41", "--series-n", "200", "--k-grid", "0"],
+    "tau0=1e-7": ["scenario", "--scenario", "remark14", "--series-n", "200", "--tau0", "1e-7"],
     "norms-extra-argument": ["evolve", "--init", "modes:2,0,0,1,0", "--times", "1",
                              "--norms", "shubin:k=2,tau=3"],
     "workers=0": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2", "--workers", "0"],
@@ -115,8 +118,6 @@ BAD_VALUES = {
                      "--series-n", "200", "--tau-prime", "-1"],
     "tau=tau-prime": ["scenario", "--scenario", "example42", "--s", "4",
                       "--series-n", "200", "--tau", "3", "--tau-prime", "3"],
-    "rel-tol=nan": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2", "--rel-tol", "nan"],
-    "abs-tol=inf": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2", "--abs-tol", "inf"],
     "max-panels=1100": ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2",
                         "--max-panels", "1100"],
     "s=0.002 overflow": ["eigs", "--s", "0.002", "--nmax", "100", "--lmax", "0"],
@@ -146,6 +147,9 @@ def test_eigs_rejects_bad_s(tmp_path, capsys, monkeypatch, argv):
         assert err.startswith("error: --s 0.01 with --max-panels 72: beta overflows")
     if argv[-2:] == ["--tau-prime", "3"]:  # the flags example42 reads, not --k-grid
         assert err == "error: scenario example42: --tau 3 with --tau-prime 3 repeats an order\n"
+    if argv[-2:] == ["--k-grid", "0"]:
+        assert err.startswith("error: scenario example41: --k-grid k = 0 gives the default "
+                              "times [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]: times must be distinct")
 
 
 @pytest.mark.parametrize("argv", [["--s", "4"], ["--s", "3", "--k-grid", "1"]])
@@ -297,10 +301,33 @@ def test_evolve_norm_of_a_mode_decayed_to_zero(tmp_path):
     assert last == '2000.0,"logsob:tau=1,nu=0.5",73.18480748434146'
 
 
+def test_json_files_write_non_finite_numbers_as_null(tmp_path):
+    # strict parsers reject NaN and Infinity: a decay slope fitted to one
+    # time, a logsob norm that overflows and the measure of the rate1 check,
+    # skipped above s = 2, are each written as null
+    def strict(name):
+        return json.loads((tmp_path / name).read_text(),
+                          parse_constant=lambda token: pytest.fail(f"{name} holds {token}"))
+
+    modes = ["evolve", "--format", "json", "--init", "modes:2,0,0,1,0"]
+    assert run(tmp_path, *modes, "--times", "1", "--out", str(tmp_path / "a")) == 0
+    assert strict("a/evolve_s2.json")["decay_slopes"] == [None]
+    assert run(tmp_path, *modes, "--norms", "logsob:tau=1e3,nu=0.1", "--times", "1,2",
+               "--out", str(tmp_path / "b")) == 0
+    assert strict("b/evolve_s2.json")["values"] == [[None], [None]]
+    assert run(tmp_path, "verify", "--suite", "solver", "--s", "4",
+               "--out", str(tmp_path / "c")) == 0
+    checks = {c["name"]: c for c in strict("c/verify_solver.json")["checks"]}
+    assert checks["rate1_certificate"]["measured"] is None
+
+
 def test_subcommands_reject_flags_they_do_not_read(tmp_path):
-    # the panel rule is fixed (G16 in K33), so no command takes --nodes-per-panel
+    # the panel rule (G16 in K33) and the tolerances (1e-10 relative, 1e-13
+    # absolute) are fixed, so no command takes --nodes-per-panel, --rel-tol or --abs-tol
     for argv in (["verify", "--suite", "kernel", "--workers", "2"],
                  ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2", "--nodes-per-panel", "16"],
+                 ["eigs", "--s", "2", "--nmax", "2", "--lmax", "2", "--rel-tol", "1e-9"],
+                 ["evolve", "--init", "modes:2,0,0,1,0", "--times", "1", "--abs-tol", "1e-9"],
                  ["scenario", "--scenario", "remark14", "--format", "json"]):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path)])
@@ -569,6 +596,13 @@ def test_scenario_example41_frontier(tmp_path):
     lines = open(tmp_path / "scenario_example41_frontier.csv").read().strip().split("\n")[1:]
     fr = {float(ln.split(",")[0]): float(ln.split(",")[1]) for ln in lines}
     assert fr[1.0] < fr[2.0]
+    # k = 0 has no default t grid (it would repeat t = 0), but runs on a given one
+    assert run(tmp_path, "scenario", "--scenario", "example41", "--s", "2",
+               "--series-n", "200", "--k-grid", "0", "--times", "0,1",
+               "--out", str(tmp_path)) == 0
+    lines = open(tmp_path / "scenario_example41.csv").read().splitlines()[1:]
+    assert [ln.split(",")[:3] for ln in lines] == [["0.0", "0.0", "shubin:k=0"],
+                                                   ["0.0", "1.0", "shubin:k=0"]]
 
 
 def test_scenario_unknown_name(tmp_path):
@@ -577,10 +611,11 @@ def test_scenario_unknown_name(tmp_path):
 
 
 def test_small_benchmark_outputs_keep_their_bytes(tmp_path):
-    # the modes evolve, eigs 49x49, scenario and verify --suite all jobs of
-    # scripts/output_digest.py, run in process, against the SHA-256 of each
-    # file recorded with the versions the golden names; a change that moves
-    # a byte on purpose records the golden again and says why
+    # the modes evolve, delay evolve, eigs 49x49, scenario and verify --suite
+    # all jobs of scripts/output_digest.py, run in process, against the
+    # SHA-256 of each file recorded with the versions the golden names, the
+    # two cache files and their crc names too; a change that moves a byte on
+    # purpose records the golden again and says why
     import hashlib
     import importlib.util
 
@@ -594,7 +629,7 @@ def test_small_benchmark_outputs_keep_their_bytes(tmp_path):
     golden = json.load(open(os.path.join(root, "tests", "golden", "cli_output_sha256.json")))
     for argv in digest.jobs(tmp_path):
         if (argv[0] in ("verify", "scenario") or argv[:len(digest.MODES)] == digest.MODES
-                or "48" in argv):
+                or argv[:len(digest.EVOLVE)] == digest.EVOLVE or "48" in argv):
             assert main(argv) == 0
     now = {"code_version": kernel.CODE_VERSION, "numpy": np.__version__,
            "python": sys.version.split()[0]}

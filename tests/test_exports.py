@@ -31,7 +31,7 @@ def test_package_imports_are_declared_exports():
 
 # public settable parameters: every parameter but self of each callable a
 # module exports in __all__; a new knob has to raise this ceiling on purpose
-MAX_PUBLIC_PARAMETERS = 159
+MAX_PUBLIC_PARAMETERS = 157
 
 
 def _public_parameters():

@@ -44,10 +44,13 @@ def test_kernel_params_validation():
     with pytest.raises(TypeError):  # the panel rule G16 in K33 is a constant too
         QuadratureSpec(nodes_per_panel=16)
     assert QuadratureSpec.nodes_per_panel == QUAD.nodes_per_panel == 16
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
-    for bad in ({"rel_tol": math.nan}, {"abs_tol": math.inf}, {"max_panels": 1022},
-                {"max_panels": 2.5}):
+    # so is the accuracy contract: 1e-10 relative, 1e-13 absolute
+    for tol in ({"rel_tol": 1e-9}, {"abs_tol": 1e-9}):
+        with pytest.raises(TypeError):
+            QuadratureSpec(**tol)
+    assert QuadratureSpec.rel_tol == QUAD.rel_tol == QuadratureSpec(max_panels=3).rel_tol == 1e-10
+    assert QuadratureSpec.abs_tol == QUAD.abs_tol == QuadratureSpec(max_panels=3).abs_tol == 1e-13
+    for bad in ({"max_panels": 0}, {"max_panels": 1022}, {"max_panels": 2.5}):
         with pytest.raises(ValueError):
             QuadratureSpec(**bad)
     assert QuadratureSpec(max_panels=1021).max_panels == 1021
@@ -283,6 +286,12 @@ def test_table_invariants_enforced():
         bad[arr][n, l] = value
         with pytest.raises(ValueError, match=rf"{what}.*\({n},{l}\)"):
             EigenvalueTable(P2, QUAD, bad["lams"], bad["errs"])
+    with pytest.raises(ValueError, match=r"equal-shape .* got \(2, 2\) and \(2, 3\)"):
+        EigenvalueTable(P2, QUAD, np.zeros((2, 2)), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="nmax and lmax must be nonnegative"):
+        eigenvalue_table(-1, 0, P2, QUAD)
+    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+        eigenvalue_table(2, 2, P2, QUAD, workers=0)
 
 
 def test_table_coverage_and_lookup(table_factory):
@@ -293,6 +302,8 @@ def test_table_coverage_and_lookup(table_factory):
     for n, l in ((9, 0), (0, 9), (-1, 0)):
         with pytest.raises(EigenvalueLookupError):
             tab.lam(n, l)
+    # KeyError would quote the message; this error does not
+    assert str(EigenvalueLookupError(3, 4)) == "eigenvalue for (n=3, l=4) not in table"
 
 
 def test_table_positivity_and_gap(table_factory):
@@ -541,8 +552,7 @@ def test_group_size_leaves_every_bit(monkeypatch):
                                            QUAD))[1]:
             yield np.concatenate(lam_err)
         with pytest.raises(QuadratureConvergenceError) as exc:
-            eigenvalue_table(4, 1, P1, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16,
-                                                      max_panels=3))
+            eigenvalue_table(4, 1, P1, QuadratureSpec(max_panels=3))
         yield exc.value.partial
 
     def digest(results):
@@ -583,7 +593,7 @@ def test_convergence_error_across_spans_names_every_failing_row(monkeypatch):
     # spans of two rows: (0, 0) and (1, 0) converge in the first span, the
     # others fail in later ones, and the error still names each failing row
     # of the first failing l with its partial sum, as the unsplit build does
-    tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16, max_panels=3)
+    tight = QuadratureSpec(max_panels=3)
 
     def failures():
         for build in (lambda: eigenvalue_table(4, 1, P1, tight),
@@ -703,7 +713,7 @@ def test_radial_eigenvalues_increase(s):
 
 
 def test_convergence_error_carries_modes():
-    tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16, max_panels=3)
+    tight = QuadratureSpec(max_panels=3)
     with pytest.raises(QuadratureConvergenceError) as exc:
         eigenvalue(5, 0, P1, tight)
     assert (5, 0) in exc.value.pairs
@@ -717,13 +727,6 @@ def test_convergence_error_carries_modes():
         with pytest.raises(QuadratureConvergenceError) as single:
             eigenvalue(n, l, P1, tight)
         assert single.value.partial == {(n, l): exc.value.partial[(n, l)]}
-
-
-def test_halving_tolerance_refines_within_error():
-    for n, l in [(5, 3), (40, 17), (120, 80)]:
-        loose = eigenvalue(n, l, P1, QuadratureSpec(rel_tol=2e-8))
-        tight = eigenvalue(n, l, P1, QuadratureSpec(rel_tol=1e-8))
-        assert abs(loose.lam - tight.lam) <= loose.err
 
 
 def test_asymptotic_leading_values():
@@ -785,7 +788,7 @@ def test_version_hash_sensitivity():
     assert v1 == f"{zlib.crc32(json.dumps(kernel._cache_key(P2, QUAD)).encode()):08x}"
     assert v1 == table_version(KernelParams(s=2.0), QuadratureSpec())
     assert v1 != table_version(P1, QUAD)
-    assert v1 != table_version(P2, QuadratureSpec(rel_tol=1e-9))
+    assert v1 != table_version(P2, QuadratureSpec(max_panels=71))
 
 
 def test_cache_roundtrip_exact(tmp_path, table_factory):
@@ -845,8 +848,18 @@ def test_cache_rejects_corrupt_and_stale(tmp_path, table_factory):
     assert load_table(path, P2, QUAD).lams.shape == (9, 9)
     with pytest.raises(CacheError, match="cache s 2.0 is not 1.0"):
         load_table(path, P1, QUAD)  # built for another kernel
-    with pytest.raises(CacheError, match="rel_tol"):
-        load_table(path, P2, QuadratureSpec(rel_tol=1e-9))
+    with pytest.raises(CacheError, match="max_panels 72 is not 71"):
+        load_table(path, P2, QuadratureSpec(max_panels=71))
+    # the tolerances are constants, so a header of another one is stale
+    tampered(rel_tol=1e-9)
+    with pytest.raises(CacheError, match="cache rel_tol 1e-09 is not 1e-10"):
+        load_table(path)
+
+    save_table(tab, path)
+    doc = json.load(open(path))
+    json.dump({**doc, "rows": []}, open(path, "w"))
+    with pytest.raises(CacheError, match="cache rows must be nonempty"):
+        load_table(path)
 
     with open(path, "w") as fh:
         fh.write("{not json")

@@ -218,6 +218,8 @@ def test_decay_check_thm12_single_mode_s2(table_factory):
     assert not r_early.holds_paper
     with pytest.raises(ValueError):
         decay_check_thm12(g, t0, 0.5 * t0 / c0, tab, 2.0)
+    with pytest.raises(ValueError, match="t0 must be positive"):
+        decay_check_thm12(g, 0.0, 1.0, tab, 2.0)
 
 
 def test_decay_check_null_data(table_factory):
@@ -293,6 +295,11 @@ def test_rate2_validation(table_factory):
         rate2_check(g, 1.0, 1.0, tab, 2.0)  # s must be < 2
     with pytest.raises(ValueError):
         rate2_check(g, 0.0, 1.0, tab, 2.0)
+    tab1 = table_factory(1.0, 8, 8)
+    with pytest.raises(ValueError, match="time must be positive"):
+        rate2_check(g, 0.0, 1.0, tab1, 1.0)
+    with pytest.raises(ValueError, match="weight order k must be nonnegative"):
+        rate2_check(g, 1.0, -1.0, tab1, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +335,8 @@ def test_series_spec_validation(table_factory):
     with pytest.raises(TypeError):
         series_tail_classify(SpectralField({}), 1.0, NormSpec.l2(),
                              table_factory(1.0, 2000, 0))
+    with pytest.raises(TypeError, match="not a radial series spec"):
+        solver.log_coeff(NormSpec.l2(), np.log([2.0, 3.0]), np.ones(2))
 
 
 def test_sobolev_series_verdicts(table_factory):

@@ -37,6 +37,8 @@ def test_norm_spec_validation_and_strings():
         NormSpec.logsob(1.0, 0.0)
     with pytest.raises(ValueError):
         NormSpec("domain", tau=0.0)
+    with pytest.raises(ValueError, match="unknown norm kind 'bogus'"):
+        NormSpec("bogus")
     assert str(NormSpec.logsob(-0.5, 2)) == "logsob:tau=-0.5,nu=2"
     for text in ("l2", "shubin:k=2", "logsob:tau=1,nu=2", "domain:tau=0.5",
                  "domaindual:tau=0.5", "domainplus:tau=3", "domainplusdual:tau=0.1"):
@@ -270,6 +272,8 @@ def test_young_min_domain_errors():
         young_min(-1.0, 1.0, 4.0)
     with pytest.raises(ValueError):
         young_min(1.0, 2.5, 4.0)
+    with pytest.raises(ValueError, match="stationary point too large"):  # nu close to 2
+        young_min(0.1, 1.99, 8.0)
     # every non-finite value is rejected by both functions with the same messages
     nan, inf = math.nan, math.inf
     for args, what in [((nan, 1.0, 1.0), "tau > 0"), ((inf, 1.0, 1.0), "tau > 0"),

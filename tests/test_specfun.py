@@ -202,6 +202,8 @@ def test_laguerre_domain_errors():
 def test_hermite_osc_values_and_rodrigues(rng):
     assert abs(hermite_osc(0, 0.0) - (2 * math.pi) ** -0.25) < 1e-15
     assert hermite_osc(1, 0.0) == 0.0
+    with pytest.raises(ValueError, match="degree n must be a nonnegative integer"):
+        hermite_osc(-1, 0.0)
     x = rng.uniform(-3.0, 3.0, size=30)
     for n in (2, 3, 5):
         expect = np.asarray(hermite_osc_explicit(n)(x), dtype=float)
