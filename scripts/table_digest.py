@@ -12,14 +12,14 @@ change that should leave eigenvalues untouched is checked by diffing two runs:
     diff old.json new.json
 
 The 45 cases are 201x201 and 49x49 tables and the entries (10^6, 0),
-(120, 41), (5, 3), (2, 0), (0, 0) at s = 0.2, 0.5, 1, 2 and 4; 201x201
+(120, 41), (5, 3), (2, 0), (0, 0) at s = 0.2, 0.5, 1, 2 and 4; 301x301
 tables built with ``workers=2`` at s = 0.5 and 2, large enough for the
-process pool (``kernel._POOL_ENTRIES``), whose digests equal the serial
-ones; radial builds to n = 10^4 at the same five s (at s = 0.5 their rows
+process pool (``kernel._POOL_ENTRIES``), whose digests equal those of
+serial builds; radial builds to n = 10^4 at the same five s (at s = 0.5 their rows
 stop at panels 25-27, where cos theta rounds to 1); and three builds that
 stop at ``max_panels``.  s = 0.2 lies below the documented range; its cases
 show the deep panels, where the integrand's mass sits.  A full run takes
-about 2.5 seconds on a two-core Xeon.  ``tests/golden/table_sha256.json``
+about 1 second on a two-core Xeon.  ``tests/golden/table_sha256.json``
 records this output, and a tier-1 test checks its cheap cases.
 """
 
@@ -66,7 +66,7 @@ def cases():
         for size in (200, 48):
             yield f"table {size + 1}x{size + 1} s={s}", lambda s=s, k=size: _table(k, k, s)
         if s in (0.5, 2.0):
-            yield f"table 201x201 workers=2 s={s}", lambda s=s: _table(200, 200, s, workers=2)
+            yield f"table 301x301 workers=2 s={s}", lambda s=s: _table(300, 300, s, workers=2)
         for n, l in ENTRIES:
             yield f"entry ({n},{l}) s={s}", lambda s=s, n=n, l=l: _entry(n, l, s)
     for s in S_VALUES:

@@ -53,52 +53,40 @@ coefficients are one vectorized pass per l-block (``_series_coefficients``).
 On the panels that still take the bracket, log cos theta is
 log1p(-2 sin^2(theta/2)).
 
-One loop computes every eigenvalue, a whole l-row at a time: it walks the
-panels outward from pi/4, adds each panel to the running sums of the rows
-still live, fixes a row at its stopping panel, and evaluates no panel once
-every row has stopped.  It takes the panels in groups, one bracket call
-and two weighted sums per group for the rows that take the bracket, and
-two sums over k for the rows on their series: a group keeps its working
-set within ``_BLOCK_DOUBLES`` (64k doubles, 512 KB), its bracket block
-alone and its ``_GROUP_ARRAYS`` = 8 panels x rows arrays together (the
-n-rows of an l are taken in spans of ``_SPAN_ROWS`` = 1985, so one panel
-of them fits, and the radial N = 10^4 row is six spans), ends where the next
-bracket row switches to its series, and ends where the first live row
-could stop, so almost no panel past a row's stop is evaluated; a group of
-series rows only runs ``_SERIES_SLACK`` = 2 panels further.  A table build
+There the bracket is factored, 1 - cos^K P_l(cos) - sin^K P_l(sin) =
+E_n + C_n F_l - S_n T_l, with E_n = 1 - cos^2n theta = -expm1(2n log cos
+theta), C_n = cos^2n theta = 1 - E_n, F_l = 1 - cos^l P_l(cos theta),
+S_n = sin^2n theta and T_l = sin^l P_l(sin theta).  E, C and S depend on n
+only and F and T on l only, so a panel's Kronrod value and Gauss check at
+every (n, l) of a block are three sums over its nodes: sum w E_n,
+sum C_n (w F_l) and sum S_n (w T_l).  E, C and F are never negative, so
+E + C F does not cancel and no column needs a second pass where
+P_l(cos theta) changes sign.  A 201x201 build takes 0.57M transcendentals
+(0.49M expm1 and 0.07M exp), against 16.8M for one per (n, l, node); a
+radial row takes one expm1 per (n, node).  The powers of
+sin theta in S_n and T_l are exactly 0 below a cut under half an ulp of
+the bracket (``_eigen_rows`` gives the proof).
+
+One loop computes every eigenvalue, a block of l-rows times n-rows at a
+time: it walks the panels outward from pi/4, adds each panel to the
+running sums of the rows still live, fixes a row at its stopping panel,
+and evaluates no panel once every row has stopped.  Every array of a
+step fits ``_BLOCK_DOUBLES`` (64k doubles, 512 KB): a block holds at most
+6553 rows, its n-rows a span of at most ``_SPAN_ROWS`` = 1985 (the radial
+N = 10^4 row is six spans), and a 201x201 table is seven blocks of 32
+l-rows or fewer.  A table build
 runs the Legendre recurrence once for all its l-rows (once per contiguous
 l-block when parallel), at the nodes of the panels before the last switch
-only (10 of 72 panels at 201x201).  The bracket folds its whole block through expm1
-and recomputes only the columns where P_l(cos theta) <= 0, on the panels
-that have any.  A sin^K term with K log sin theta < -700 is exactly 0:
-most terms of a table build are, and numpy's exp would spend about 19 ns
-on each that underflows to 0 and over 100 ns on each subnormal, against
-1.2 ns on a normal result (numpy 2.4 on AVX-512).  The dropped terms are
-below 1e-304, far under half an ulp of a bracket that is at least
-sin^2 theta > 1e-3 / a_1 on a panel its row takes directly.
+only (10 of 72 panels at 201x201).  Parallel and serial builds produce
+bit-identical results because each (n, l) entry is an independent
+deterministic computation: its factors, cuts, panel sums, series
+coefficients and switch panel do not depend on the block, the group or
+the other rows.
 
-Most of the remaining sin^K terms cannot change a bit either.  For a
-non-null mode the cos part 1 - cos^K P_l(cos theta) is at least
-sin^2 theta, the floor, so a term below e^-1 2^-64 of sin^2 theta_min is
-under half an ulp of every bracket of its panel and is skipped.  The floor
-bound is applied only on panels with sin^2 theta_min > 1e-10 (panels 0-15
-by default), where the computed cos part provably keeps that floor.  At
-201x201, s = 2, a build evaluates 11.9M bracket elements in 326 bracket
-calls, and the sin^K term on a small part of them.  ``_bracket_rows`` gives
-the proof.  Parallel and serial builds produce bit-identical results
-because each (n, l) entry is an independent deterministic computation: its
-panel sums, series coefficients and switch panel do not depend on the
-group or on the other rows.
-
-The loop's fixed cost per group is kept small: the bracket block is built
-in place, the per-panel constants (log P_l(cos theta), the sign-change
-columns, the cut points of the sin^K term) are computed for all panels of
-a row at once, each weighted sum is one ``np.einsum`` over the panels'
-columns or the series' terms, and the live rows are updated only in
-groups where some row stops.  A cache file and the CLI's ``eigs`` output
-share one formatting pass per table: each float is written by repr, once,
-which for a finite float is the text json.dumps writes.  Both files are
-written ``_WRITE_ROWS`` = 1024 rows at a time, never joined whole.
+A cache file and the CLI's ``eigs`` output share one formatting pass per
+table: each float is written by repr, once, which for a finite float is
+the text json.dumps writes.  Both files are written ``_WRITE_ROWS`` =
+1024 rows at a time, never joined whole.
 """
 
 from __future__ import annotations
@@ -137,7 +125,7 @@ __all__ = [
 ]
 
 # bump when the quadrature scheme changes; stale caches are rejected, never migrated
-CODE_VERSION = "dyboltz-kernel-4"
+CODE_VERSION = "dyboltz-kernel-5"
 
 THETA_MAX = math.pi / 4
 
@@ -147,18 +135,12 @@ NULL_MODES = ((0, 0), (1, 0), (0, 1))
 # fraction of the running tolerance (the dyadic tail then sits well inside it)
 _PANEL_CUTOFF = 0.1
 
-# a sin^K term whose exponent K log sin theta lies below this is taken as
-# exactly 0: e^-700 ~ 1e-304 cannot move a sum of order lambda
-_LOG_NEGLIGIBLE = -700.0
-
-# the floor bound on the sin^K term (see _bracket_rows) is applied only on
-# panels with sin^2 theta_min above this, where the computed bracket keeps
-# its floor sin^2 theta
-_LOG_FLOOR_GUARD = math.log(1e-10)
-
-# log of 1 / (e 2^64): a term below this fraction of a bracket is far under
-# half its ulp
-_LOG_BELOW_HALF_ULP = 64.0 * math.log(2.0) + 1.0
+# a power sin^k of a bracket factor below e^-_LOG_CUT sin^2 theta at its node
+# is dropped as exactly 0, under half an ulp of the bracket, and no cut lies
+# below e^_LOG_CUT_MIN, so that every kept factor and product is a normal
+# double (``_eigen_rows`` gives the proof)
+_LOG_CUT = 54.0 * math.log(2.0) + 1.0
+_LOG_CUT_MIN = -300.0
 
 # a row sums a panel from the bracket's power series in x = sin^2 theta once
 # a_1 sin^2 theta <= _SERIES_SWITCH on the whole panel, a_1 = K/2 + l(l+1)/4;
@@ -256,111 +238,6 @@ def beta(theta, params: KernelParams):
         raise ValueError(f"beta overflows a double at theta = {theta[over].max():.3g} "
                          f"for s = {params.s:g}")
     return float(out[0]) if scalar else out
-
-
-_Panels = namedtuple("_Panels", "logsin logcos ps pc logpc neg live_k")
-
-
-def _panels(logsin, logcos, ps, pc) -> _Panels:
-    """The bracket inputs of each row (panel) of these node arrays.
-
-    Besides its node values a panel carries log P_l(cos theta), taken as 0
-    where P_l(cos theta) <= 0, and the mask of those columns; and the K cut
-    point of the sin^K term that ``_bracket_rows`` describes, with a
-    relative margin of 1e-9 on the e^-700 rule so that rounding cannot drop
-    a term the rule keeps.  Every field has one row per panel, so a group
-    of consecutive panels is the slice ``_group(panels, j, k)``.
-    """
-    hi, lo = logsin.max(1), logsin.min(1)
-    live_k = np.where(2.0 * lo > _LOG_FLOOR_GUARD, (2.0 * lo - _LOG_BELOW_HALF_ULP) / hi,
-                      _LOG_NEGLIGIBLE / hi * (1.0 + 1e-9))
-    pos = pc > 0.0
-    return _Panels(logsin, logcos, ps, pc, np.log(np.where(pos, pc, 1.0)), ~pos, live_k)
-
-
-def _group(panels: _Panels, j: int, k: int) -> _Panels:
-    """Panels j..k-1 of ``panels``."""
-    return _Panels(*(field[j:k] for field in panels))
-
-
-def _bracket_rows(K: np.ndarray, l: int, p: _Panels) -> np.ndarray:
-    """1 + delta - sin^K P_l(sin) - cos^K P_l(cos) for each K at each panel of ``p``, stably.
-
-    ``K`` holds 2n + l as floats in ascending order; the block has shape
-    (panels, rows, columns).  Near theta = 0 the cos term approaches 1, so
-    the whole block is folded through -expm1(K log cos + log P_l(cos)), and
-    only the columns where P_l(cos theta) <= 0 (``p.neg``, on the few panels
-    that have any) are overwritten with 1 - cos^K P_l(cos).  Null-mode rows
-    (K <= 2 - l, a prefix) are identically zero and are zeroed exactly.
-
-    On each panel the sin^K P_l(sin) term is subtracted only by the rows
-    with K <= ``p.live_k``, a prefix; every other row's term cannot change a
-    bit:
-
-    * A term whose exponent K log sin theta lies below ``_LOG_NEGLIGIBLE``
-      is exactly 0, never e^-700.  The dropped terms are below 1e-304, so
-      they move no bracket that keeps its floor sin^2 theta below; a row
-      takes its bracket only above its series switch, where
-      sin^2 theta > 1e-3 / a_1 (``_eigen_rows``).
-    * The floor bound.  For a non-null row K >= 2, and |P_l| <= 1 with
-      cos^K <= cos^2 gives 1 - cos^K P_l(cos theta) >= sin^2 theta, the
-      floor.  A row with K max log sin < 2 min log sin - 64 ln 2 - 1
-      therefore subtracts |term| < e^-1 2^-64 sin^2 theta_min, while a
-      subtraction moves a double c only when the term reaches half an ulp
-      below c, at least 2^-54 c.  So the row keeps c bit for bit, which is
-      what subtracting the term would give.  The computed c must keep its
-      floor, though, which ``p.live_k`` asks only of panels with
-      sin^2 theta_min > e^``_LOG_FLOOR_GUARD`` = 1e-10 (panels 0-15 by
-      default).  There log cos theta = log1p(-2 sin^2(theta/2)) is
-      accurate to a few ulp, but P_l is evaluated at the rounded
-      cos theta, whose absolute rounding of about 1.1e-16 moves it by
-      l(l+1)/2 times that, and the recurrence adds about 10 l eps (measured
-      against mpmath up to l = 1200), both against
-      1 - P_l(cos theta) ~ l(l+1) theta^2 / 4 > l(l+1) 2.5e-11.  So c stays
-      within a factor 1 - 1e-4 of its true value, far inside the margin of
-      e 2^10 between the bound and half an ulp.  Deeper, P_l(cos theta)
-      carries fewer digits (none where cos theta rounds to 1, below
-      theta = 1.05e-8), so those panels keep only the e^-700 rule; a row
-      reaches them on its bracket only if a_1 > 7e7.
-
-    numpy's exp costs about 1.2 ns per normal result, 19 ns per result that
-    underflows to 0 and over 100 ns per subnormal one.  The term is taken
-    for the rows up to the largest live prefix of the group; its exponent
-    is clamped at ``_LOG_NEGLIGIBLE`` to keep exp off that path, and each
-    dropped term, below the clamp or past its panel's prefix, is set to
-    exactly +0 after the multiply by P_l(sin theta).  Subtracting +0 leaves
-    every double as it is, -0 included, while a mask multiply would leave
-    -0 where P_l(sin theta) < 0, which differs from the reference formula
-    where the cos part rounds to 0.  An exponent above the clamp is left as
-    it is, so every kept term is exactly the reference's.  The block is
-    built with in-place ufuncs that apply to each element the
-    operations of the expression form, in the same order, so the bits are
-    those of the reference formula, whatever the group, and fewer
-    temporaries are allocated.  The caller sets ``np.errstate(under="ignore")``.
-    """
-    Kc = K[:, None]
-    brackets = Kc * p.logcos[:, None]
-    if l:  # P_0 = 1, so log P_0 = 0 adds nothing
-        brackets += p.logpc[:, None]
-    np.negative(np.expm1(brackets, out=brackets), out=brackets)
-    if p.neg.any():
-        g, c = np.nonzero(p.neg)
-        brackets[g, :, c] = 1.0 - np.exp(Kc.T * p.logcos[g, c, None]) * p.pc[g, c, None]
-    live = K.searchsorted(p.live_k, side="right")
-    top = live.max()
-    if top:
-        term = Kc[:top] * p.logsin[:, None]
-        drop = term < _LOG_NEGLIGIBLE
-        drop |= np.arange(top)[:, None] >= live[:, None, None]
-        np.maximum(term, _LOG_NEGLIGIBLE, out=term)
-        np.exp(term, out=term)
-        if l:
-            term *= p.ps[:, None]
-        np.copyto(term, 0.0, where=drop)
-        brackets[:, :top] -= term
-    if l <= 1:
-        brackets[:, :K.searchsorted(2 - l, side="right")] = 0.0
-    return brackets
 
 
 @lru_cache(maxsize=1)
@@ -461,32 +338,31 @@ def _series_coefficients(ls, n_arr) -> np.ndarray:
     return out
 
 
-_PanelRule = namedtuple("_PanelRule",
-                        "logsin logcos sin cos wvalue wcheck series_from mvalue mdiff")
+_PanelRule = namedtuple("_PanelRule", "logsin logcos sin cos cut sin_reach "
+                                       "wvalue wcheck series_from moments")
 
-# a group of consecutive panels is evaluated in one numpy call per step,
-# as many as keep its working set within this many doubles (512 KB, inside
-# a core's L2 cache): its bracket block of rows x panels x 33 nodes, and
-# its panels x rows arrays together; a build takes its n-rows in spans of
-# at most _SPAN_ROWS = 1985, so that even a group of one panel keeps that
-# bound
+# every array of a table build's loop keeps within this many doubles (512 KB,
+# inside a core's L2 cache): a factor block of n-rows x 33 nodes, and the
+# panels x rows arrays of a group together; a build takes its n-rows in spans
+# of at most _SPAN_ROWS = 1985, so that one panel's factor block keeps that bound
 _BLOCK_DOUBLES = 1 << 16
 _SPAN_ROWS = _BLOCK_DOUBLES // (2 * QuadratureSpec.nodes_per_panel + 1)
 
 # the panels x rows arrays a group of _eigen_rows holds at once: the
-# values and errors, the joined value, the running sums of value and error,
-# the panel sizes, their stopping limits and the stop mask.  A group takes
-# as many panels as keep all of them within _BLOCK_DOUBLES together; the
-# count follows the loop's code, so it is a constant, not an option
-_GROUP_ARRAYS = 8
+# values (then the panel sizes) and errors, the running sums of value and
+# error, their stopping limits and the stop mask.  A group takes as many
+# panels as keep all of them within _BLOCK_DOUBLES together; the count
+# follows the loop's code, so it is a constant, not an option
+_GROUP_ARRAYS = 6
 
 # log of the factor by which a panel's value falls from one panel to the
 # next below the knee (theta^2 over dyadic panels); it only sizes groups
 _LOG_DECAY = math.log(4.0)
 
-# a smaller table is built serially whatever ``workers`` says: two workers in
-# fresh processes lost to one at 161x161 (0.26 s against 0.18 s at s = 2)
-_POOL_ENTRIES = 30_000
+# a smaller table is built serially whatever ``workers`` says: in fresh
+# processes two workers lost to one at 261x261 (0.093 s against 0.076 s at
+# s = 2), tied at 301x301 and won from 341x341 on
+_POOL_ENTRIES = 90_000
 
 
 def _kronrod_jacobi(m: int) -> np.ndarray:
@@ -553,12 +429,15 @@ def _panel_rules(params: KernelParams, quad: QuadratureSpec) -> _PanelRule:
     Kronrod rule, whose sum is the panel's value, and ``wcheck`` that of the
     Gauss rule on the first m columns, whose difference from the value is
     the panel's error term.  log cos theta is
-    log1p(-2 sin^2(theta/2)), accurate where cos theta rounds to 1.
+    log1p(-2 sin^2(theta/2)), accurate where cos theta rounds to 1.  ``cut``
+    is the log of the cut on a power of sin theta at each node and
+    ``sin_reach[j]`` the largest exponent k that keeps sin^k theta at some
+    node of panel j (``_eigen_rows``).
 
     For the series rows: ``series_from[j]`` = ``_SERIES_SWITCH`` /
     sin^2 theta_top, so a row with a_1 <= it sums panel j from its series;
-    ``mvalue[j, k - 1]`` is the panel's Kronrod moment sum_c w_c x_c^k
-    (x = sin^2 theta, k = 1..``_SERIES_ORDER``) and ``mdiff`` that moment
+    ``moments[j, 0, k - 1]`` is the panel's Kronrod moment sum_c w_c x_c^k
+    (x = sin^2 theta, k = 1..``_SERIES_ORDER``) and ``moments[j, 1, k - 1]`` that moment
     less the Gauss one, so a series panel's value and error term are each
     one sum over k.
     """
@@ -569,14 +448,43 @@ def _panel_rules(params: KernelParams, quad: QuadratureSpec) -> _PanelRule:
     theta = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
     scale = 0.5 * (hi - lo) * beta(theta, params)
     sin, half = np.sin(theta), np.sin(0.5 * theta)
+    logsin, logcos = np.log(sin), np.log1p(-2.0 * half * half)
+    cut = _cut(logsin)
     wvalue, wcheck = scale * wk, scale[:, :m] * wg
-    with np.errstate(under="ignore", divide="ignore"):  # deep panels of a large max_panels
+    with np.errstate(under="ignore", divide="ignore", over="ignore"):  # deep panels
         powers = _powers(sin * sin)
         mvalue = np.einsum("pc,pck->pk", wvalue, powers)
         mdiff = mvalue - np.einsum("pc,pck->pk", wcheck, powers[:, :m])
         series_from = _SERIES_SWITCH / np.sin(hi[:, 0]) ** 2
-    return _PanelRule(np.log(sin), np.log1p(-2.0 * half * half), sin, np.cos(theta),
-                      wvalue, wcheck, series_from, mvalue, mdiff)
+    return _PanelRule(logsin, logcos, sin, np.cos(theta), cut, (cut / logsin).max(1),
+                      wvalue, wcheck, series_from, np.stack([mvalue, mdiff], 1))
+
+
+def _cut(logsin):
+    """The log of the cut below which a power of a bracket factor is dropped, at each node."""
+    return np.maximum(2.0 * logsin - _LOG_CUT, _LOG_CUT_MIN)
+
+
+def _cut_exp(a, cut):
+    """exp(a), exactly +0 where a < cut; exp never sees an argument below the cut."""
+    out = np.exp(np.maximum(a, cut))
+    np.copyto(out, 0.0, where=a < cut)
+    return out
+
+
+def _cos_part(ls, logcos, pcos):
+    """F = 1 - cos^l P_l(cos theta) at each l and node, in [0, 2].
+
+    ``ls`` is a column of l as floats, ``logcos`` one row per node and
+    ``pcos`` P_l there.  F = E + (1 - E)(1 - P_l(cos theta)) with
+    E = 1 - cos^l = -expm1(l log cos theta): two terms that never cancel.
+    """
+    e = np.expm1(ls * logcos)
+    np.negative(e, out=e)
+    f = np.subtract(1.0, e)
+    f *= 1.0 - pcos
+    f += e
+    return f
 
 
 def _a1(K, l):
@@ -602,37 +510,89 @@ def _legendre_sweep(l_end: int, a1_max: float, params: KernelParams,
 
 
 def _running_sums(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """``start`` (one row) and its sums with each row of ``steps`` in turn, as ``+=`` adds.
+    """The sums of ``start`` with each row of ``steps`` in turn, added one row at a time."""
+    out = np.empty_like(steps)
+    for i, step in enumerate(steps):
+        start = np.add(start, step, out=out[i])
+    return out
 
-    ``np.add.accumulate`` adds row after row in sequence, but it loops once
-    per column, so a single step is one vectorized add instead.
+
+def _f_weights(ls: np.ndarray, pcos, rule: _PanelRule):
+    """w F_l over the Kronrod nodes and wc F_l over the Gauss nodes, on the first panels.
+
+    ``pcos`` holds P_l at the cos nodes of those panels, shape
+    (panels, len(ls), nodes); so does the first result, the second with the
+    Gauss nodes only.
     """
-    if len(steps) == 1:
-        return np.concatenate([start, start + steps])
-    return np.add.accumulate(np.concatenate([start, steps]))
+    count = len(pcos)
+    f = _cos_part(ls[:, None], rule.logcos[:count, None], pcos)
+    fc = f[..., :QuadratureSpec.nodes_per_panel] * rule.wcheck[:count, None]
+    return np.multiply(f, rule.wvalue[:count, None], out=f), fc
 
 
-def _eigen_rows(l: int, n_arr: np.ndarray, pl: np.ndarray, params: KernelParams,
+def _direct_sums(j: int, l0: int, n0: int, ls: np.ndarray, n_arr: np.ndarray, psin, fw,
+                 rule: _PanelRule):
+    """The Kronrod and Gauss sums of panel j's factored bracket at (l, n), two (L, N) grids.
+
+    The sums are taken at ``ls[l0:]`` times ``n_arr[n0:]`` and are 0 elsewhere;
+    ``psin`` holds P_l at the panel's sin nodes and ``fw`` w F_l at its
+    Kronrod nodes and wc F_l at its Gauss nodes, for each l of ``ls``.  The value is
+    sum w E_n + sum C_n (w F_l) - sum S_n (w T_l) over the panel's nodes,
+    the check the same over the Gauss nodes.  The S T term is taken only at
+    the rows where some node keeps S_n and T_l (``_PanelRule.sin_reach``);
+    everywhere else it is exactly 0 and subtracts nothing.
+    """
+    m = QuadratureSpec.nodes_per_panel
+    value = np.zeros((2, len(ls), len(n_arr)))
+    out = value[:, l0:, n0:]
+    ls, two_n = ls[l0:], 2.0 * n_arr[n0:]
+    wf, wfc = (x[l0:] for x in fw)
+    e = np.multiply.outer(two_n, rule.logcos[j])
+    e = np.negative(np.expm1(e, out=e), out=e)  # E_n
+    lf = ls.searchsorted(0, side="right")  # F_0 = 0: an l = 0 row has no C F term
+    if lf < len(ls):
+        c = 1.0 - e  # C_n
+        np.einsum("nc,lc->ln", c, wf[lf:], out=out[0, lf:])
+        np.einsum("nc,lc->ln", c[:, :m], wfc[lf:], out=out[1, lf:])
+    out[0] += np.einsum("nc,c->n", e, rule.wvalue[j])
+    out[1] += np.einsum("nc,c->n", e[:, :m], rule.wcheck[j])
+    ns = two_n.searchsorted(rule.sin_reach[j], side="right")
+    lt = ls.searchsorted(rule.sin_reach[j], side="right")
+    if ns and lt:
+        sn = _cut_exp(np.multiply.outer(two_n[:ns], rule.logsin[j]), rule.cut[j])
+        t = _cut_exp(ls[:lt, None] * rule.logsin[j], rule.cut[j]) * psin[l0:l0 + lt]
+        out[0, :lt, :ns] -= np.einsum("nc,lc->ln", sn, t * rule.wvalue[j])
+        out[1, :lt, :ns] -= np.einsum("nc,lc->ln", sn[:, :m], t[:, :m] * rule.wcheck[j])
+    return value
+
+
+def _eigen_rows(ls: np.ndarray, n_arr: np.ndarray, pl: np.ndarray, params: KernelParams,
                 quad: QuadratureSpec, series: np.ndarray):
-    """lambda and err for all n in n_arr at fixed l (the one true code path).
+    """lambda, err and the failing rows' partial sums for every (l, n) of a block (the one
+    true code path).
 
-    ``pl`` is row l of ``_legendre_sweep``, ``n_arr`` ascends and ``series``
-    holds the rows' ``_series_coefficients``.  Panels are added outward from
-    pi/4 to the running sums of the rows still live; a row stops at the
-    first panel whose value falls below ``_PANEL_CUTOFF`` times its
-    tolerance, and the loop ends when no row is live.  The rule is data
-    (``_PanelRule``): a panel's value is the sum of its weighted brackets,
-    its error term the distance of the check rule's sum from it.
+    The rows are the l-rows ``ls`` times the n-rows ``n_arr``, both ascending,
+    l-major; ``pl`` holds P_l at the panels' sin and cos nodes for each l
+    (rows of ``_legendre_sweep``) and ``series`` the rows'
+    ``_series_coefficients``.  lambda and err are flat arrays in row order,
+    NaN at a row that did not converge; the third result maps each such
+    (n, l) to its partial sum.  Panels are added outward from pi/4 to the
+    running sums of the rows still live; a row stops at the first panel
+    whose value falls below ``_PANEL_CUTOFF`` times its tolerance, and the
+    loop ends when no row is live.  The rule is data (``_PanelRule``): a
+    panel's value is the sum of its weighted brackets, its error term the
+    distance of the check rule's sum from it.
 
     A row takes its bracket up to its switch panel, the first with
     a_1 sin^2 theta_top <= ``_SERIES_SWITCH``, a_1 = K/2 + l(l+1)/4, and
     from there its series: the value sum_k a_k M_k and the error term
     |sum_k a_k (M_k - G_k)| over the panel's moments (``_PanelRule``).
-    a_1 grows with n, so the rows on their series are a prefix of the live
-    rows.  The series leaves out terms below 1e-19 of the bracket.  Write
-    y = a_1 x <= 1e-2 (x = sin^2 theta <= sin^2 theta_top) and f << g when
-    each coefficient of f is at most that of g in absolute value.  The cos
-    part is g(x) = (1 - x)^(K/2) F(t(x)) (``_series_coefficients``), and
+    a_1 grows with n and with l, so the rows that take a panel directly fill
+    a corner of the block.  The series leaves out terms below 1e-19 of the
+    bracket.  Write y = a_1 x <= 1e-2 (x = sin^2 theta <= sin^2 theta_top)
+    and f << g when each coefficient of f is at most that of g in absolute
+    value.  The cos part is g(x) = (1 - x)^(K/2) F(t(x))
+    (``_series_coefficients``), and
 
     * (1 - x)^(K/2) << (1 - x)^(-K/2), as |binomial(K/2, k)| is at most
       (K/2)(K/2 + 1)...(K/2 + k - 1) / k!;
@@ -656,97 +616,127 @@ def _eigen_rows(l: int, n_arr: np.ndarray, pl: np.ndarray, params: KernelParams,
     smaller still: against exact rationals (``tests/oracles.py``) each
     a_k x^k is within 1e-18 of a_1 x at the largest x a series panel sees.
 
-    Each step evaluates a group of consecutive panels in one bracket call
-    for the rows not yet on their series.  The budget ``_BLOCK_DOUBLES``
-    covers every per-group array: the bracket block fits it, and so do the
-    ``_GROUP_ARRAYS`` arrays of one value per panel and row taken together,
-    in rows as well as panels (``_block_task`` passes at most
-    ``_SPAN_ROWS`` rows, so one panel of them fits).  The group ends at the
-    next bracket row's switch panel, and at the first
-    panel where a live row could stop: below the knee
-    a panel's value falls about 4-fold per panel, as theta^2 does, so a
-    row whose last value is q times its stopping threshold stops no sooner
-    than floor(log_4 q) + 1 panels later (before the first panel, q is
-    1 / (``_PANEL_CUTOFF`` rel_tol), as if that panel held all of lambda).
-    A group with every row on its series runs ``_SERIES_SLACK`` panels
-    further, within the same budget.  This only sizes the groups;
-    the running sums go through a group with ``np.add.accumulate``, which
-    adds in sequence as ``+=`` does, and a row takes the sums at its own
-    stopping panel.  Each weighted sum is an ``np.einsum`` whose inner loop
-    runs over one panel's contiguous columns of one row, or over one row's
-    contiguous coefficients (no BLAS), so every bit is independent of the
-    group and of the other rows: single entries, serial builds, parallel
-    builds and any group or span size agree bit-for-bit.  One ``np.errstate``
-    covers the whole loop.
+    On a direct panel the bracket is E_n + C_n F_l - S_n T_l, the factors
+    the module docstring names (``_direct_sums``).  C = 1 - E carries an absolute error of an ulp of 1,
+    which matters only where E > 1/2, against an E + C F above 1/2.  The S T
+    term is cut.  The positive part E_n + C_n F_l = 1 - cos^K P_l(cos theta)
+    is at least sin^2 theta, the floor, for every non-null mode: for n >= 1
+    E_n >= 1 - cos^2 theta, and for n = 0, l >= 2, F_l >= 1 - cos^l theta,
+    as |P_l| <= 1; the computed E and F are within a few ulp of theirs.
+    S_n and sin^l in T_l are exactly +0 at a node where their exponent
+    2n log sin theta or l log sin theta lies below the cut
+    2 log sin theta - ``_LOG_CUT``, and the other factor of S T is at most 1
+    in size, so each dropped term is below e^-1 2^-54 sin^2 theta, under
+    half an ulp of the node's positive part, and the dropped terms of a
+    panel sum are under half an ulp of its positive part, all weights being
+    positive.  A kept S or sin^l is at least e^-300, and exp never sees an
+    argument below the cut (it spends 19 ns on a result that underflows to
+    0 and over 100 ns on a subnormal one, against 1.2 ns on a normal one,
+    numpy 2.4 on AVX-512), so no factor or product is subnormal.  The cut
+    never lies below e^``_LOG_CUT_MIN`` = e^-300, which holds the proof on
+    nodes with sin^2 theta > e^-261, panels 0 to 187: a row takes a deeper
+    panel directly only if a_1 > 1e111.
+
+    Each step evaluates one direct panel, or a group of consecutive panels
+    where every live row is on its series.  The budget ``_BLOCK_DOUBLES``
+    covers every per-step array: a block's rows hold at most
+    ``_BLOCK_DOUBLES`` / ``_SERIES_ORDER`` coefficients' rows and its w F
+    over the direct panels fit it (``_block_task``), each n-row factor of
+    one panel fits it (at most ``_SPAN_ROWS`` n-rows), and so do the
+    ``_GROUP_ARRAYS`` arrays of one value per panel and row taken together.
+    A series group ends at the first panel where a live row could stop:
+    below the knee a panel's value falls about 4-fold per panel, as theta^2
+    does, so a row whose last value is q times its stopping threshold stops
+    no sooner than floor(log_4 q) + 1 panels later (before the first panel,
+    q is 1 / (``_PANEL_CUTOFF`` rel_tol), as if that panel held all of
+    lambda), and it runs ``_SERIES_SLACK`` panels further.  This only sizes
+    the groups; the running sums go through a group one panel at a time, as
+    ``+=`` adds, and a row takes the sums at its own stopping panel.  Each
+    weighted sum is an ``np.einsum`` whose inner loop runs over one
+    panel's contiguous nodes of one row, or over one row's contiguous
+    coefficients (no BLAS), and every factor and cut is elementwise, so
+    every bit is independent of the block, the group and the other rows:
+    single entries, serial builds, parallel builds and any block, group or
+    span size agree bit for bit.  One ``np.errstate`` covers the whole loop.
     """
+    ls = np.asarray(ls, dtype=float)
     n_arr = np.asarray(n_arr, dtype=np.int64)
     rule = _panel_rules(params, quad)
-    m = QuadratureSpec.nodes_per_panel
     n_panels, width = rule.sin.shape
-    count = len(pl) // (2 * width)  # the panels any of these rows takes directly
-    panels = _panels(rule.logsin[:count], rule.logcos[:count], *pl.reshape(2, count, width))
-    lam = np.empty(len(n_arr))
-    err = np.empty(len(n_arr))
-    rows = np.arange(len(n_arr))
-    K = (2 * n_arr + l).astype(float)
-    first = rule.series_from.searchsorted(_a1(K, l))
-    cum = np.zeros((1, len(n_arr)))
-    cum_err = np.zeros((1, len(n_arr)))
+    count = pl.shape[1] // (2 * width)  # the panels any row of the sweep takes directly
+    psin, pcos = pl.reshape(len(ls), 2, count, width).transpose(1, 2, 0, 3)
+    n_float = n_arr.astype(float)
+    first_grid = rule.series_from.searchsorted(_a1(2.0 * n_float + ls[:, None], ls[:, None]))
+    first_grid[n_arr + ls[:, None] <= 1] = 0  # a null mode's series is exactly 0
+    first = first_grid.ravel()
+    direct = int(first.max())  # the panels some row takes directly
+    fw = _f_weights(ls, pcos[:direct], rule)
+    rows = np.arange(len(first))
+    series = series.reshape(len(rows), _SERIES_ORDER)
+    lam = np.full(len(rows), np.nan)
+    err = np.full(len(rows), np.nan)
+    cum = np.zeros(len(rows))
+    cum_err = np.zeros(len(rows))
     j, reach = 0, -math.log(_PANEL_CUTOFF * quad.rel_tol)
-    with np.errstate(under="ignore"):
+    with np.errstate(under="ignore", divide="ignore"):
         while j < n_panels:
-            ns = first.searchsorted(j, side="right")  # rows on their series at panel j
-            direct = ns < len(rows)
-            # doubles per panel: of the bracket block, or of the group's arrays together
-            per_panel = max((len(rows) - ns) * width, _GROUP_ARRAYS * len(rows))
-            steps = max(1, _BLOCK_DOUBLES // per_panel)
-            slack = 0 if direct else _SERIES_SLACK
-            if reach < steps * _LOG_DECAY:  # False for NaN, which keeps the budget
-                steps = min(steps, int(reach / _LOG_DECAY) + 1 + slack)
-            # a group ends where the next bracket row switches to its series
-            k = min(n_panels, j + steps, first[ns] if direct else n_panels)
-            values, errors = [], []
-            if ns:
-                values.append(np.einsum("rk,gk->gr", series[:ns], rule.mvalue[j:k]))
-                errors.append(np.abs(np.einsum("rk,gk->gr", series[:ns], rule.mdiff[j:k])))
-            if direct:
-                terms = _bracket_rows(K[ns:], l, _group(panels, j, k))
-                value = np.einsum("grc,gc->gr", terms, rule.wvalue[j:k])
-                check = np.einsum("grc,gc->gr", terms[..., :m], rule.wcheck[j:k])
-                del terms  # free this group's block before the next
-                values.append(value)
-                errors.append(np.abs(value - check))
-            value = np.concatenate(values, axis=1)
+            if j < direct:
+                # the direct rows fill the corner l >= ls[l0], n >= n_arr[n0] of the
+                # block, since a_1 grows with l and with n
+                l0, n0 = (first_grid[:, -1] > j).argmax(), (first_grid[-1] > j).argmax()
+                value, check = _direct_sums(j, l0, n0, ls, n_float, psin[j], [x[j] for x in fw],
+                                            rule)
+                if len(rows) < value.size:
+                    value, check = value.ravel()[rows], check.ravel()[rows]
+                value, check = value.reshape(1, -1), check.reshape(1, -1)
+                errors = np.abs(np.subtract(value, check, out=check), out=check)
+                on = np.flatnonzero(first <= j)  # live rows on their series
+                if len(on):
+                    value[0, on], errors[0, on] = np.einsum("rk,zk->zr", series[on],
+                                                            rule.moments[j])
+                    errors[0, on] = np.abs(errors[0, on])
+                k = j + 1
+            else:
+                steps = max(1, _BLOCK_DOUBLES // (_GROUP_ARRAYS * len(rows)))
+                if reach < steps * _LOG_DECAY:  # False for NaN, which keeps the budget
+                    steps = min(steps, int(reach / _LOG_DECAY) + 1 + _SERIES_SLACK)
+                k = min(n_panels, j + steps)
+                value, errors = np.einsum("rk,gzk->zgr", series, rule.moments[j:k])
+                np.abs(errors, out=errors)
             run = _running_sums(cum, value)
-            run_err = _running_sums(cum_err, np.concatenate(errors, axis=1))
-            size = np.abs(value)
-            limit = _PANEL_CUTOFF * np.maximum(quad.abs_tol, quad.rel_tol * np.abs(run[1:]))
+            run_err = _running_sums(cum_err, errors)
+            size = np.abs(value, out=value)
+            limit = np.abs(run)  # _PANEL_CUTOFF max(abs_tol, rel_tol |run|), in place
+            limit *= quad.rel_tol
+            np.maximum(limit, quad.abs_tol, out=limit)
+            limit *= _PANEL_CUTOFF
             done = size < limit
-            last = size[-1] / limit[-1]
             j = k
-            cum, cum_err = run[-1:], run_err[-1:]
+            cum, cum_err = run[-1], run_err[-1]
+            keep = slice(None)
             if done.any():
                 stop = done.any(0)
                 g, i = done.argmax(0)[stop], np.flatnonzero(stop)
-                lam[rows[i]] = run[g + 1, i]
-                err[rows[i]] = run_err[g + 1, i] + size[g, i]
-                keep = ~stop
-                rows, K, first, series = rows[keep], K[keep], first[keep], series[keep]
-                cum, cum_err = cum[:, keep], cum_err[:, keep]
-                if not len(rows):
-                    return lam, err
-                last = last[keep]
-            reach = math.log(max(last.min(), 1.0))  # a live row's last ratio is >= 1 or NaN
-    pairs = [(int(n), l) for n in n_arr[rows]]
-    raise QuadratureConvergenceError(pairs, dict(zip(pairs, cum[0].tolist())))
+                lam[rows[i]] = run[g, i]
+                err[rows[i]] = run_err[g, i] + size[g, i]
+                keep = np.flatnonzero(~stop)
+                if not len(keep):
+                    return lam, err, {}
+                rows, first, series = rows[keep], first[keep], series[keep]
+                cum, cum_err = cum[keep], cum_err[keep]
+            if _BLOCK_DOUBLES >= 2 * _GROUP_ARRAYS * len(rows):  # the next group may be longer
+                last = size[-1, keep] / limit[-1, keep]  # >= 1 or NaN at a live row
+                reach = math.log(max(last.min(), 1.0))
+    pairs = [(int(n_arr[r % len(n_arr)]), int(ls[r // len(n_arr)])) for r in rows]
+    return lam, err, dict(zip(pairs, cum.tolist()))
 
 
 def eigen_integrand(n: int, l: int, theta, params: KernelParams):
     """beta(theta) times the spectral bracket; identically 0 for null modes.
 
-    The bracket is the one the quadrature sums: the direct form, with
-    log cos theta = log1p(-2 sin^2(theta/2)), and its power series in
-    x = sin^2 theta wherever a_1 x <= ``_SERIES_SWITCH``.  There the
+    The bracket is the one the quadrature sums: the factored form
+    E_n + C_n F_l - S_n T_l (``_eigen_rows``) with its cuts, and its power
+    series in x = sin^2 theta wherever a_1 x <= ``_SERIES_SWITCH``.  There the
     product is formed as (beta sin theta) sin theta sum_k a_k x^(k-1), so
     it keeps its digits where x is subnormal (theta below about 1.5e-154).
     """
@@ -759,12 +749,15 @@ def eigen_integrand(n: int, l: int, theta, params: KernelParams):
         out = np.zeros_like(theta)
         return float(out[0]) if scalar else out
     sin, half = np.sin(theta), np.sin(0.5 * theta)
-    pl = legendre(l, np.concatenate([sin, np.cos(theta)]))
-    panel = _panels(np.log(sin)[None], np.log1p(-2.0 * half * half)[None],
-                    *pl.reshape(2, 1, -1))
+    psin, pcos = legendre(l, np.concatenate([sin, np.cos(theta)])).reshape(2, -1)
+    logsin, logcos = np.log(sin), np.log1p(-2.0 * half * half)
+    cut = _cut(logsin)
     K = 2.0 * n + l
     with np.errstate(under="ignore", over="ignore", divide="ignore"):  # x may underflow to 0
-        out = b * _bracket_rows(np.array([K]), l, panel)[0, 0]
+        e = -np.expm1(2.0 * n * logcos)
+        t = _cut_exp(l * logsin, cut) * psin
+        out = b * (e + (1.0 - e) * _cos_part(float(l), logcos, pcos)
+                   - _cut_exp(2.0 * n * logsin, cut) * t)
         x = sin * sin
         deep = _a1(K, l) <= _SERIES_SWITCH / x
         if deep.any():
@@ -851,11 +844,17 @@ class EigenvalueTable:
 
         Formatted once per table, so the cache file and the ``eigs`` output
         of one job share it.  repr is json.dumps's text for every finite
-        float, and a table holds no other.
+        float, and a table holds no other.  One %-format (%r is repr) per
+        ``_WRITE_ROWS`` rows takes about a fifth less time than a repr call per float.
         """
-        prefixes = (f"{n},{l}," for n in range(self.nmax + 1) for l in range(self.lmax + 1))
-        texts = (map(float.__repr__, a.ravel().tolist()) for a in (self.lams, self.errs))
-        return list(map("{}{},{}".format, prefixes, *texts))
+        n, l = np.indices(self.lams.shape).reshape(2, -1).tolist()
+        fields = list(itertools.chain.from_iterable(
+            zip(n, l, self.lams.ravel().tolist(), self.errs.ravel().tolist())))
+        texts, step = [], 4 * _WRITE_ROWS
+        for i in range(0, len(fields), step):
+            part = tuple(fields[i:i + step])
+            texts += ("%d,%d,%r,%r\0" * (len(part) // 4) % part)[:-1].split("\0")
+        return texts
 
 
 def _cache_key(params: KernelParams, quad: QuadratureSpec) -> dict:
@@ -874,39 +873,38 @@ def table_version(params: KernelParams, quad: QuadratureSpec) -> str:
 def _block_task(args):
     """lambda and err at the ascending n array ``n`` for each l of the block ``ls``.
 
-    One Legendre sweep serves the block.  The n-rows of each l are taken in
-    spans of at most ``_SPAN_ROWS``, so that a group of one panel keeps its
-    working set within ``_BLOCK_DOUBLES``: its bracket block, and its
-    per-group arrays together; the series coefficients are one vectorized
-    pass per chunk of l-rows and span, each chunk's within
-    ``_BLOCK_DOUBLES``.  Every entry is an independent computation, so the
-    spans leave every bit as it is.  The spans of an l all run before any
-    of them fails it, so a ``QuadratureConvergenceError`` names each
-    failing (n, l) of the first failing l with its partial sum, as one
+    One Legendre sweep serves the block.  ``_eigen_rows`` takes a chunk of
+    l-rows times a span of at most ``_SPAN_ROWS`` n-rows at a time, with as
+    many l-rows as keep the chunk's series coefficients (one vectorized pass
+    per chunk and span) and its w F_l over the direct panels each within
+    ``_BLOCK_DOUBLES``.  Every entry is an independent computation, so
+    chunks and spans leave every bit as it is.  The spans of a chunk all run
+    before any of them fails it, so a ``QuadratureConvergenceError`` names
+    each failing (n, l) of the first failing l with its partial sum, as one
     unsplit build would.
     """
     ls, n, params, quad = args
     pl = _legendre_sweep(ls[-1], _a1(2.0 * n[-1] + ls[-1], ls[-1]), params, quad)
-    chunk = max(1, _BLOCK_DOUBLES // (min(len(n), _SPAN_ROWS) * _SERIES_ORDER))
+    chunk = min(_BLOCK_DOUBLES // (pl.shape[1] // 2),  # w F_l over the direct panels
+                _BLOCK_DOUBLES // (min(len(n), _SPAN_ROWS) * _SERIES_ORDER)) or 1
     rows = []
     for start in range(0, len(ls), chunk):
-        part = ls[start:start + chunk]
-        found = [([], [], {}) for _ in part]  # each l's lambda and err by span, failed rows
+        part = np.asarray(ls[start:start + chunk])
+        contiguous = part[-1] - part[0] == len(part) - 1
+        pl_part = pl[part[0]:part[-1] + 1] if contiguous else pl[part]
+        lams, errs, failed = [], [], {}
         for i in range(0, len(n), _SPAN_ROWS):
             span = n[i:i + _SPAN_ROWS]
-            for (lams, errs, failed), l, series in zip(found, part,
-                                                       _series_coefficients(part, span)):
-                try:
-                    lam, err = _eigen_rows(l, span, pl[l], params, quad, series)
-                except QuadratureConvergenceError as exc:
-                    failed.update(exc.partial)
-                else:
-                    lams.append(lam)
-                    errs.append(err)
-        for lams, errs, failed in found:
-            if failed:
-                raise QuadratureConvergenceError(list(failed), failed)
-            rows.append((np.concatenate(lams), np.concatenate(errs)))
+            lam, err, fails = _eigen_rows(part, span, pl_part, params, quad,
+                                          _series_coefficients(part, span))
+            lams.append(lam.reshape(len(part), -1))
+            errs.append(err.reshape(len(part), -1))
+            failed.update(fails)
+        if failed:
+            l = min(l for _, l in failed)
+            pairs = sorted(pair for pair in failed if pair[1] == l)
+            raise QuadratureConvergenceError(pairs, {pair: failed[pair] for pair in pairs})
+        rows += zip(np.concatenate(lams, axis=1), np.concatenate(errs, axis=1))
     return ls, rows
 
 

@@ -6,7 +6,8 @@ Gauss-Kronrod rule from its Stieltjes polynomial in rationals, the
 Gauss-Legendre and Gauss-Laguerre rules by Newton's method in mpmath,
 closed forms and the unnormalized recurrence of the associated Legendre
 functions in mpmath, the exact s = 2 eigenvalues of the l = 0 column in
-mpmath, and the bracket's power series in sin^2 theta in rationals.
+mpmath, the bracket's power series in sin^2 theta in rationals, and the
+bracket itself in mpmath at the quadrature's double nodes.
 """
 
 import math
@@ -276,3 +277,24 @@ def bracket_series(K: int, l: int, order: int = 10):
             a -= c * sp.binomial(half, k) * (-1) ** k + (c if half == k else 0)
         out.append(a)
     return out
+
+
+def bracket_mp(ns, l: int, theta: float, dps: int = 80):
+    """The bracket 1 - cos^K P_l(cos theta) - sin^K P_l(sin theta), K = 2n + l, at each n of ``ns``.
+
+    theta is taken as the exact double it is and the rest in ``dps``-digit
+    mpmath: 80 digits resolve 1 - cos theta ~ 5e-44 at the innermost default
+    panel.  Returns, per n, the mpf triple (bracket, cos part
+    1 - cos^K P_l(cos theta), |sin^K P_l(sin theta)|), the two parts being the
+    sizes a rounding bound on the bracket scales with.
+    """
+    with mp.workdps(dps):
+        t = mp.mpf(theta)
+        sin, cos = mp.sin(t), mp.cos(t)
+        psin, pcos = mp.legendre(l, sin), mp.legendre(l, cos)
+        out = []
+        for n in ns:
+            cos_part = 1 - cos ** (2 * n + l) * pcos
+            sin_part = sin ** (2 * n + l) * psin
+            out.append((cos_part - sin_part, cos_part, abs(sin_part)))
+        return out

@@ -403,6 +403,18 @@ def test_convergence_failure_exit_code(tmp_path, capsys):
     assert "(2,0)" in capsys.readouterr().err
 
 
+def test_deep_max_panels_run_without_warnings(tmp_path):
+    # from 516 panels on, sin^2 theta_top of the innermost ones underflows to
+    # 0 and their series switch point to inf, which is right (such a panel is
+    # always a series panel); the build must not warn on the way
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    r = subprocess.run([sys.executable, "-W", "error", "-m", "dyboltz.cli", "eigs", "--s", "2",
+                        "--nmax", "2", "--lmax", "2", "--max-panels", "1021",
+                        "--out", str(tmp_path)],
+                       capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (r.returncode, r.stderr) == (0, "")
+
+
 def test_evolve_single_mode(tmp_path):
     out = str(tmp_path)
     assert run(tmp_path, "evolve", "--s", "2", "--init", "modes:2,0,0,1,0",

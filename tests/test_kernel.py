@@ -365,134 +365,87 @@ def test_parallel_and_serial_builds_bitwise_equal(monkeypatch):
                     assert (e.lam, e.err) == (a.lams[n, l], a.errs[n, l])
 
 
-def _bracket_rows_reference(n_arr, l, logsin, logcos, ps, pc, negligible=None):
-    """The bracket as first written: both branches by mask, every sin^K term.
+def _panel_nodes(j):
+    """Panel j's nodes theta, computed as ``kernel._panel_rules`` computes them."""
+    hi = math.ldexp(math.pi / 4, -j)
+    x = kernel._gauss_kronrod(QUAD.nodes_per_panel)[0]
+    return 0.5 * (hi - 0.5 * hi) * x + 0.5 * (hi + 0.5 * hi)
 
-    With ``negligible`` set, a sin^K term whose exponent lies below it is
-    replaced by exactly 0.
+
+def _bracket_bound(n, l, theta, cos, sin):
+    """mpmath brackets at each node and n, and the rounding bound on the factored form.
+
+    The bound is 16 ulp of the cos part 1 - cos^K P_l(cos theta) plus
+    |sin^K P_l(sin theta)| (the sizes E_n + C_n F_l and S_n T_l, K = 2n + l),
+    plus the error of P_l the kernel docstring states: the move of P_l by the
+    rounding of its argument, at most l(l+1)/2 times it, and 10 l eps from the
+    recurrence.  Returns two lists over nodes of per-n lists.
     """
-    K = (2 * n_arr + l).astype(float)[:, None]
-    pos = pc > 0.0
-    brackets = np.empty((len(n_arr), len(pc)))
-    with np.errstate(under="ignore"):
-        brackets[:, pos] = -np.expm1(K * logcos[pos] + np.log(pc[pos]))
-        brackets[:, ~pos] = 1.0 - np.exp(K * logcos[~pos]) * pc[~pos]
-        term = np.exp(K * logsin) * ps
-    if negligible is not None:
-        term[K * logsin < negligible] = 0.0
-    brackets -= term
-    if l == 0:
-        brackets[(n_arr == 0) | (n_arr == 1)] = 0.0
-    elif l == 1:
-        brackets[n_arr == 0] = 0.0
-    return brackets
+    import mpmath as mp
 
-
-def _reference_on_panel(K, l, p, negligible=None):
-    """``_bracket_rows_reference`` behind the production call (K, l, group), panel by panel."""
-    n_arr = ((K - l) // 2).astype(np.int64)
-    return np.stack([_bracket_rows_reference(n_arr, l, *fields, negligible)
-                     for fields in zip(p.logsin, p.logcos, p.ps, p.pc)])
-
-
-def test_bracket_skip_is_exact(monkeypatch):
-    skipped, floored = [], []
-    fast = kernel._bracket_rows
-
-    def spy(K, l, p):
-        # rows ascend in K, so on each panel of the group the last row is
-        # skipped by the e^-700 rule if any row is; the floor bound also
-        # skips rows that rule keeps
-        negligible = K[:, None] * p.logsin.max(1) < kernel._LOG_NEGLIGIBLE
-        skipped.append(negligible[-1].any())
-        floored.append(np.any((K[:, None] > p.live_k) & ~negligible))
-        return fast(K, l, p)
-
-    builds = [lambda s=s: eigenvalue_table(60, 60, KernelParams(s=s), QUAD)
-              for s in (0.5, 2.0)]
-    builds.append(lambda: radial_eigenvalues(2000, P1, QUAD))
-    for build in builds:
-        monkeypatch.setattr(kernel, "_bracket_rows", spy)
-        skipped.clear()
-        floored.clear()
-        got = build()
-        assert any(skipped) and any(floored)
-        monkeypatch.setattr(kernel, "_bracket_rows", _reference_on_panel)
-        want = build()
-        if isinstance(got, EigenvalueTable):
-            assert got.lams.tobytes() == want.lams.tobytes()
-            assert got.errs.tobytes() == want.errs.tobytes()
-        else:
-            assert got.tobytes() == want.tobytes()
-    monkeypatch.undo()
-
-    # the integrand takes the direct bracket, with the e^-700 rule and
-    # log cos theta = log1p(-2 sin^2(theta/2)), where a_1 sin^2 theta > 1e-2,
-    # and the series below, which stays positive where cos theta rounds to 1
-    thetas = np.array([1e-160, 1e-100, 1e-30, 1e-3, 0.05, 0.7])
-    for n, l in [(2, 0), (5, 3), (200, 0), (2000, 0)]:
-        sin, half = np.sin(thetas), np.sin(0.5 * thetas)
-        pl = kernel.legendre_all(l, np.concatenate([sin, np.cos(thetas)]))[l]
-        want = beta(thetas, P2) * _bracket_rows_reference(
-            np.array([n]), l, np.log(sin), np.log1p(-2.0 * half * half), pl[:6], pl[6:],
-            negligible=kernel._LOG_NEGLIGIBLE)[0]
-        direct = (n + 0.5 * l + 0.25 * l * (l + 1)) * sin * sin > kernel._SERIES_SWITCH
-        # a call per theta skips the row where every term is negligible;
-        # one call for all thetas masks the negligible columns instead
-        singles = np.array([eigen_integrand(n, l, t, P2) for t in thetas])
-        assert np.array_equal(singles[direct], want[direct]) and direct[-1]
-        assert np.array_equal(eigen_integrand(n, l, thetas, P2), singles)
-        assert np.all(singles > 0.0), singles
-    # (2000, 0) drops its sin^K term at both direct thetas
-    assert np.all(4000.0 * np.log(np.sin(thetas[4:])) < kernel._LOG_NEGLIGIBLE)
-
-
-@settings(max_examples=60, deadline=None)
-# panel 0 at l = 7 has sign-change columns, and n = 100 is skipped there by
-# the floor bound alone; at panel 20, n = 24 takes the clamp band; at
-# panel 27 cos theta rounds to 1, so P_l(cos theta) is exactly 1
-@example(n=[0, 1, 2, 60, 100, 2000], l=7, j=0, s=2.0)
-@example(n=[0, 1, 2, 23, 24, 25, 3000], l=0, j=20, s=0.5)
-@example(n=list(range(30)), l=2, j=27, s=1.0)
-@given(n=st.lists(st.integers(0, 5000), min_size=1, max_size=40, unique=True),
-       l=st.integers(0, 300), j=st.integers(0, 71), s=st.floats(0.5, 4.0))
-def test_bracket_matches_reference_bytes(n, l, j, s):
-    # the production bracket, with its floor skip, clamp band and patched
-    # sign-change columns, equals the reference formula with the e^-700
-    # rule byte for byte on any rows of any panel
-    p = kernel._group(_panels_of(l, s), j, j + 1)
-    K = (2 * np.array(sorted(n)) + l).astype(float)
-    with np.errstate(under="ignore"):
-        got = kernel._bracket_rows(K, l, p)
-    want = _reference_on_panel(K, l, p, negligible=kernel._LOG_NEGLIGIBLE)
-    assert got.tobytes() == want.tobytes()
-
-
-def _panels_of(l, s):
-    params = KernelParams(s=s)
-    rule = kernel._panel_rules(params, QUAD)
-    pl = kernel._legendre_sweep(l, math.inf, params, QUAD)[l]  # every panel
-    return kernel._panels(rule.logsin, rule.logcos, *pl.reshape(2, *rule.sin.shape))
+    eps = 2.0 ** -52
+    want, bound = [], []
+    with mp.workdps(80):
+        for t, c, s in zip(theta, cos, sin):
+            t = mp.mpf(t)
+            # the move of P_l at cos theta and at sin theta, rounded argument and recurrence
+            pc = l * (l + 1) / 2 * abs(mp.cos(t) - mp.mpf(c)) + 10 * l * eps
+            ps = l * (l + 1) / 2 * abs(mp.sin(t) - mp.mpf(s)) + 10 * l * eps
+            rows = oracles.bracket_mp(n, l, t)
+            want.append([r[0] for r in rows])
+            bound.append([16 * eps * (r[1] + r[2]) + mp.cos(t) ** (2 * k + l) * pc
+                          + mp.sin(t) ** (2 * k + l) * ps for r, k in zip(rows, n)])
+    return want, bound
 
 
 @settings(max_examples=40, deadline=None)
-# panels 12-20 straddle the floor guard, so the group's live prefixes and
-# clamp bands differ from panel to panel
-@example(n=[0, 1, 2, 23, 24, 25, 60, 3000], l=0, j=12, size=9, s=0.5)
-@example(n=[0, 1, 2, 60, 100, 2000], l=7, j=0, size=4, s=2.0)
-@given(n=st.lists(st.integers(0, 5000), min_size=1, max_size=40, unique=True),
-       l=st.integers(0, 300), j=st.integers(0, 71), size=st.integers(2, 12),
-       s=st.floats(0.5, 4.0))
-def test_bracket_group_equals_its_panels(n, l, j, size, s):
-    # a group call gives each panel the bytes of that panel's own call,
-    # whatever the other panels' live prefixes, bands and sign changes
-    panels = _panels_of(l, s)
-    K = (2 * np.array(sorted(n)) + l).astype(float)
-    k = min(j + size, len(panels.logsin))
+# panel 0 at l = 7 holds columns where P_l(cos theta) changes sign; at
+# panel 20, sin^2n of n = 23..25 lies in the band where exp underflows, far
+# below its cut; at panel 27 cos theta rounds to 1, so P_l(cos theta) is 1
+@example(n=[0, 1, 2, 60, 100, 2000], l=7, j=0, s=2.0)
+@example(n=[0, 1, 2, 23, 24, 25, 3000], l=0, j=20, s=0.5)
+@example(n=list(range(30)), l=2, j=27, s=1.0)
+@given(n=st.lists(st.integers(0, 5000), min_size=1, max_size=6, unique=True),
+       l=st.integers(0, 300), j=st.integers(0, 71), s=st.floats(0.5, 4.0))
+def test_panel_bracket_matches_mpmath(n, l, j, s):
+    # the factored bracket E_n + C_n F_l - S_n T_l, summed by the panel's
+    # Kronrod and Gauss weights as the quadrature sums it, with its cuts,
+    # against the bracket in mpmath at the same double nodes
+    import mpmath as mp
+
+    n = sorted(n)
+    params = KernelParams(s=s)
+    rule = kernel._panel_rules(params, QUAD)
+    psin, pcos = kernel._legendre_sweep(l, math.inf, params, QUAD)[l].reshape(2, *rule.sin.shape)
+    ls = np.array([float(l)])
+    fw = [x[j] for x in kernel._f_weights(ls, pcos[:, None], rule)]
     with np.errstate(under="ignore"):
-        got = kernel._bracket_rows(K, l, kernel._group(panels, j, k))
-        want = [kernel._bracket_rows(K, l, kernel._group(panels, i, i + 1)) for i in range(j, k)]
-    assert got.tobytes() == np.concatenate(want).tobytes()
+        got = kernel._direct_sums(j, 0, 0, ls, np.array(n, dtype=float), psin[j, None], fw,
+                                  rule)[:, 0]
+    want, bound = _bracket_bound(n, l, _panel_nodes(j), rule.cos[j], rule.sin[j])
+    with mp.workdps(80):
+        for sums, weights in zip(got, (rule.wvalue[j], rule.wcheck[j])):
+            for i in range(len(n)):
+                exact = mp.fsum(mp.mpf(w) * node[i] for w, node in zip(weights, want))
+                tol = mp.fsum(mp.mpf(w) * node[i] for w, node in zip(weights, bound))
+                assert abs(sums[i] - exact) <= tol, (n[i], float(exact), sums[i], float(tol))
+
+
+def test_integrand_is_the_bracket_the_quadrature_sums():
+    # the integrand takes the factored bracket, with log cos theta =
+    # log1p(-2 sin^2(theta/2)), where a_1 sin^2 theta > 1e-2, and the series
+    # below, which stays positive where cos theta rounds to 1; its cuts sit
+    # at each node, so a call per theta and one for all agree bit for bit
+    thetas = np.array([1e-160, 1e-100, 1e-30, 1e-3, 0.05, 0.7])
+    for n, l in [(2, 0), (5, 3), (200, 0), (2000, 0), (40, 120)]:
+        direct = (n + 0.5 * l + 0.25 * l * (l + 1)) * np.sin(thetas) ** 2 > kernel._SERIES_SWITCH
+        singles = np.array([eigen_integrand(n, l, t, P2) for t in thetas])
+        assert np.array_equal(eigen_integrand(n, l, thetas, P2), singles) and direct[-1]
+        assert np.all(singles > 0.0), singles
+        want, bound = _bracket_bound([n], l, thetas[direct], np.cos(thetas[direct]),
+                                     np.sin(thetas[direct]))
+        for got, b, w, tol in zip(singles[direct], beta(thetas[direct], P2), want, bound):
+            assert abs(got / b - float(w[0])) <= float(tol[0]), (n, l, got / b, float(w[0]))
 
 
 def test_gauss_legendre_solved_once_per_order(monkeypatch):
@@ -784,7 +737,7 @@ def test_small_parallel_build_stays_serial(monkeypatch):
 
 def test_version_hash_sensitivity():
     v1 = table_version(P2, QUAD)
-    assert v1 == "ef782fd9"  # the version eigs --format json writes for s = 2
+    assert v1 == "eeba45ee"  # the version eigs --format json writes for s = 2
     assert v1 == f"{zlib.crc32(json.dumps(kernel._cache_key(P2, QUAD)).encode()):08x}"
     assert v1 == table_version(KernelParams(s=2.0), QuadratureSpec())
     assert v1 != table_version(P1, QUAD)
@@ -824,9 +777,9 @@ def test_cache_rejects_corrupt_and_stale(tmp_path, table_factory):
         json.dump(doc, open(path, "w"))
 
     # written by other code: the header names the code version, not a hash of it
-    tampered(code_version="dyboltz-kernel-3")
-    with pytest.raises(CacheError, match="code_version 'dyboltz-kernel-3' is not "
-                                         "'dyboltz-kernel-4'"):
+    tampered(code_version="dyboltz-kernel-4")
+    with pytest.raises(CacheError, match="code_version 'dyboltz-kernel-4' is not "
+                                         "'dyboltz-kernel-5'"):
         load_table(path)
 
     # the cutoff is fixed; load_table checks the field itself
