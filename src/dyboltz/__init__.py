@@ -10,9 +10,9 @@ from .basis import (ModeIndex, SpectralField, eval_phi, fourier_sqrtmu_phi,
 from .errors import (CacheError, EigenvalueLookupError,
                      QuadratureConvergenceError, ResolutionError)
 from .kernel import (EigenvalueEntry, EigenvalueTable, KernelParams,
-                     QuadratureSpec, asymptotic_leading, beta, eigen_integrand,
-                     eigenvalue, eigenvalue_table, load_table,
-                     radial_eigenvalues, ratio_bounds, save_table)
+                     QuadratureSpec, asymptotic_leading, beta, eigenvalue,
+                     eigenvalue_table, load_table, radial_eigenvalues,
+                     ratio_bounds, save_table)
 from .solver import (DelaySeries, EvolutionReport, S2DelaySeries,
                      SobolevSeries, TailVerdict, choose_c0, classify_frontier,
                      decay_check_thm12, evolve, log_coeff, rate1_certificate,

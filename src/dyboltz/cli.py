@@ -297,9 +297,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=None,
                        help="eigenvalue cache directory (one file per table key and shape)")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel workers for table construction; a table of fewer "
-                            "than 90,000 entries, or of one column (so every scenario "
-                            "table), is built serially whatever this says")
+                       help="parallel workers for table construction, at most the CPU "
+                            "count; a table of fewer than 90,000 entries, or of one column "
+                            "(so every scenario table), is built serially whatever this "
+                            "says")
 
     p = sub.add_parser("eigs", help="build and export an eigenvalue table")
     table_options(p)

@@ -61,9 +61,9 @@ only and F and T on l only, so a panel's Kronrod value and Gauss check at
 every (n, l) of a block are three sums over its nodes: sum w E_n,
 sum C_n (w F_l) and sum S_n (w T_l).  E, C and F are never negative, so
 E + C F does not cancel and no column needs a second pass where
-P_l(cos theta) changes sign.  A 201x201 build takes 0.57M transcendentals
-(0.49M expm1 and 0.07M exp), against 16.8M for one per (n, l, node); a
-radial row takes one expm1 per (n, node).  The powers of
+P_l(cos theta) changes sign.  A 201x201 build takes 0.52M transcendentals
+(499,884 expm1 and 18,744 exp), against 16.8M for one per (n, l, node); a
+radial row takes one expm1 per (n, node), 3.17M for N = 10^4.  The powers of
 sin theta in S_n and T_l are exactly 0 below a cut under half an ulp of
 the bracket (``_eigen_rows`` gives the proof).
 
@@ -105,7 +105,7 @@ import numpy as np
 
 from .basis import ModeIndex
 from .errors import CacheError, EigenvalueLookupError, QuadratureConvergenceError
-from .specfun import _gauss_rule, _jacobi_nodes, _jacobi_walk, legendre, legendre_all
+from .specfun import _gauss_rule, _jacobi_nodes, _jacobi_walk, legendre_all
 
 __all__ = [
     "KernelParams",
@@ -114,7 +114,6 @@ __all__ = [
     "EigenvalueTable",
     "RatioBounds",
     "beta",
-    "eigen_integrand",
     "eigenvalue",
     "eigenvalue_table",
     "radial_eigenvalues",
@@ -147,10 +146,6 @@ _LOG_CUT_MIN = -300.0
 # the terms past x^_SERIES_ORDER are then below 1e-19 of the bracket
 _SERIES_SWITCH = 1e-2
 _SERIES_ORDER = 10
-
-# a group in which every live row uses its series runs this many panels past
-# the first panel where a live row could stop: series panels are cheap
-_SERIES_SLACK = 2
 
 
 @dataclass(frozen=True)
@@ -355,10 +350,6 @@ _SPAN_ROWS = _BLOCK_DOUBLES // (2 * QuadratureSpec.nodes_per_panel + 1)
 # follows the loop's code, so it is a constant, not an option
 _GROUP_ARRAYS = 6
 
-# log of the factor by which a panel's value falls from one panel to the
-# next below the knee (theta^2 over dyadic panels); it only sizes groups
-_LOG_DECAY = math.log(4.0)
-
 # a smaller table is built serially whatever ``workers`` says: in fresh
 # processes two workers lost to one at 261x261 (0.093 s against 0.076 s at
 # s = 2), tied at 301x301 and won from 341x341 on
@@ -530,11 +521,9 @@ def _f_weights(ls: np.ndarray, pcos, rule: _PanelRule):
     return np.multiply(f, rule.wvalue[:count, None], out=f), fc
 
 
-def _direct_sums(j: int, l0: int, n0: int, ls: np.ndarray, n_arr: np.ndarray, psin, fw,
-                 rule: _PanelRule):
+def _direct_sums(j: int, ls: np.ndarray, n_arr: np.ndarray, psin, fw, rule: _PanelRule):
     """The Kronrod and Gauss sums of panel j's factored bracket at (l, n), two (L, N) grids.
 
-    The sums are taken at ``ls[l0:]`` times ``n_arr[n0:]`` and are 0 elsewhere;
     ``psin`` holds P_l at the panel's sin nodes and ``fw`` w F_l at its
     Kronrod nodes and wc F_l at its Gauss nodes, for each l of ``ls``.  The value is
     sum w E_n + sum C_n (w F_l) - sum S_n (w T_l) over the panel's nodes,
@@ -543,10 +532,9 @@ def _direct_sums(j: int, l0: int, n0: int, ls: np.ndarray, n_arr: np.ndarray, ps
     everywhere else it is exactly 0 and subtracts nothing.
     """
     m = QuadratureSpec.nodes_per_panel
-    value = np.zeros((2, len(ls), len(n_arr)))
-    out = value[:, l0:, n0:]
-    ls, two_n = ls[l0:], 2.0 * n_arr[n0:]
-    wf, wfc = (x[l0:] for x in fw)
+    out = np.zeros((2, len(ls), len(n_arr)))
+    two_n = 2.0 * n_arr
+    wf, wfc = fw
     e = np.multiply.outer(two_n, rule.logcos[j])
     e = np.negative(np.expm1(e, out=e), out=e)  # E_n
     lf = ls.searchsorted(0, side="right")  # F_0 = 0: an l = 0 row has no C F term
@@ -560,10 +548,10 @@ def _direct_sums(j: int, l0: int, n0: int, ls: np.ndarray, n_arr: np.ndarray, ps
     lt = ls.searchsorted(rule.sin_reach[j], side="right")
     if ns and lt:
         sn = _cut_exp(np.multiply.outer(two_n[:ns], rule.logsin[j]), rule.cut[j])
-        t = _cut_exp(ls[:lt, None] * rule.logsin[j], rule.cut[j]) * psin[l0:l0 + lt]
+        t = _cut_exp(ls[:lt, None] * rule.logsin[j], rule.cut[j]) * psin[:lt]
         out[0, :lt, :ns] -= np.einsum("nc,lc->ln", sn, t * rule.wvalue[j])
         out[1, :lt, :ns] -= np.einsum("nc,lc->ln", sn[:, :m], t[:, :m] * rule.wcheck[j])
-    return value
+    return out
 
 
 def _eigen_rows(ls: np.ndarray, n_arr: np.ndarray, pl: np.ndarray, params: KernelParams,
@@ -587,9 +575,7 @@ def _eigen_rows(ls: np.ndarray, n_arr: np.ndarray, pl: np.ndarray, params: Kerne
     a_1 sin^2 theta_top <= ``_SERIES_SWITCH``, a_1 = K/2 + l(l+1)/4, and
     from there its series: the value sum_k a_k M_k and the error term
     |sum_k a_k (M_k - G_k)| over the panel's moments (``_PanelRule``).
-    a_1 grows with n and with l, so the rows that take a panel directly fill
-    a corner of the block.  The series leaves out terms below 1e-19 of the
-    bracket.  Write y = a_1 x <= 1e-2 (x = sin^2 theta <= sin^2 theta_top)
+    The series leaves out terms below 1e-19 of the bracket.  Write y = a_1 x <= 1e-2 (x = sin^2 theta <= sin^2 theta_top)
     and f << g when each coefficient of f is at most that of g in absolute
     value.  The cos part is g(x) = (1 - x)^(K/2) F(t(x))
     (``_series_coefficients``), and
@@ -637,23 +623,19 @@ def _eigen_rows(ls: np.ndarray, n_arr: np.ndarray, pl: np.ndarray, params: Kerne
     nodes with sin^2 theta > e^-261, panels 0 to 187: a row takes a deeper
     panel directly only if a_1 > 1e111.
 
-    Each step evaluates one direct panel, or a group of consecutive panels
-    where every live row is on its series.  The budget ``_BLOCK_DOUBLES``
-    covers every per-step array: a block's rows hold at most
-    ``_BLOCK_DOUBLES`` / ``_SERIES_ORDER`` coefficients' rows and its w F
-    over the direct panels fit it (``_block_task``), each n-row factor of
-    one panel fits it (at most ``_SPAN_ROWS`` n-rows), and so do the
-    ``_GROUP_ARRAYS`` arrays of one value per panel and row taken together.
-    A series group ends at the first panel where a live row could stop:
-    below the knee a panel's value falls about 4-fold per panel, as theta^2
-    does, so a row whose last value is q times its stopping threshold stops
-    no sooner than floor(log_4 q) + 1 panels later (before the first panel,
-    q is 1 / (``_PANEL_CUTOFF`` rel_tol), as if that panel held all of
-    lambda), and it runs ``_SERIES_SLACK`` panels further.  This only sizes
-    the groups; the running sums go through a group one panel at a time, as
-    ``+=`` adds, and a row takes the sums at its own stopping panel.  Each
-    weighted sum is an ``np.einsum`` whose inner loop runs over one
-    panel's contiguous nodes of one row, or over one row's contiguous
+    Each step evaluates one direct panel over the whole block, whose rows
+    already on their series take the series value in its place, or, once
+    every live row is on its series, a group of consecutive panels.  The
+    budget ``_BLOCK_DOUBLES`` covers every per-step array: a block's rows
+    hold at most ``_BLOCK_DOUBLES`` / ``_SERIES_ORDER`` coefficients' rows
+    and its w F over the direct panels fit it (``_block_task``), each n-row
+    factor of one panel fits it (at most ``_SPAN_ROWS`` n-rows), and so do
+    the ``_GROUP_ARRAYS`` arrays of one value per panel and row taken
+    together; a group takes as many panels as that budget allows.  The
+    running sums go through a group one panel at a time, as ``+=`` adds,
+    and a row takes the sums at its own stopping panel.  Each weighted sum
+    is an ``np.einsum`` whose inner loop runs over one panel's contiguous
+    nodes of one row, or over one row's contiguous
     coefficients (no BLAS), and every factor and cut is elementwise, so
     every bit is independent of the block, the group and the other rows:
     single entries, serial builds, parallel builds and any block, group or
@@ -666,9 +648,9 @@ def _eigen_rows(ls: np.ndarray, n_arr: np.ndarray, pl: np.ndarray, params: Kerne
     count = pl.shape[1] // (2 * width)  # the panels any row of the sweep takes directly
     psin, pcos = pl.reshape(len(ls), 2, count, width).transpose(1, 2, 0, 3)
     n_float = n_arr.astype(float)
-    first_grid = rule.series_from.searchsorted(_a1(2.0 * n_float + ls[:, None], ls[:, None]))
-    first_grid[n_arr + ls[:, None] <= 1] = 0  # a null mode's series is exactly 0
-    first = first_grid.ravel()
+    first = rule.series_from.searchsorted(_a1(2.0 * n_float + ls[:, None], ls[:, None]))
+    first[n_arr + ls[:, None] <= 1] = 0  # a null mode's series is exactly 0
+    first = first.ravel()
     direct = int(first.max())  # the panels some row takes directly
     fw = _f_weights(ls, pcos[:direct], rule)
     rows = np.arange(len(first))
@@ -677,15 +659,11 @@ def _eigen_rows(ls: np.ndarray, n_arr: np.ndarray, pl: np.ndarray, params: Kerne
     err = np.full(len(rows), np.nan)
     cum = np.zeros(len(rows))
     cum_err = np.zeros(len(rows))
-    j, reach = 0, -math.log(_PANEL_CUTOFF * quad.rel_tol)
+    j = 0
     with np.errstate(under="ignore", divide="ignore"):
         while j < n_panels:
             if j < direct:
-                # the direct rows fill the corner l >= ls[l0], n >= n_arr[n0] of the
-                # block, since a_1 grows with l and with n
-                l0, n0 = (first_grid[:, -1] > j).argmax(), (first_grid[-1] > j).argmax()
-                value, check = _direct_sums(j, l0, n0, ls, n_float, psin[j], [x[j] for x in fw],
-                                            rule)
+                value, check = _direct_sums(j, ls, n_float, psin[j], [x[j] for x in fw], rule)
                 if len(rows) < value.size:
                     value, check = value.ravel()[rows], check.ravel()[rows]
                 value, check = value.reshape(1, -1), check.reshape(1, -1)
@@ -697,10 +675,7 @@ def _eigen_rows(ls: np.ndarray, n_arr: np.ndarray, pl: np.ndarray, params: Kerne
                     errors[0, on] = np.abs(errors[0, on])
                 k = j + 1
             else:
-                steps = max(1, _BLOCK_DOUBLES // (_GROUP_ARRAYS * len(rows)))
-                if reach < steps * _LOG_DECAY:  # False for NaN, which keeps the budget
-                    steps = min(steps, int(reach / _LOG_DECAY) + 1 + _SERIES_SLACK)
-                k = min(n_panels, j + steps)
+                k = min(n_panels, j + max(1, _BLOCK_DOUBLES // (_GROUP_ARRAYS * len(rows))))
                 value, errors = np.einsum("rk,gzk->zgr", series, rule.moments[j:k])
                 np.abs(errors, out=errors)
             run = _running_sums(cum, value)
@@ -713,7 +688,6 @@ def _eigen_rows(ls: np.ndarray, n_arr: np.ndarray, pl: np.ndarray, params: Kerne
             done = size < limit
             j = k
             cum, cum_err = run[-1], run_err[-1]
-            keep = slice(None)
             if done.any():
                 stop = done.any(0)
                 g, i = done.argmax(0)[stop], np.flatnonzero(stop)
@@ -724,48 +698,8 @@ def _eigen_rows(ls: np.ndarray, n_arr: np.ndarray, pl: np.ndarray, params: Kerne
                     return lam, err, {}
                 rows, first, series = rows[keep], first[keep], series[keep]
                 cum, cum_err = cum[keep], cum_err[keep]
-            if _BLOCK_DOUBLES >= 2 * _GROUP_ARRAYS * len(rows):  # the next group may be longer
-                last = size[-1, keep] / limit[-1, keep]  # >= 1 or NaN at a live row
-                reach = math.log(max(last.min(), 1.0))
     pairs = [(int(n_arr[r % len(n_arr)]), int(ls[r // len(n_arr)])) for r in rows]
     return lam, err, dict(zip(pairs, cum.tolist()))
-
-
-def eigen_integrand(n: int, l: int, theta, params: KernelParams):
-    """beta(theta) times the spectral bracket; identically 0 for null modes.
-
-    The bracket is the one the quadrature sums: the factored form
-    E_n + C_n F_l - S_n T_l (``_eigen_rows``) with its cuts, and its power
-    series in x = sin^2 theta wherever a_1 x <= ``_SERIES_SWITCH``.  There the
-    product is formed as (beta sin theta) sin theta sum_k a_k x^(k-1), so
-    it keeps its digits where x is subnormal (theta below about 1.5e-154).
-    """
-    ModeIndex(n, l, 0).validate()
-    theta = np.asarray(theta, dtype=float)
-    scalar = theta.ndim == 0
-    b = np.atleast_1d(beta(theta, params))
-    theta = np.atleast_1d(theta)
-    if (n, l) in NULL_MODES:
-        out = np.zeros_like(theta)
-        return float(out[0]) if scalar else out
-    sin, half = np.sin(theta), np.sin(0.5 * theta)
-    psin, pcos = legendre(l, np.concatenate([sin, np.cos(theta)])).reshape(2, -1)
-    logsin, logcos = np.log(sin), np.log1p(-2.0 * half * half)
-    cut = _cut(logsin)
-    K = 2.0 * n + l
-    with np.errstate(under="ignore", over="ignore", divide="ignore"):  # x may underflow to 0
-        e = -np.expm1(2.0 * n * logcos)
-        t = _cut_exp(l * logsin, cut) * psin
-        out = b * (e + (1.0 - e) * _cos_part(float(l), logcos, pcos)
-                   - _cut_exp(2.0 * n * logsin, cut) * t)
-        x = sin * sin
-        deep = _a1(K, l) <= _SERIES_SWITCH / x
-        if deep.any():
-            a = _series_coefficients([l], [n])[0, 0]
-            sd = sin[deep]
-            poly = a[0] + np.einsum("ck,k->c", _powers(x[deep])[:, :-1], a[1:])
-            out[deep] = b[deep] * sd * sd * poly
-    return float(out[0]) if scalar else out
 
 
 def eigenvalue(n: int, l: int, params: KernelParams,
@@ -915,9 +849,11 @@ def eigenvalue_table(nmax: int, lmax: int, params: KernelParams,
 
     A serial build sweeps the Legendre recurrence once for the whole table;
     ``workers > 1`` distributes contiguous l-blocks over processes, each
-    with its own sweep, once the table has ``_POOL_ENTRIES`` entries.  Every
-    entry is an independent deterministic computation, so the result does
-    not depend on worker count or evaluation order.
+    with its own sweep, once the table has ``_POOL_ENTRIES`` entries.  The
+    pool starts all its processes at once, and at most ``os.cpu_count()`` of
+    them, whatever ``workers`` says.  Every entry is an independent
+    deterministic computation, so the result does not depend on worker count
+    or evaluation order.
     """
     if nmax < 0 or lmax < 0:
         raise ValueError("nmax and lmax must be nonnegative")
@@ -925,6 +861,7 @@ def eigenvalue_table(nmax: int, lmax: int, params: KernelParams,
         raise ValueError(f"workers must be at least 1, got {workers}")
     n = np.arange(nmax + 1)
     if workers > 1 and lmax > 0 and (nmax + 1) * (lmax + 1) >= _POOL_ENTRIES:
+        workers = min(workers, os.cpu_count() or 1)
         size = -(-(lmax + 1) // (4 * workers))  # about four blocks per worker
         tasks = [(range(l, min(l + size, lmax + 1)), n, params, quad)
                  for l in range(0, lmax + 1, size)]

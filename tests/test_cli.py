@@ -622,7 +622,7 @@ def test_scenario_unknown_name(tmp_path):
                "--out", str(tmp_path)) == 2
 
 
-def test_small_benchmark_outputs_keep_their_bytes(tmp_path):
+def test_small_benchmark_outputs_keep_their_bytes(tmp_path, running_with):
     # the modes evolve, delay evolve, eigs 49x49, scenario and verify --suite
     # all jobs of scripts/output_digest.py, run in process, against the
     # SHA-256 of each file recorded with the versions the golden names, the
@@ -630,8 +630,6 @@ def test_small_benchmark_outputs_keep_their_bytes(tmp_path):
     # purpose records the golden again and says why
     import hashlib
     import importlib.util
-
-    import numpy as np
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
@@ -643,12 +641,10 @@ def test_small_benchmark_outputs_keep_their_bytes(tmp_path):
         if (argv[0] in ("verify", "scenario") or argv[:len(digest.MODES)] == digest.MODES
                 or argv[:len(digest.EVOLVE)] == digest.EVOLVE or "48" in argv):
             assert main(argv) == 0
-    now = {"code_version": kernel.CODE_VERSION, "numpy": np.__version__,
-           "python": sys.version.split()[0]}
     for name, sha in golden["files"].items():
         got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert got == sha, (f"{name} differs from its golden, recorded with "
-                            f"{golden['recorded_with']}; this run has {now}")
+                            f"{golden['recorded_with']}; this run has {running_with}")
 
 
 def test_one_log_bound_serves_the_column_and_the_ratio_bounds(tmp_path, monkeypatch,

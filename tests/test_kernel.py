@@ -18,7 +18,7 @@ from dyboltz.errors import (CacheError, EigenvalueLookupError,
                             QuadratureConvergenceError)
 from dyboltz.kernel import (NULL_MODES, EigenvalueEntry, EigenvalueTable,
                             KernelParams, QuadratureSpec, asymptotic_leading,
-                            beta, eigen_integrand, eigenvalue,
+                            beta, eigenvalue,
                             eigenvalue_table, load_table,
                             radial_eigenvalues, ratio_bounds, save_table,
                             table_version)
@@ -82,52 +82,6 @@ def test_beta_raises_where_it_overflows():
             kernel._panel_rules(small, QuadratureSpec())
         assert np.all(np.isfinite(kernel._panel_rules(small, QuadratureSpec(max_panels=30))
                                   .wvalue))
-
-
-def test_integrand_null_modes_identically_zero(rng):
-    thetas = rng.uniform(1e-6, math.pi / 4, size=20)
-    for n, l in NULL_MODES:
-        assert np.all(eigen_integrand(n, l, thetas, P2) == 0.0)
-        assert np.all(eigen_integrand(n, l, thetas, KernelParams(s=0.5)) == 0.0)
-
-
-def test_integrand_value_mode_20():
-    # bracket at theta = pi/4 is 2 sin^2 cos^2 = 1/2, beta = sqrt(2)
-    got = eigen_integrand(2, 0, math.pi / 4, P2)
-    assert abs(got - math.sqrt(2.0) * 0.5) < 1e-12
-
-
-def test_integrand_nonnegative(rng):
-    thetas = rng.uniform(1e-8, math.pi / 4, size=50)
-    for n, l in [(2, 0), (0, 2), (7, 13), (120, 41)]:
-        assert np.all(eigen_integrand(n, l, thetas, P1) >= -1e-15)
-
-
-@pytest.mark.parametrize("n,l", [(2, 0), (200, 0), (5, 3)])
-def test_integrand_matches_mpmath_where_cos_rounds_to_1(n, l):
-    # below theta = 1.05e-8 cos theta rounds to 1, so log(cos theta) and
-    # P_l(cos theta) carry no digits there; the series in sin^2 theta does
-    import mpmath as mp
-
-    p = KernelParams(s=0.5)
-    for theta in (1e-7, 2e-8, 1.2e-8, 1e-8):
-        with mp.workdps(50):
-            t = mp.mpf(theta)
-            sin, cos = mp.sin(t), mp.cos(t)
-            bracket = 1 - cos ** (2 * n + l) * mp.legendre(l, cos) \
-                - sin ** (2 * n + l) * mp.legendre(l, sin)
-            want = float(mp.log(1 / sin) ** (2 / mp.mpf(p.s) - 1) / sin * bracket)
-        got = eigen_integrand(n, l, theta, p)
-        assert abs(got - want) < 1e-12 * want, (theta, got, want)
-
-
-def test_integrand_keeps_its_digits_where_sin2_is_subnormal():
-    # at s = 2, (2, 0) the integrand is exactly 2 sin theta cos^2 theta;
-    # below theta = 1.5e-154, x = sin^2 theta is subnormal
-    for theta in (1e-160, 1e-250, 1e-300):
-        want = 2.0 * math.sin(theta) * math.cos(theta) ** 2
-        got = eigen_integrand(2, 0, theta, P2)
-        assert abs(got - want) <= 1e-14 * want, (theta, got, want)
 
 
 def test_panel_rule_log_cos_is_accurate():
@@ -247,20 +201,15 @@ def test_bracket_identity_11_equals_20():
 
 
 def test_mode_indices_must_be_integers():
-    # a non-integer index names no mode, so there is no eigenvalue or integrand for it
+    # a non-integer index names no mode, so there is no eigenvalue for it
     for n, l in [(2.5, 0), (2.0, 0), (2, 0.5), (np.float64(3.0), 1), ("2", 0)]:
         with pytest.raises(ValueError, match="must be integers"):
             eigenvalue(n, l, P2, QUAD)
-        with pytest.raises(ValueError, match="must be integers"):
-            eigen_integrand(n, l, 0.3, P2)
     for n, l in [(-1, 0), (0, -1)]:
         with pytest.raises(ValueError, match="must be nonnegative"):
             eigenvalue(n, l, P2, QUAD)
-        with pytest.raises(ValueError, match="must be nonnegative"):
-            eigen_integrand(n, l, 0.3, P2)
     e = eigenvalue(np.int64(2), np.int32(0), P2, QUAD)
     assert e.lam == eigenvalue(2, 0, P2, QUAD).lam
-    assert eigen_integrand(np.int64(2), 0, 0.3, P2) == eigen_integrand(2, 0, 0.3, P2)
 
 
 def test_entry_invariants_enforced():
@@ -316,14 +265,13 @@ def test_table_positivity_and_gap(table_factory):
     assert np.all(tab.lams[~null] >= gap - tab.errs[~null])
 
 
-def test_tables_keep_their_bits(table_factory):
+def test_tables_keep_their_bits(table_factory, running_with):
     # the four 201x201 tables the acceptance tests build, and the single-entry
     # and max_panels cases of scripts/table_digest.py, hashed as it hashes,
     # against the digests recorded with the versions the golden names; a
     # change that moves a bit on purpose bumps CODE_VERSION, records the
     # golden again and says why
     import importlib.util
-    import sys
 
     root = pathlib.Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("table_digest",
@@ -337,12 +285,20 @@ def test_tables_keep_their_bits(table_factory):
         tab = table_factory(s, 200, 200)
         got[f"table 201x201 s={s}"] = digest._sha(tab.lams, tab.errs)
     assert len(got) == 32
-    now = {"code_version": kernel.CODE_VERSION, "numpy": np.__version__,
-           "python": sys.version.split()[0]}
     for name, sha in got.items():
         assert sha == golden["cases"][name], (f"{name} differs from its golden, recorded "
                                               f"with {golden['recorded_with']}; this run "
-                                              f"has {now}")
+                                              f"has {running_with}")
+
+
+def test_digest_goldens_name_what_a_run_names(running_with):
+    # each digest golden records the versions and numpy SIMD targets a run
+    # prints, so a red golden says which of them differ
+    root = pathlib.Path(__file__).resolve().parents[1]
+    for name in ("table_sha256.json", "cli_output_sha256.json"):
+        recorded = json.loads((root / "tests" / "golden" / name).read_text())["recorded_with"]
+        assert list(recorded) == list(running_with), name
+        assert all(isinstance(t, str) for t in recorded["cpu_dispatch"]), name
 
 
 def test_parallel_and_serial_builds_bitwise_equal(monkeypatch):
@@ -363,6 +319,65 @@ def test_parallel_and_serial_builds_bitwise_equal(monkeypatch):
                 for n in (0, 2, 20):
                     e = eigenvalue(n, l, P1, QUAD)
                     assert (e.lam, e.err) == (a.lams[n, l], a.errs[n, l])
+
+
+def test_pool_takes_at_most_the_cpu_count(monkeypatch):
+    # a process pool forks all its workers at its first task, so workers=10**6
+    # asks for os.cpu_count() processes and no more (1 where it is unknown);
+    # a serial stand-in records the count and starts no process, and the
+    # blocks sized from the capped count leave every bit as a serial build
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    serial = eigenvalue_table(14, 14, P1, QUAD)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(kernel, "_POOL_ENTRIES", 0)
+    for cpus, want in ((3, 3), (None, 1)):
+        monkeypatch.setattr(kernel.os, "cpu_count", lambda: cpus)
+        tab = eigenvalue_table(14, 14, P1, QUAD, workers=10**6)
+        assert asked.pop() == want and not asked
+        assert np.array_equal(tab.lams, serial.lams) and np.array_equal(tab.errs, serial.errs)
+
+
+def test_builds_take_one_transcendental_per_factor(monkeypatch):
+    # E_n, C_n, F_l, S_n and T_l each take one expm1 or exp per n or l and
+    # node of a panel, not one per (n, l, node), which took 16.8M at 201x201:
+    # a 201x201 build counts 499,884 expm1 and 18,744 exp elements, a radial
+    # N = 10^4 build 3,171,234 expm1 (a direct panel spans the whole block)
+    counts = {"expm1": 0, "exp": 0}
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def expm1(self, x, *args, **kwargs):
+            counts["expm1"] += np.size(x)
+            return np.expm1(x, *args, **kwargs)
+
+        def exp(self, x, *args, **kwargs):
+            counts["exp"] += np.size(x)
+            return np.exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(kernel, "np", CountingNumpy())
+    eigenvalue_table(200, 200, P2, QUAD)
+    assert counts["expm1"] <= 500_000 and counts["exp"] <= 19_000, counts
+    counts.update(expm1=0, exp=0)
+    eigenvalue_table(10**4, 0, P2, QUAD)
+    assert counts["expm1"] <= 3_180_000, counts
 
 
 def _panel_nodes(j):
@@ -420,8 +435,7 @@ def test_panel_bracket_matches_mpmath(n, l, j, s):
     ls = np.array([float(l)])
     fw = [x[j] for x in kernel._f_weights(ls, pcos[:, None], rule)]
     with np.errstate(under="ignore"):
-        got = kernel._direct_sums(j, 0, 0, ls, np.array(n, dtype=float), psin[j, None], fw,
-                                  rule)[:, 0]
+        got = kernel._direct_sums(j, ls, np.array(n, dtype=float), psin[j, None], fw, rule)[:, 0]
     want, bound = _bracket_bound(n, l, _panel_nodes(j), rule.cos[j], rule.sin[j])
     with mp.workdps(80):
         for sums, weights in zip(got, (rule.wvalue[j], rule.wcheck[j])):
@@ -429,23 +443,6 @@ def test_panel_bracket_matches_mpmath(n, l, j, s):
                 exact = mp.fsum(mp.mpf(w) * node[i] for w, node in zip(weights, want))
                 tol = mp.fsum(mp.mpf(w) * node[i] for w, node in zip(weights, bound))
                 assert abs(sums[i] - exact) <= tol, (n[i], float(exact), sums[i], float(tol))
-
-
-def test_integrand_is_the_bracket_the_quadrature_sums():
-    # the integrand takes the factored bracket, with log cos theta =
-    # log1p(-2 sin^2(theta/2)), where a_1 sin^2 theta > 1e-2, and the series
-    # below, which stays positive where cos theta rounds to 1; its cuts sit
-    # at each node, so a call per theta and one for all agree bit for bit
-    thetas = np.array([1e-160, 1e-100, 1e-30, 1e-3, 0.05, 0.7])
-    for n, l in [(2, 0), (5, 3), (200, 0), (2000, 0), (40, 120)]:
-        direct = (n + 0.5 * l + 0.25 * l * (l + 1)) * np.sin(thetas) ** 2 > kernel._SERIES_SWITCH
-        singles = np.array([eigen_integrand(n, l, t, P2) for t in thetas])
-        assert np.array_equal(eigen_integrand(n, l, thetas, P2), singles) and direct[-1]
-        assert np.all(singles > 0.0), singles
-        want, bound = _bracket_bound([n], l, thetas[direct], np.cos(thetas[direct]),
-                                     np.sin(thetas[direct]))
-        for got, b, w, tol in zip(singles[direct], beta(thetas[direct], P2), want, bound):
-            assert abs(got / b - float(w[0])) <= float(tol[0]), (n, l, got / b, float(w[0]))
 
 
 def test_gauss_legendre_solved_once_per_order(monkeypatch):
